@@ -8,6 +8,8 @@ sets verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import logging
 import os
@@ -25,7 +27,7 @@ from .conditions import (
     desired_response,
 )
 from .design import EqDesignConfig, config_from_json, config_to_json, filter_from_json, filter_to_json
-from .experiment import DEFAULT_DELAYS, run_experiment
+from .experiment import DEFAULT_DELAYS, run_experiment, write_response_csv
 from .metrics import band_error_profile, log_spectral_distance
 from .signals import magnitude_response
 from .solvers import SingularSystemError
@@ -46,13 +48,28 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+@contextlib.contextmanager
+def _reported(what: str):
+    """Turn a load, parse or validation failure into a one-line CliError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CliError(f"{what}: missing key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise CliError(f"{what}: {exc}") from exc
+
+
 def _load_config(path: str | None) -> dict[str, Any]:
     if not path:
         return {}
     p = Path(path)
     if not p.exists():
         raise CliError(f"config file not found: {p}")
-    return json.loads(p.read_text())
+    with _reported(f"invalid config file {p}"):
+        config = json.loads(p.read_text())
+    if not isinstance(config, dict):
+        raise CliError(f"invalid config file {p}: expected a JSON object")
+    return config
 
 
 def _pick(flag: Any, config_value: Any, default: Any) -> Any:
@@ -64,15 +81,16 @@ def _pick(flag: Any, config_value: Any, default: Any) -> Any:
 
 
 def _design_config(args: argparse.Namespace, config: dict[str, Any]) -> EqDesignConfig:
-    design_cfg = dict(config.get("design", {}))
-    base = config_from_json(design_cfg)
-    return EqDesignConfig(
-        filter_length=int(_pick(args.filter_length, design_cfg.get("L_a"), base.filter_length)),
-        lam=float(_pick(args.lam, design_cfg.get("lambda"), base.lam)),
-        acausal_lead=int(_pick(args.lead, design_cfg.get("L_d"), base.acausal_lead)),
-        device_delay=base.device_delay,
-        weighting=base.weighting,
-    )
+    with _reported("invalid design parameters"):
+        design_cfg = dict(config.get("design", {}))
+        base = config_from_json(design_cfg)
+        return EqDesignConfig(
+            filter_length=int(_pick(args.filter_length, design_cfg.get("L_a"), base.filter_length)),
+            lam=float(_pick(args.lam, design_cfg.get("lambda"), base.lam)),
+            acausal_lead=int(_pick(args.lead, design_cfg.get("L_d"), base.acausal_lead)),
+            device_delay=base.device_delay,
+            weighting=base.weighting,
+        )
 
 
 def _int_list(text: str) -> list[int]:
@@ -95,13 +113,12 @@ def _synth_params(args: argparse.Namespace, config: dict[str, Any]) -> cohort_mo
         p = Path(params_path)
         if not p.exists():
             raise CliError(f"synth params file not found: {p}")
-        data.update(json.loads(p.read_text()))
+        with _reported(f"invalid synth params file {p}"):
+            data.update(json.loads(p.read_text()))
     if args.seed is not None:
         data["seed"] = args.seed
-    try:
+    with _reported("invalid synth parameters"):
         return cohort_mod.params_from_json(data)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid synth parameters: {exc}") from exc
 
 
 def _load_cohort(args: argparse.Namespace, config: dict[str, Any]) -> cohort_mod.CohortData:
@@ -113,7 +130,8 @@ def _load_cohort(args: argparse.Namespace, config: dict[str, Any]) -> cohort_mod
         path = Path(manifest)
         if not path.exists():
             raise CliError(f"manifest not found: {path}")
-        return cohort_mod.load_manifest(path)
+        with _reported(f"invalid manifest {path}"):
+            return cohort_mod.load_manifest(path)
     params = _synth_params(args, config)
     ears = cohort_mod.synth_cohort(params)
     dummy = cohort_mod.synth_dummy_ear(params)
@@ -151,11 +169,8 @@ def cmd_design(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
     cfg = _design_config(args, config)
-    delay = int(_pick(args.delay, None, cfg.device_delay))
-    cfg = EqDesignConfig(
-        filter_length=cfg.filter_length, lam=cfg.lam,
-        acausal_lead=cfg.acausal_lead, device_delay=delay, weighting=cfg.weighting,
-    )
+    with _reported("invalid design parameters"):
+        cfg = dataclasses.replace(cfg, device_delay=int(_pick(args.delay, None, cfg.device_delay)))
     spec = condition_named(args.condition)
     try:
         filt = design_for_condition(
@@ -175,16 +190,25 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    conditions = list(_pick(args.conditions, config.get("conditions"), list(CONDITION_NAMES)))
+    delays = list(_pick(args.delays, config.get("delays"), list(DEFAULT_DELAYS)))
+    with _reported("invalid experiment request"):
+        if not conditions or not delays:
+            raise ValueError("need at least one condition and one delay")
+        for name in conditions:
+            condition_named(name)
+        for delay in delays:
+            if not isinstance(delay, int) or delay < 0:
+                raise ValueError(f"device delays must be nonnegative integers, got {delay!r}")
+    if args.workers is not None or "workers" in config:
+        log.warning("--workers and the \"workers\" config key are deprecated and ignored; "
+                    "the grid runs serially")
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
     cfg = _design_config(args, config)
-    conditions = _pick(args.conditions, config.get("conditions"), list(CONDITION_NAMES))
-    delays = _pick(args.delays, config.get("delays"), list(DEFAULT_DELAYS))
-    workers = int(_pick(args.workers, config.get("workers"), 1))
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     try:
         result = run_experiment(
-            data.ears, list(conditions), list(delays), cfg, out_dir,
-            dummy=data.dummy, workers=workers,
+            data.ears, conditions, delays, cfg, out_dir, dummy=data.dummy,
         )
     except OSError as exc:
         raise CliError(f"cannot write reports under {out_dir}: {exc}") from exc
@@ -198,8 +222,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     filter_path = Path(args.filter)
     if not filter_path.exists():
         raise CliError(f"filter file not found: {filter_path}")
-    payload = json.loads(filter_path.read_text())
-    filt = filter_from_json(payload)
+    with _reported(f"invalid filter file {filter_path}"):
+        filt = filter_from_json(json.loads(filter_path.read_text()))
     ears = {e.subject_id: e for e in data.ears}
     if data.dummy is not None:
         ears.setdefault(data.dummy.subject_id, data.dummy)
@@ -214,15 +238,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     out_dir.mkdir(parents=True, exist_ok=True)
     name = f"eval_{args.subject}__dG{filt.config.device_delay}"
-    lines = ["frequency_hz,desired_db,aided_db,occluded_db"]
-    for i in range(aided.frequencies_hz.size):
-        lines.append(
-            f"{format(aided.frequencies_hz[i], '.17g')},"
-            f"{format(desired.magnitude_db[i], '.17g')},"
-            f"{format(aided.magnitude_db[i], '.17g')},"
-            f"{format(occluded.magnitude_db[i], '.17g')}"
-        )
-    (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    write_response_csv(desired, aided, occluded, out_dir / f"{name}.csv")
     report = {
         "subject": args.subject,
         "d_G": filt.config.device_delay,
@@ -274,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     design_flags(p_exp)
     p_exp.add_argument("--conditions", type=_str_list, help="comma-separated condition names")
     p_exp.add_argument("--delays", type=_int_list, help="comma-separated d_G values")
-    p_exp.add_argument("--workers", type=int, help="concurrent grid workers (default 1)")
+    p_exp.add_argument("--workers", type=int, help="deprecated and ignored")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_eval = sub.add_parser("evaluate", help="re-simulate a stored filter on a subject")

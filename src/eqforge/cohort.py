@@ -397,6 +397,12 @@ def load_manifest(path: str | Path) -> CohortData:
     path = Path(path)
     data = json.loads(path.read_text())
     rate = int(data["sample_rate_hz"])
+    # RTF caches and leave-one-out exclusions are keyed by subject ID.
+    entries = data["subjects"] + ([data["dummy"]] if "dummy" in data else [])
+    ids = [entry["id"] for entry in entries]
+    duplicates = sorted({i for i in ids if ids.count(i) > 1})
+    if duplicates:
+        raise ValueError(f"{path}: duplicate subject IDs {duplicates}")
     base_dir = path.parent
     ears = [_load_ear(entry, base_dir, rate) for entry in data["subjects"]]
     dummy = _load_ear(data["dummy"], base_dir, rate) if "dummy" in data else None

@@ -1,8 +1,8 @@
 """Experiment conditions: filter-design recipes and aided-ear path simulation.
 
-Each condition names which receiver-to-eardrum estimate enters the design and
-whether the transfer-function ratios come from the subject's own
-measurements, a dummy-head surrogate, or leave-one-out cohort averages.
+Every condition runs the same regularized least-squares design; a condition
+is data naming which ears the design is pooled over, which RTF estimates
+build their targets, and which receiver-to-eardrum response is the plant.
 Evaluation always runs on the subject's true acoustics, so a condition's
 score isolates the impact of its design-side estimates.
 """
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
 from .cohort import EarDataset
-from .design import EqDesignConfig, EqFilter, build_target, design_filter, design_filter_pooled
+from .design import EqDesignConfig, EqFilter, build_target, design_filter_pooled
 from .metrics import EVALUATION_BAND_HZ, ConditionReport, band_error_profile, log_spectral_distance
 from .rtf import (
     MeasurementPair,
@@ -24,7 +23,14 @@ from .rtf import (
 )
 from .signals import DEFAULT_N_FFT, ImpulseResponse, convolve, magnitude_response, unit_delay, zero_extend
 
-D_SOURCES = ("true", "inear", "model", "dummyhead")
+# Where the design ears and their RTFs come from:
+#   own    the subject, with its own RTFs
+#   dummy  the dummy-head ear, with its own RTFs
+#   peers  every other cohort ear, each with its own RTFs, pooled into one filter
+#   loo    the subject, with RTFs averaged over every other cohort ear
+RTF_SOURCES = ("own", "dummy", "peers", "loo")
+# Which receiver-to-eardrum response of each design ear is the design plant.
+D_SOURCES = {"true": "d_true", "inear": "d_inear", "model": "d_model"}
 
 
 @dataclass(frozen=True)
@@ -32,26 +38,30 @@ class ConditionSpec:
     """One experiment condition: RTF provenance plus the design-side d source."""
 
     name: str
-    uses_individual_rtf: bool
+    rtf_source: str
     d_source: str
 
     def __post_init__(self) -> None:
+        if self.rtf_source not in RTF_SOURCES:
+            raise ValueError(f"rtf_source must be one of {RTF_SOURCES}, got {self.rtf_source!r}")
         if self.d_source not in D_SOURCES:
-            raise ValueError(f"d_source must be one of {D_SOURCES}, got {self.d_source!r}")
+            raise ValueError(f"d_source must be one of {tuple(D_SOURCES)}, got {self.d_source!r}")
 
 
 CONDITIONS: dict[str, ConditionSpec] = {
-    "Optimal": ConditionSpec("Optimal", True, "true"),
-    "GenericDH": ConditionSpec("GenericDH", False, "dummyhead"),
-    "NaiveInEar": ConditionSpec("NaiveInEar", True, "inear"),
-    "ModelBased": ConditionSpec("ModelBased", True, "model"),
-    "GenericAV": ConditionSpec("GenericAV", False, "true"),
-    "PracticalModelBased": ConditionSpec("PracticalModelBased", False, "model"),
-    "PracticalOptimal": ConditionSpec("PracticalOptimal", False, "true"),
+    spec.name: spec
+    for spec in (
+        ConditionSpec("Optimal", "own", "true"),
+        ConditionSpec("GenericDH", "dummy", "true"),
+        ConditionSpec("NaiveInEar", "own", "inear"),
+        ConditionSpec("ModelBased", "own", "model"),
+        ConditionSpec("GenericAV", "peers", "true"),
+        ConditionSpec("PracticalModelBased", "loo", "model"),
+        ConditionSpec("PracticalOptimal", "loo", "true"),
+    )
 }
 
 CONDITION_NAMES = tuple(CONDITIONS)
-_LEAVE_ONE_OUT = ("GenericAV", "PracticalModelBased", "PracticalOptimal")
 
 
 def condition_named(name: str) -> ConditionSpec:
@@ -86,7 +96,10 @@ def aided_response(ear: EarDataset, g: ImpulseResponse, a: EqFilter) -> ImpulseR
 
 @dataclass
 class RtfCache:
-    """Memoized estimates so grid runs do not refit identical systems."""
+    """Memoized estimates so grid runs do not refit identical systems.
+
+    Entries are keyed by subject ID and hold estimates at `acausal_lead` only.
+    """
 
     acausal_lead: int
     individual: dict[str, tuple[RelativeTransferEstimate, RelativeTransferEstimate]] = field(
@@ -96,13 +109,22 @@ class RtfCache:
         default_factory=dict
     )
 
+    def check_lead(self, acausal_lead: int) -> None:
+        if acausal_lead != self.acausal_lead:
+            raise ValueError(
+                f"RTF cache holds estimates at acausal lead {self.acausal_lead}, "
+                f"not {acausal_lead}"
+            )
+
 
 def individual_rtfs(
     ear: EarDataset, acausal_lead: int, cache: RtfCache | None = None
 ) -> tuple[RelativeTransferEstimate, RelativeTransferEstimate]:
     """(open, occluded) RTF estimates from one ear's own measurements."""
-    if cache is not None and ear.subject_id in cache.individual:
-        return cache.individual[ear.subject_id]
+    if cache is not None:
+        cache.check_lead(acausal_lead)
+        if ear.subject_id in cache.individual:
+            return cache.individual[ear.subject_id]
     r_open = estimate_individual(
         MeasurementPair(ear.h_m, ear.h_open, ear.subject_id),
         default_rtf_length(len(ear.h_open), acausal_lead),
@@ -127,8 +149,10 @@ def average_rtfs(
     cache: RtfCache | None = None,
 ) -> tuple[RelativeTransferEstimate, RelativeTransferEstimate]:
     """(open, occluded) pooled RTF estimates, leaving one subject out."""
-    if cache is not None and exclude_subject in cache.average:
-        return cache.average[exclude_subject]
+    if cache is not None:
+        cache.check_lead(acausal_lead)
+        if exclude_subject in cache.average:
+            return cache.average[exclude_subject]
     members = [e for e in cohort if e.subject_id != exclude_subject]
     if not members:
         raise ValueError(f"no cohort members remain after excluding {exclude_subject!r}")
@@ -150,14 +174,6 @@ def _find_subject(cohort: list[EarDataset], subject_id: str) -> EarDataset:
     raise ValueError(f"subject {subject_id!r} is not in the cohort")
 
 
-def _design_plant(ear: EarDataset, cond: ConditionSpec, dummy: EarDataset | None) -> ImpulseResponse:
-    if cond.d_source == "dummyhead":
-        if dummy is None:
-            raise ValueError(f"condition {cond.name} needs a dummy-head ear")
-        return dummy.require("d_true")
-    return ear.require({"true": "d_true", "inear": "d_inear", "model": "d_model"}[cond.d_source])
-
-
 def design_for_condition(
     cohort: list[EarDataset],
     subject_id: str,
@@ -167,32 +183,25 @@ def design_for_condition(
     dummy: EarDataset | None = None,
     cache: RtfCache | None = None,
 ) -> EqFilter:
-    """Design the equalizer exactly as the named condition prescribes."""
+    """Design the equalizer exactly as the condition's data prescribes."""
     ear = _find_subject(cohort, subject_id)
-    if cond.name in _LEAVE_ONE_OUT and len(cohort) < 2:
+    peers = [e for e in cohort if e.subject_id != subject_id]
+    if cond.rtf_source in ("peers", "loo") and not peers:
         raise ValueError(f"condition {cond.name} needs a cohort of at least 2 ears")
+    if cond.rtf_source == "dummy" and dummy is None:
+        raise ValueError(f"condition {cond.name} needs a dummy-head ear")
+    design_ears = {"own": [ear], "dummy": [dummy], "peers": peers, "loo": [ear]}[cond.rtf_source]
+
     g = device_gain(config.device_delay, ear.sample_rate_hz)
-
-    if cond.name == "GenericAV":
-        members = [e for e in cohort if e.subject_id != subject_id]
-        targets = [
-            build_target(*individual_rtfs(member, config.acausal_lead, cache), g)
-            for member in members
-        ]
-        plants = [member.require("d_true") for member in members]
-        return design_filter_pooled(plants, targets, config)
-
-    if cond.name == "GenericDH":
-        if dummy is None:
-            raise ValueError("condition GenericDH needs a dummy-head ear")
-        r_open, r_occ = individual_rtfs(dummy, config.acausal_lead, cache)
-    elif cond.uses_individual_rtf:
-        r_open, r_occ = individual_rtfs(ear, config.acausal_lead, cache)
-    else:
-        r_open, r_occ = average_rtfs(cohort, subject_id, config.acausal_lead, cache)
-
-    target = build_target(r_open, r_occ, g)
-    return design_filter(_design_plant(ear, cond, dummy), target, config)
+    plants, targets = [], []
+    for design_ear in design_ears:
+        if cond.rtf_source == "loo":
+            rtfs = average_rtfs(cohort, subject_id, config.acausal_lead, cache)
+        else:
+            rtfs = individual_rtfs(design_ear, config.acausal_lead, cache)
+        targets.append(build_target(*rtfs, g))
+        plants.append(design_ear.require(D_SOURCES[cond.d_source]))
+    return design_filter_pooled(plants, targets, config)
 
 
 def run_condition(

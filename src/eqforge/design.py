@@ -15,7 +15,7 @@ from .signals import (
     convolution_matrix,
     zero_extend,
 )
-from .solvers import solve_normal_equations
+from .solvers import align_target, solve_pooled
 
 WEIGHTING_MODES = ("identity", "fir")
 
@@ -129,23 +129,6 @@ def build_target(
     return zero_extend(r_open.coefficients, n) - zero_extend(inverted, n)
 
 
-def _assemble(
-    d_hat: ImpulseResponse, target: np.ndarray, config: EqDesignConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Convolution matrix, aligned target, tail beyond the matrix support."""
-    target = np.asarray(target, dtype=np.float64)
-    if target.ndim != 1 or target.size == 0:
-        raise ValueError("target must be a nonempty 1-D vector")
-    matrix = convolution_matrix(d_hat, config.filter_length).entries
-    rows = matrix.shape[0]
-    aligned = np.zeros(rows)
-    keep = min(rows, target.size)
-    aligned[:keep] = target[:keep]
-    tail_sq = float(np.dot(target[rows:], target[rows:])) if target.size > rows else 0.0
-    weights = weighting_matrix(config.weighting, config.filter_length).entries
-    return matrix, aligned, weights, tail_sq
-
-
 def design_filter(
     d_hat: ImpulseResponse, target: np.ndarray, config: EqDesignConfig
 ) -> EqFilter:
@@ -158,26 +141,7 @@ def design_filter(
     Raises SingularSystemError (naming the condition estimate) when lam = 0
     and the normal matrix is numerically singular.
     """
-    matrix, aligned, weights, tail_sq = _assemble(d_hat, target, config)
-    gram = matrix.T @ matrix
-    if config.lam > 0.0:
-        gram = gram + config.lam * (weights.T @ weights)
-    rhs = matrix.T @ aligned
-    coeffs = solve_normal_equations(gram, rhs, context="equalizer design")
-
-    residual = matrix @ coeffs - aligned
-    penalty = weights @ coeffs
-    gradient = matrix.T @ residual
-    if config.lam > 0.0:
-        gradient = gradient + config.lam * (weights.T @ penalty)
-    return EqFilter(
-        coefficients=coeffs,
-        config=config,
-        residual_norm=float(np.sqrt(residual @ residual + tail_sq)),
-        penalty_norm=float(np.linalg.norm(penalty)),
-        normal_eq_residual=float(np.max(np.abs(gradient))),
-        normal_eq_scale=float(np.max(np.abs(rhs))),
-    )
+    return design_filter_pooled([d_hat], [target], config)
 
 
 def design_filter_pooled(
@@ -191,43 +155,20 @@ def design_filter_pooled(
     regularization penalty, so the pooled normal matrix carries the penalty
     scaled by the number of pooled ears.
     """
-    if not d_hats or len(d_hats) != len(targets):
-        raise ValueError("d_hats and targets must be equally long and nonempty")
     n = config.filter_length
-    weights = weighting_matrix(config.weighting, n).entries
-    gram = np.zeros((n, n))
-    rhs = np.zeros(n)
-    tail_total = 0.0
-    mats = []
-    aligneds = []
-    for d_hat, target in zip(d_hats, targets):
-        matrix, aligned, _, tail_sq = _assemble(d_hat, target, config)
-        gram += matrix.T @ matrix
-        rhs += matrix.T @ aligned
-        tail_total += tail_sq
-        mats.append(matrix)
-        aligneds.append(aligned)
-    lam_pooled = config.lam * len(d_hats)
-    if lam_pooled > 0.0:
-        gram = gram + lam_pooled * (weights.T @ weights)
-    coeffs = solve_normal_equations(gram, rhs, context="pooled equalizer design")
-
-    residual_sq = tail_total
-    gradient = np.zeros(n)
-    for matrix, aligned in zip(mats, aligneds):
-        residual = matrix @ coeffs - aligned
-        residual_sq += float(residual @ residual)
-        gradient += matrix.T @ residual
-    penalty = weights @ coeffs
-    if lam_pooled > 0.0:
-        gradient = gradient + lam_pooled * (weights.T @ penalty)
+    solution = solve_pooled(
+        d_hats, targets, n,
+        lam=config.lam,
+        weights=weighting_matrix(config.weighting, n).entries,
+        context="equalizer design",
+    )
     return EqFilter(
-        coefficients=coeffs,
+        coefficients=solution.coefficients,
         config=config,
-        residual_norm=float(np.sqrt(residual_sq)),
-        penalty_norm=float(np.linalg.norm(penalty)),
-        normal_eq_residual=float(np.max(np.abs(gradient))),
-        normal_eq_scale=float(np.max(np.abs(rhs))),
+        residual_norm=solution.residual_norm,
+        penalty_norm=solution.penalty_norm,
+        normal_eq_residual=solution.normal_eq_residual,
+        normal_eq_scale=solution.normal_eq_scale,
     )
 
 
@@ -241,9 +182,10 @@ def cost(
     a = np.asarray(a, dtype=np.float64)
     if a.size != config.filter_length:
         raise ValueError(f"expected {config.filter_length} coefficients, got {a.size}")
-    matrix, aligned, weights, tail_sq = _assemble(d_hat, target, config)
+    matrix = convolution_matrix(d_hat, config.filter_length).entries
+    aligned, tail_sq = align_target(target, matrix.shape[0])
     residual = matrix @ a - aligned
-    penalty = weights @ a
+    penalty = weighting_matrix(config.weighting, config.filter_length).entries @ a
     return float(residual @ residual + tail_sq + config.lam * (penalty @ penalty))
 
 

@@ -5,22 +5,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cohort import EarDataset
-from .conditions import (
-    ConditionSpec,
-    RtfCache,
-    average_rtfs,
-    condition_named,
-    individual_rtfs,
-    run_condition,
-)
+from .conditions import RtfCache, condition_named, run_condition
 from .design import EqDesignConfig, filter_to_json
 from .metrics import EVALUATION_BAND_HZ, ConditionReport, rank_conditions
-from .signals import DEFAULT_N_FFT
+from .signals import DEFAULT_N_FFT, MagnitudeResponse
 
 log = logging.getLogger("eqforge.experiment")
 
@@ -49,21 +41,24 @@ def _run_name(subject_id: str, condition: str, delay: int) -> str:
     return f"{subject_id}__{condition}__dG{delay}"
 
 
-def _write_response_csv(report: ConditionReport, path: Path) -> None:
+def write_response_csv(
+    desired: MagnitudeResponse,
+    aided: MagnitudeResponse,
+    occluded: MagnitudeResponse,
+    path: Path,
+) -> None:
+    """The per-run response file: one row per frequency bin, 17 significant digits."""
+    row = "{:.17g},{:.17g},{:.17g},{:.17g}".format
+    columns = zip(desired.frequencies_hz.tolist(), desired.magnitude_db.tolist(),
+                  aided.magnitude_db.tolist(), occluded.magnitude_db.tolist())
     lines = ["frequency_hz,desired_db,aided_db,occluded_db"]
-    freqs = report.desired.frequencies_hz
-    for i in range(freqs.size):
-        lines.append(
-            f"{format(freqs[i], '.17g')},{format(report.desired.magnitude_db[i], '.17g')},"
-            f"{format(report.aided.magnitude_db[i], '.17g')},"
-            f"{format(report.occluded.magnitude_db[i], '.17g')}"
-        )
+    lines.extend(row(*values) for values in columns)
     path.write_text("\n".join(lines) + "\n")
 
 
 def _write_run_report(report: ConditionReport, out_dir: Path) -> None:
     name = _run_name(report.subject_id, report.condition, report.device_delay)
-    _write_response_csv(report, out_dir / f"{name}.csv")
+    write_response_csv(report.desired, report.aided, report.occluded, out_dir / f"{name}.csv")
     payload = {
         "subject": report.subject_id,
         "condition": report.condition,
@@ -143,7 +138,6 @@ def run_experiment(
     out_dir: str | Path,
     *,
     dummy: EarDataset | None = None,
-    workers: int = 1,
     n_fft: int = DEFAULT_N_FFT,
     band: tuple[float, float] = EVALUATION_BAND_HZ,
 ) -> ExperimentResult:
@@ -161,52 +155,21 @@ def run_experiment(
     runs_dir.mkdir(parents=True, exist_ok=True)
 
     cache = RtfCache(acausal_lead=design.acausal_lead)
-    grid: list[tuple[EarDataset, ConditionSpec, int]] = [
-        (ear, spec, delay) for ear in cohort for spec in specs for delay in delays
-    ]
-
-    def _one(cell: tuple[EarDataset, ConditionSpec, int]):
-        ear, spec, delay = cell
-        cfg = dataclasses.replace(design, device_delay=delay)
-        return run_condition(
-            cohort, ear.subject_id, spec, cfg,
-            dummy=dummy, cache=cache, n_fft=n_fft, band=band,
-        )
-
-    # The RTF cache is shared across cells, so populate it before dispatching
-    # concurrent work; afterwards it is only read. Estimation failures are
-    # swallowed here and resurface inside the affected runs.
-    if workers > 1:
-        ears = list(cohort) + ([dummy] if dummy is not None else [])
-        pooled = any(s.name in ("GenericAV", "PracticalModelBased", "PracticalOptimal")
-                     for s in specs)
-        for ear in ears:
-            try:
-                individual_rtfs(ear, design.acausal_lead, cache)
-            except Exception:
-                pass
-        for ear in cohort if pooled else []:
-            try:
-                average_rtfs(cohort, ear.subject_id, design.acausal_lead, cache)
-            except Exception:
-                pass
-
     result = ExperimentResult()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_guarded(_one), grid))
-    else:
-        outcomes = [_guarded(_one)(cell) for cell in grid]
-
-    for outcome in outcomes:
-        if isinstance(outcome, RunFailure):
-            log.warning(
-                "run failed: %s/%s/dG=%s: %s",
-                outcome.subject_id, outcome.condition, outcome.device_delay, outcome.error,
-            )
-            result.failures.append(outcome)
-        else:
-            result.reports.append(outcome)
+    for ear in cohort:
+        for spec in specs:
+            for delay in delays:
+                cfg = dataclasses.replace(design, device_delay=delay)
+                try:
+                    result.reports.append(run_condition(
+                        cohort, ear.subject_id, spec, cfg,
+                        dummy=dummy, cache=cache, n_fft=n_fft, band=band,
+                    ))
+                except Exception as exc:
+                    failure = RunFailure(ear.subject_id, spec.name, delay,
+                                         f"{type(exc).__name__}: {exc}")
+                    log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
+                    result.failures.append(failure)
 
     for report in result.reports:
         _write_run_report(report, runs_dir)
@@ -216,14 +179,3 @@ def run_experiment(
         len(result.reports), len(result.failures),
     )
     return result
-
-
-def _guarded(fn):
-    def wrapper(cell):
-        ear, spec, delay = cell
-        try:
-            return fn(cell)
-        except Exception as exc:
-            return RunFailure(ear.subject_id, spec.name, delay, f"{type(exc).__name__}: {exc}")
-
-    return wrapper

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ImpulseResponse, convolution_matrix, zero_pad_leading
-from .solvers import SingularSystemError, solve_normal_equations
+from .signals import ImpulseResponse, zero_pad_leading
+from .solvers import solve_pooled
 
 ESTIMATE_KINDS = ("individual", "average")
 ESTIMATE_ROLES = ("occluded", "open")
@@ -86,29 +86,10 @@ def ls_deconvolve(
         raise ValueError(f"rtf_length must be at least 1, got {rtf_length}")
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    if not np.any(h_den.samples):
-        raise SingularSystemError("deconvolution denominator is identically zero")
-
-    target = np.asarray(target, dtype=np.float64)
-    matrix = convolution_matrix(h_den, rtf_length).entries
-    rows = matrix.shape[0]
-    aligned = np.zeros(rows)
-    keep = min(rows, target.size)
-    # Target samples beyond the full-convolution support face all-zero rows of
-    # H: they contribute a constant to the cost and never move the minimizer.
-    aligned[:keep] = target[:keep]
-
-    gram = matrix.T @ matrix
-    rhs = matrix.T @ aligned
-    if ridge > 0.0:
-        gram = gram + ridge * np.eye(rtf_length)
-        stacked = np.vstack([matrix, np.sqrt(ridge) * np.eye(rtf_length)])
-        stacked_t = np.concatenate([aligned, np.zeros(rtf_length)])
-    else:
-        stacked, stacked_t = matrix, aligned
-    return solve_normal_equations(
-        gram, rhs, min_norm_fallback=(stacked, stacked_t), context="deconvolution"
-    )
+    return solve_pooled(
+        [h_den], [target], rtf_length, lam=ridge, min_norm_fallback=True,
+        context="deconvolution",
+    ).coefficients
 
 
 def estimate_individual(
@@ -144,28 +125,11 @@ def estimate_average(
         raise ValueError(f"measurement pairs mix sample rates: {sorted(rates)}")
     if rtf_length < 1:
         raise ValueError(f"rtf_length must be at least 1, got {rtf_length}")
-
-    gram = np.zeros((rtf_length, rtf_length))
-    rhs = np.zeros(rtf_length)
-    blocks: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    for pair in pairs:
-        matrix = convolution_matrix(pair.h_m, rtf_length).entries
-        padded = zero_pad_leading(pair.h_target, acausal_lead).samples
-        aligned = np.zeros(matrix.shape[0])
-        keep = min(matrix.shape[0], padded.size)
-        aligned[:keep] = padded[:keep]
-        gram += matrix.T @ matrix
-        rhs += matrix.T @ aligned
-        blocks.append(matrix)
-        targets.append(aligned)
-
-    if not np.any(gram):
-        raise SingularSystemError("pooled normal matrix is identically zero")
-    coeffs = solve_normal_equations(
-        gram,
-        rhs,
-        min_norm_fallback=(np.vstack(blocks), np.concatenate(targets)),
+    coeffs = solve_pooled(
+        [p.h_m for p in pairs],
+        [zero_pad_leading(p.h_target, acausal_lead).samples for p in pairs],
+        rtf_length,
+        min_norm_fallback=True,
         context="pooled RTF estimate",
-    )
+    ).coefficients
     return RelativeTransferEstimate(coeffs, acausal_lead, "average", role)

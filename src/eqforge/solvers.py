@@ -1,9 +1,14 @@
-"""Dense solvers shared by the estimation and filter-design normal equations."""
+"""The one least-squares path shared by RTF estimation and equalizer design."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 import scipy.linalg
+
+from .signals import ImpulseResponse, convolution_matrix
 
 CONDITION_LIMIT = 1e12
 
@@ -13,18 +18,12 @@ class SingularSystemError(RuntimeError):
 
 
 def solve_normal_equations(
-    gram: np.ndarray,
-    rhs: np.ndarray,
-    *,
-    min_norm_fallback: tuple[np.ndarray, np.ndarray] | None = None,
-    context: str = "normal equations",
+    gram: np.ndarray, rhs: np.ndarray, *, context: str = "normal equations"
 ) -> np.ndarray:
-    """Solve ``gram @ x = rhs`` for a symmetric PSD Gram matrix.
+    """Solve ``gram @ x = rhs`` for a symmetric PSD Gram matrix by Cholesky.
 
-    Well-conditioned systems go through a Cholesky factorization. When the
-    condition number exceeds CONDITION_LIMIT, the minimum-norm least-squares
-    solution of `min_norm_fallback` (a stacked (matrix, target) system) is
-    returned instead; with no fallback the system is reported as singular.
+    Raises SingularSystemError, naming the condition estimate, when the
+    condition number exceeds CONDITION_LIMIT or the factorization fails.
     """
     gram = np.asarray(gram, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -39,12 +38,106 @@ def solve_normal_equations(
             factor = scipy.linalg.cho_factor(gram, check_finite=False)
             return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
         except np.linalg.LinAlgError:
-            pass  # fall through to the rank-deficient handling below
+            pass  # reported as singular below
+    raise SingularSystemError(
+        f"{context}: condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
+    )
 
-    if min_norm_fallback is None:
-        raise SingularSystemError(
-            f"{context}: condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    matrix, target = min_norm_fallback
-    solution, *_ = np.linalg.lstsq(matrix, target, rcond=None)
-    return solution
+
+def align_target(target: np.ndarray, rows: int) -> tuple[np.ndarray, float]:
+    """Target cut or zero-extended to `rows` samples, plus the energy cut off.
+
+    Target samples beyond the full-convolution support face all-zero rows:
+    they add a constant to the cost and never move the minimizer.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    if target.ndim != 1 or target.size == 0:
+        raise ValueError("target must be a nonempty 1-D vector")
+    aligned = np.zeros(rows)
+    keep = min(rows, target.size)
+    aligned[:keep] = target[:keep]
+    tail = target[rows:]
+    return aligned, float(np.dot(tail, tail))
+
+
+@dataclass(frozen=True, eq=False)
+class PooledSolution:
+    """Minimizer of a pooled least-squares problem and its audited norms."""
+
+    coefficients: np.ndarray
+    residual_norm: float
+    penalty_norm: float
+    normal_eq_residual: float
+    normal_eq_scale: float
+
+
+def solve_pooled(
+    plants: Sequence[ImpulseResponse],
+    targets: Sequence[np.ndarray],
+    n_cols: int,
+    *,
+    lam: float = 0.0,
+    weights: np.ndarray | None = None,
+    min_norm_fallback: bool = False,
+    context: str = "least squares",
+) -> PooledSolution:
+    """Minimize ``sum_k |H_k x - t_k|^2 + lam * K * |W x|^2`` over x of length n_cols.
+
+    H_k is the full convolution matrix of ``plants[k]``, compared with
+    ``targets[k]`` over their common support (shorter side zero-extended),
+    and K is the number of pooled systems, so every system carries one copy
+    of the penalty. W defaults to the identity. The per-system Gram matrices
+    and right-hand sides are accumulated in list order and solved once.
+
+    When the normal equations are too ill-conditioned for Cholesky, the
+    minimum-norm minimizer of the stacked system is returned if
+    `min_norm_fallback` is set; otherwise SingularSystemError is raised.
+    """
+    if not plants or len(plants) != len(targets):
+        raise ValueError("plants and targets must be equally long and nonempty")
+    if weights is None:
+        weights = np.eye(n_cols)
+    gram = np.zeros((n_cols, n_cols))
+    rhs = np.zeros(n_cols)
+    tail_sq = 0.0
+    matrices = []
+    aligned_targets = []
+    for plant, target in zip(plants, targets):
+        matrix = convolution_matrix(plant, n_cols).entries
+        aligned, tail = align_target(target, matrix.shape[0])
+        gram += matrix.T @ matrix
+        rhs += matrix.T @ aligned
+        tail_sq += tail
+        matrices.append(matrix)
+        aligned_targets.append(aligned)
+    lam_pooled = lam * len(plants)
+    if lam_pooled > 0.0:
+        gram = gram + lam_pooled * (weights.T @ weights)
+
+    try:
+        x = solve_normal_equations(gram, rhs, context=context)
+    except SingularSystemError:
+        if not min_norm_fallback or not np.any(gram):
+            raise
+        stacked, stacked_t = matrices, aligned_targets
+        if lam_pooled > 0.0:
+            stacked = [*matrices, np.sqrt(lam_pooled) * weights]
+            stacked_t = [*aligned_targets, np.zeros(weights.shape[0])]
+        x, *_ = np.linalg.lstsq(np.vstack(stacked), np.concatenate(stacked_t), rcond=None)
+
+    residual_sq = tail_sq
+    gradient = np.zeros(n_cols)
+    for matrix, aligned in zip(matrices, aligned_targets):
+        residual = matrix @ x - aligned
+        residual_sq += float(residual @ residual)
+        gradient += matrix.T @ residual
+    penalty = weights @ x
+    if lam_pooled > 0.0:
+        gradient = gradient + lam_pooled * (weights.T @ penalty)
+    return PooledSolution(
+        coefficients=x,
+        residual_norm=float(np.sqrt(residual_sq)),
+        penalty_norm=float(np.linalg.norm(penalty)),
+        normal_eq_residual=float(np.max(np.abs(gradient))),
+        normal_eq_scale=float(np.max(np.abs(rhs))),
+    )

@@ -10,12 +10,13 @@ from eqforge.conditions import (
     RtfCache,
     aided_response,
     condition_named,
+    individual_rtfs,
     design_for_condition,
     desired_response,
     device_gain,
     run_condition,
 )
-from eqforge.design import EqDesignConfig, EqFilter
+from eqforge.design import EqDesignConfig, EqFilter, build_target, design_filter
 from eqforge.signals import convolve, magnitude_response, unit_delay, zero_extend
 from conftest import RATE, make_ir
 
@@ -54,12 +55,15 @@ def test_condition_registry_is_fixed():
         "Optimal", "GenericDH", "NaiveInEar", "ModelBased",
         "GenericAV", "PracticalModelBased", "PracticalOptimal",
     }
-    assert CONDITIONS["Optimal"].uses_individual_rtf
-    assert CONDITIONS["Optimal"].d_source == "true"
-    assert CONDITIONS["GenericDH"].d_source == "dummyhead"
-    assert CONDITIONS["NaiveInEar"].d_source == "inear"
-    assert CONDITIONS["ModelBased"].d_source == "model"
-    assert not CONDITIONS["PracticalOptimal"].uses_individual_rtf
+    assert {name: (spec.rtf_source, spec.d_source) for name, spec in CONDITIONS.items()} == {
+        "Optimal": ("own", "true"),
+        "GenericDH": ("dummy", "true"),
+        "NaiveInEar": ("own", "inear"),
+        "ModelBased": ("own", "model"),
+        "GenericAV": ("peers", "true"),
+        "PracticalModelBased": ("loo", "model"),
+        "PracticalOptimal": ("loo", "true"),
+    }
     with pytest.raises(ValueError):
         condition_named("Oracle")
 
@@ -144,6 +148,32 @@ def test_all_conditions_collapse_on_identical_cohort(cohort):
         assert np.max(np.abs(filt.coefficients - reference)) <= 1e-10 * scale
 
 
+def test_generic_dh_is_optimal_designed_on_the_dummy(cohort, dummy):
+    for subject in ("ear00", "ear03"):
+        dh = design_for_condition(cohort, subject, condition_named("GenericDH"), CFG,
+                                  dummy=dummy)
+        on_dummy = design_for_condition(list(cohort) + [dummy], "dummy",
+                                        condition_named("Optimal"), CFG)
+        assert np.array_equal(dh.coefficients, on_dummy.coefficients)
+
+
+def test_generic_av_on_two_ears_is_the_peers_optimal(cohort, dummy):
+    pair = list(cohort[:2])
+    av = design_for_condition(pair, "ear00", condition_named("GenericAV"), CFG, dummy=dummy)
+    peer = design_for_condition(pair, "ear01", condition_named("Optimal"), CFG, dummy=dummy)
+    assert np.array_equal(av.coefficients, peer.coefficients)
+
+
+def test_practical_optimal_on_two_ears_uses_the_peers_rtfs(cohort, dummy):
+    pair = list(cohort[:2])
+    practical = design_for_condition(pair, "ear00", condition_named("PracticalOptimal"), CFG,
+                                     dummy=dummy)
+    target = build_target(*individual_rtfs(pair[1], CFG.acausal_lead),
+                          device_gain(CFG.device_delay, RATE))
+    direct = design_filter(pair[0].d_true, target, CFG)
+    assert np.max(np.abs(practical.coefficients - direct.coefficients)) <= 1e-10
+
+
 def test_leave_one_out_exclusion_is_exercised(cohort, dummy):
     spec = condition_named("PracticalOptimal")
     baseline = design_for_condition(cohort, "ear00", spec, CFG, dummy=dummy)
@@ -204,3 +234,14 @@ def test_rtf_cache_is_reused(cohort, dummy):
     run_condition(cohort, "ear00", condition_named("PracticalOptimal"), CFG,
                   dummy=dummy, cache=cache)
     assert "ear00" in cache.average
+
+
+def test_rtf_cache_rejects_another_lead(cohort):
+    cache = RtfCache(acausal_lead=CFG.acausal_lead)
+    individual_rtfs(cohort[0], CFG.acausal_lead, cache)
+    other = dataclasses.replace(CFG, acausal_lead=CFG.acausal_lead + 8)
+    with pytest.raises(ValueError, match="acausal lead"):
+        design_for_condition(cohort, "ear00", condition_named("Optimal"), other, cache=cache)
+    with pytest.raises(ValueError, match="acausal lead"):
+        design_for_condition(cohort, "ear00", condition_named("PracticalOptimal"), other,
+                             cache=cache)

@@ -193,7 +193,7 @@ def test_experiment_isolates_per_run_failures(tmp_path):
     assert (out / "runs" / "ear00__Optimal__dG16.csv").exists()
 
 
-def test_experiment_workers_do_not_change_output(tmp_path, small_manifest):
+def test_experiment_workers_do_not_change_output(tmp_path, small_manifest, caplog):
     outs = []
     for workers, name in ((1, "w1"), (3, "w3")):
         out = tmp_path / name
@@ -204,6 +204,8 @@ def test_experiment_workers_do_not_change_output(tmp_path, small_manifest):
         ]) == 0
         outs.append(tree_digest(out))
     assert outs[0] == outs[1]
+    warnings = [r.getMessage() for r in caplog.records if "--workers" in r.getMessage()]
+    assert len(warnings) == 2 and all("ignored" in w for w in warnings)
 
 
 def test_experiment_config_file_with_flag_override(tmp_path, small_manifest):
@@ -264,6 +266,58 @@ def test_perfect_knowledge_run_is_numerically_transparent(tmp_path):
     ]) == 0
     data = json.loads((out / "summary.json").read_text())
     assert data["rows"][0]["mean_lsd_db"] <= 1e-6
+
+
+def _malformed_config(tmp_path, manifest):
+    config = tmp_path / "broken.json"
+    config.write_text('{"delays": [0,')
+    return ["--config", str(config)]
+
+
+def _manifest_variant(tmp_path, manifest, edit):
+    data = json.loads(manifest.read_text())
+    edit(data)
+    for entry in data["subjects"] + [data["dummy"]]:
+        for key, value in entry.items():
+            if key != "id":
+                entry[key] = str(manifest.parent / value)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(data))
+    return ["--manifest", str(path)]
+
+
+def _without_h_m(tmp_path, manifest):
+    return _manifest_variant(tmp_path, manifest, lambda d: d["subjects"][0].pop("h_m"))
+
+
+def _duplicate_subject(tmp_path, manifest):
+    return _manifest_variant(
+        tmp_path, manifest, lambda d: d["subjects"].append(dict(d["subjects"][1])))
+
+
+def _subject_named_dummy(tmp_path, manifest):
+    return _manifest_variant(
+        tmp_path, manifest, lambda d: d["subjects"][2].update(id=d["dummy"]["id"]))
+
+
+@pytest.mark.parametrize("make_args, message", [
+    (_malformed_config, "invalid config file"),
+    (_without_h_m, "h_m"),
+    (_duplicate_subject, "duplicate subject IDs ['ear01']"),
+    (_subject_named_dummy, "duplicate subject IDs ['dummy']"),
+    (lambda tmp_path, manifest: ["--manifest", str(manifest),
+                                 "--conditions", "Optimal,Bogus"], "'Bogus'"),
+    (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "-5"], "-5"),
+], ids=["malformed-config", "entry-without-h_m", "duplicate-id", "id-of-dummy",
+        "unknown-condition", "negative-delay"])
+def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
+                                                     make_args, message):
+    out = tmp_path / "never"
+    rc = main(["experiment", *make_args(tmp_path, small_manifest), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
 
 
 def test_run_experiment_rejects_empty_requests(small_manifest, tmp_path):
