@@ -35,7 +35,7 @@ from .design import (
     cost,
     design_filter,
     design_filter_pooled,
-    weighting_matrix,
+    weighting_taps,
 )
 from .metrics import (
     ConditionReport,
@@ -53,7 +53,6 @@ from .rtf import (
     ls_deconvolve,
 )
 from .signals import (
-    ConvolutionMatrix,
     ImpulseResponse,
     MagnitudeResponse,
     SampleRateMismatch,

@@ -82,14 +82,11 @@ def _pick(flag: Any, config_value: Any, default: Any) -> Any:
 
 def _design_config(args: argparse.Namespace, config: dict[str, Any]) -> EqDesignConfig:
     with _reported("invalid design parameters"):
-        design_cfg = dict(config.get("design", {}))
-        base = config_from_json(design_cfg)
-        return EqDesignConfig(
-            filter_length=int(_pick(args.filter_length, design_cfg.get("L_a"), base.filter_length)),
-            lam=float(_pick(args.lam, design_cfg.get("lambda"), base.lam)),
-            acausal_lead=int(_pick(args.lead, design_cfg.get("L_d"), base.acausal_lead)),
-            device_delay=base.device_delay,
-            weighting=base.weighting,
+        base = config_from_json(dict(config.get("design", {})))
+        flags = {"filter_length": args.filter_length, "lam": args.lam,
+                 "acausal_lead": args.lead}
+        return dataclasses.replace(
+            base, **{name: value for name, value in flags.items() if value is not None}
         )
 
 

@@ -8,13 +8,7 @@ from typing import Any
 import numpy as np
 
 from .rtf import RelativeTransferEstimate, ls_deconvolve
-from .signals import (
-    DEFAULT_SAMPLE_RATE_HZ,
-    ConvolutionMatrix,
-    ImpulseResponse,
-    convolution_matrix,
-    zero_extend,
-)
+from .signals import ImpulseResponse, zero_extend
 from .solvers import align_target, solve_pooled
 
 WEIGHTING_MODES = ("identity", "fir")
@@ -22,7 +16,7 @@ WEIGHTING_MODES = ("identity", "fir")
 
 @dataclass(frozen=True)
 class WeightingSpec:
-    """Penalty weighting: identity, or the convolution matrix of FIR taps."""
+    """Penalty weighting: identity, or convolution with FIR taps."""
 
     mode: str = "identity"
     fir_taps: tuple[float, ...] | None = None
@@ -89,15 +83,9 @@ class EqFilter:
         return int(self.coefficients.size)
 
 
-def weighting_matrix(spec: WeightingSpec, n_cols: int) -> ConvolutionMatrix:
-    """Materialize the weighting operator for a coefficient vector of length n_cols."""
-    if n_cols < 1:
-        raise ValueError(f"n_cols must be at least 1, got {n_cols}")
-    if spec.mode == "identity":
-        taps = ImpulseResponse([1.0], DEFAULT_SAMPLE_RATE_HZ)
-    else:
-        taps = ImpulseResponse(np.asarray(spec.fir_taps), DEFAULT_SAMPLE_RATE_HZ)
-    return convolution_matrix(taps, n_cols)
+def weighting_taps(spec: WeightingSpec) -> np.ndarray:
+    """FIR taps of the penalty weighting; the identity is a unit impulse."""
+    return np.asarray(spec.fir_taps if spec.mode == "fir" else (1.0,), dtype=np.float64)
 
 
 def build_target(
@@ -155,11 +143,10 @@ def design_filter_pooled(
     regularization penalty, so the pooled normal matrix carries the penalty
     scaled by the number of pooled ears.
     """
-    n = config.filter_length
     solution = solve_pooled(
-        d_hats, targets, n,
+        d_hats, targets, config.filter_length,
         lam=config.lam,
-        weights=weighting_matrix(config.weighting, n).entries,
+        weight_taps=weighting_taps(config.weighting),
         context="equalizer design",
     )
     return EqFilter(
@@ -182,10 +169,10 @@ def cost(
     a = np.asarray(a, dtype=np.float64)
     if a.size != config.filter_length:
         raise ValueError(f"expected {config.filter_length} coefficients, got {a.size}")
-    matrix = convolution_matrix(d_hat, config.filter_length).entries
-    aligned, tail_sq = align_target(target, matrix.shape[0])
-    residual = matrix @ a - aligned
-    penalty = weighting_matrix(config.weighting, config.filter_length).entries @ a
+    estimate = np.convolve(d_hat.samples, a)
+    aligned, tail_sq = align_target(target, estimate.size)
+    residual = estimate - aligned
+    penalty = np.convolve(weighting_taps(config.weighting), a)
     return float(residual @ residual + tail_sq + config.lam * (penalty @ penalty))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from .signals import DEFAULT_N_FFT, MagnitudeResponse
 log = logging.getLogger("eqforge.experiment")
 
 DEFAULT_DELAYS = (0, 1, 16, 96)
+_RUN_FILE = re.compile(r".+__.+__dG\d+\.(csv|json)")
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,8 @@ def write_response_csv(
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_run_report(report: ConditionReport, out_dir: Path) -> None:
+def _write_run_report(report: ConditionReport, out_dir: Path) -> str:
+    """Write one run's response CSV and JSON report; return their common stem."""
     name = _run_name(report.subject_id, report.condition, report.device_delay)
     write_response_csv(report.desired, report.aided, report.occluded, out_dir / f"{name}.csv")
     payload = {
@@ -69,31 +72,36 @@ def _write_run_report(report: ConditionReport, out_dir: Path) -> None:
         "filter": filter_to_json(report.eq_filter) if report.eq_filter else None,
     }
     (out_dir / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
+    return name
 
 
-def _summarize(result: ExperimentResult, delays: list[int]) -> list[dict]:
-    rows: list[dict] = []
-    for delay in delays:
-        subset = [r for r in result.reports if r.device_delay == delay]
-        if not subset:
-            continue
-        for summary in sorted(rank_conditions(subset), key=lambda s: s.condition):
-            rows.append(
-                {
-                    "condition": summary.condition,
-                    "d_G": delay,
-                    "mean_lsd_db": summary.mean_lsd_db,
-                    "sd_lsd_db": summary.sd_lsd_db,
-                    "n_subjects": summary.n_subjects,
-                }
-            )
-    return rows
+def _prune_stale_runs(runs_dir: Path, written: set[str]) -> None:
+    """Delete the run files of an earlier grid that this grid did not write."""
+    for path in runs_dir.iterdir():
+        if path.is_file() and _RUN_FILE.fullmatch(path.name) and path.stem not in written:
+            path.unlink()
 
 
 def _write_summaries(
     result: ExperimentResult, delays: list[int], out_dir: Path
 ) -> None:
-    rows = _summarize(result, delays)
+    rankings = []  # (delay, best-first summaries), one per delay with reports
+    for delay in delays:
+        subset = [r for r in result.reports if r.device_delay == delay]
+        if subset:
+            rankings.append((delay, rank_conditions(subset)))
+
+    rows = [
+        {
+            "condition": summary.condition,
+            "d_G": delay,
+            "mean_lsd_db": summary.mean_lsd_db,
+            "sd_lsd_db": summary.sd_lsd_db,
+            "n_subjects": summary.n_subjects,
+        }
+        for delay, ranked in rankings
+        for summary in sorted(ranked, key=lambda s: s.condition)
+    ]
     csv_lines = ["condition,d_G,mean_lsd_db,sd_lsd_db,n_subjects"]
     for row in rows:
         csv_lines.append(
@@ -118,11 +126,8 @@ def _write_summaries(
     (out_dir / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
 
     ranking_lines = ["d_G,rank,condition,mean_lsd_db,sd_lsd_db"]
-    for delay in delays:
-        subset = [r for r in result.reports if r.device_delay == delay]
-        if not subset:
-            continue
-        for rank, summary in enumerate(rank_conditions(subset), start=1):
+    for delay, ranked in rankings:
+        for rank, summary in enumerate(ranked, start=1):
             ranking_lines.append(
                 f"{delay},{rank},{summary.condition},"
                 f"{format(summary.mean_lsd_db, '.17g')},{format(summary.sd_lsd_db, '.17g')}"
@@ -145,7 +150,8 @@ def run_experiment(
 
     Individual cell failures are recorded and do not abort the grid. Output
     is a pure function of the inputs: rerunning overwrites every file with
-    identical bytes.
+    identical bytes, and run files under ``runs/`` that this grid did not
+    write (left by an earlier, larger grid) are deleted.
     """
     if not conditions or not delays:
         raise ValueError("need at least one condition and one delay")
@@ -171,8 +177,8 @@ def run_experiment(
                     log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
                     result.failures.append(failure)
 
-    for report in result.reports:
-        _write_run_report(report, runs_dir)
+    written = {_write_run_report(report, runs_dir) for report in result.reports}
+    _prune_stale_runs(runs_dir, written)
     _write_summaries(result, list(delays), out_dir)
     log.info(
         "experiment finished: %d runs, %d failures",

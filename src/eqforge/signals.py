@@ -43,37 +43,6 @@ class ImpulseResponse:
 
 
 @dataclass(frozen=True, eq=False)
-class ConvolutionMatrix:
-    """Full-shape Toeplitz operator of a response: entry (i, j) is h[i - j].
-
-    Multiplying by a coefficient vector of length ``cols`` yields the full
-    linear convolution of the source with that vector.
-    """
-
-    entries: np.ndarray
-    source: ImpulseResponse
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.ndim != 2:
-            raise ValueError("entries must be a 2-D matrix")
-        entries = entries.copy()
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def rows(self) -> int:
-        return int(self.entries.shape[0])
-
-    @property
-    def cols(self) -> int:
-        return int(self.entries.shape[1])
-
-    def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        return self.entries @ other
-
-
-@dataclass(frozen=True, eq=False)
 class MagnitudeResponse:
     """Magnitude spectrum in dB on an ascending frequency grid spanning [0, fs/2]."""
 
@@ -114,16 +83,15 @@ def convolve(a: ImpulseResponse, b: ImpulseResponse) -> ImpulseResponse:
     return ImpulseResponse(np.convolve(a.samples, b.samples), a.sample_rate_hz)
 
 
-def convolution_matrix(h: ImpulseResponse, n_cols: int) -> ConvolutionMatrix:
-    """Full-shape convolution matrix of `h` with `n_cols` columns.
+def convolution_matrix(h: ImpulseResponse, n_cols: int) -> np.ndarray:
+    """Full-shape convolution matrix of `h` with `n_cols` columns: entry (i, j) is h[i - j].
 
     The result has ``len(h) + n_cols - 1`` rows, so that ``matrix @ x`` equals
     ``convolve(h, x)`` for any coefficient vector x of length `n_cols`.
     """
     if n_cols < 1:
         raise ValueError(f"n_cols must be at least 1, got {n_cols}")
-    entries = scipy.linalg.convolution_matrix(h.samples, n_cols, mode="full")
-    return ConvolutionMatrix(entries, h)
+    return scipy.linalg.convolution_matrix(h.samples, n_cols, mode="full")
 
 
 def zero_pad_leading(h: ImpulseResponse, n: int) -> ImpulseResponse:

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .signals import ImpulseResponse, convolution_matrix
+from .signals import ImpulseResponse, convolution_matrix, zero_extend
 
 CONDITION_LIMIT = 1e12
 
@@ -71,69 +71,79 @@ class PooledSolution:
     normal_eq_scale: float
 
 
+def autocorrelation(taps: np.ndarray, n: int) -> np.ndarray:
+    """Lags 0..n-1 of the autocorrelation of `taps`, zero beyond ``len(taps)``."""
+    full = np.correlate(taps, taps, "full")[taps.size - 1 :]
+    return zero_extend(full[:n], n)
+
+
 def solve_pooled(
     plants: Sequence[ImpulseResponse],
     targets: Sequence[np.ndarray],
     n_cols: int,
     *,
     lam: float = 0.0,
-    weights: np.ndarray | None = None,
+    weight_taps: Sequence[float] = (1.0,),
     min_norm_fallback: bool = False,
     context: str = "least squares",
 ) -> PooledSolution:
-    """Minimize ``sum_k |H_k x - t_k|^2 + lam * K * |W x|^2`` over x of length n_cols.
+    """Minimize ``sum_k |h_k * x - t_k|^2 + lam * K * |w * x|^2`` over x of length n_cols.
 
-    H_k is the full convolution matrix of ``plants[k]``, compared with
+    ``h_k * x`` is the full convolution of ``plants[k]`` with x, compared with
     ``targets[k]`` over their common support (shorter side zero-extended),
     and K is the number of pooled systems, so every system carries one copy
-    of the penalty. W defaults to the identity. The per-system Gram matrices
-    and right-hand sides are accumulated in list order and solved once.
+    of the penalty. The weighting taps w default to a unit impulse (the
+    identity). The Gram matrix of a full convolution is the symmetric
+    Toeplitz matrix of the taps' autocorrelation, so the pooled Gram matrix
+    is built from one accumulated first row and solved once; right-hand
+    sides are cross-correlations, accumulated in list order.
 
     When the normal equations are too ill-conditioned for Cholesky, the
-    minimum-norm minimizer of the stacked system is returned if
+    minimum-norm minimizer of the stacked dense system is returned if
     `min_norm_fallback` is set; otherwise SingularSystemError is raised.
     """
     if not plants or len(plants) != len(targets):
         raise ValueError("plants and targets must be equally long and nonempty")
-    if weights is None:
-        weights = np.eye(n_cols)
-    gram = np.zeros((n_cols, n_cols))
+    weight_taps = np.asarray(weight_taps, dtype=np.float64)
+    first_row = np.zeros(n_cols)
     rhs = np.zeros(n_cols)
     tail_sq = 0.0
-    matrices = []
     aligned_targets = []
     for plant, target in zip(plants, targets):
-        matrix = convolution_matrix(plant, n_cols).entries
-        aligned, tail = align_target(target, matrix.shape[0])
-        gram += matrix.T @ matrix
-        rhs += matrix.T @ aligned
+        h = plant.samples
+        aligned, tail = align_target(target, h.size + n_cols - 1)
+        first_row += autocorrelation(h, n_cols)
+        rhs += np.correlate(aligned, h, "valid")
         tail_sq += tail
-        matrices.append(matrix)
         aligned_targets.append(aligned)
     lam_pooled = lam * len(plants)
     if lam_pooled > 0.0:
-        gram = gram + lam_pooled * (weights.T @ weights)
+        first_row = first_row + lam_pooled * autocorrelation(weight_taps, n_cols)
+    gram = scipy.linalg.toeplitz(first_row)
 
     try:
         x = solve_normal_equations(gram, rhs, context=context)
     except SingularSystemError:
         if not min_norm_fallback or not np.any(gram):
             raise
-        stacked, stacked_t = matrices, aligned_targets
+        stacked = [convolution_matrix(plant, n_cols) for plant in plants]
+        stacked_t = aligned_targets
         if lam_pooled > 0.0:
-            stacked = [*matrices, np.sqrt(lam_pooled) * weights]
+            weighting = ImpulseResponse(weight_taps, plants[0].sample_rate_hz)
+            weights = convolution_matrix(weighting, n_cols)
+            stacked = [*stacked, np.sqrt(lam_pooled) * weights]
             stacked_t = [*aligned_targets, np.zeros(weights.shape[0])]
         x, *_ = np.linalg.lstsq(np.vstack(stacked), np.concatenate(stacked_t), rcond=None)
 
     residual_sq = tail_sq
     gradient = np.zeros(n_cols)
-    for matrix, aligned in zip(matrices, aligned_targets):
-        residual = matrix @ x - aligned
+    for plant, aligned in zip(plants, aligned_targets):
+        residual = np.convolve(plant.samples, x) - aligned
         residual_sq += float(residual @ residual)
-        gradient += matrix.T @ residual
-    penalty = weights @ x
+        gradient += np.correlate(residual, plant.samples, "valid")
+    penalty = np.convolve(weight_taps, x)
     if lam_pooled > 0.0:
-        gradient = gradient + lam_pooled * (weights.T @ penalty)
+        gradient = gradient + lam_pooled * np.correlate(penalty, weight_taps, "valid")
     return PooledSolution(
         coefficients=x,
         residual_norm=float(np.sqrt(residual_sq)),

@@ -13,7 +13,7 @@ from eqforge.design import (
     design_filter_pooled,
     filter_from_json,
     filter_to_json,
-    weighting_matrix,
+    weighting_taps,
 )
 from eqforge.rtf import RelativeTransferEstimate, ls_deconvolve
 from eqforge.signals import unit_delay
@@ -25,22 +25,32 @@ def rte(coeffs, lead=0, kind="individual", role="open"):
     return RelativeTransferEstimate(np.asarray(coeffs, float), lead, kind, role)
 
 
+def loop_built(taps, n_cols):
+    """Dense full convolution matrix of `taps`, one shifted column at a time."""
+    taps = np.asarray(taps, float)
+    out = np.zeros((taps.size + n_cols - 1, n_cols))
+    for j in range(n_cols):
+        out[j : j + taps.size, j] = taps
+    return out
+
+
 def dense_oracle(d_hat, target, config):
     """Independent minimizer of the design cost via SVD on the stacked system."""
     L = config.filter_length
-    rows = len(d_hat) + L - 1
-    D = np.zeros((rows, L))
-    for j in range(L):
-        D[j : j + len(d_hat), j] = d_hat
-    t = np.zeros(rows)
-    keep = min(rows, len(target))
+    D = loop_built(d_hat, L)
+    t = np.zeros(D.shape[0])
+    keep = min(t.size, len(target))
     t[:keep] = target[:keep]
-    W = weighting_matrix(config.weighting, L).entries
+    W = loop_built(weighting_taps(config.weighting), L)
     if config.lam > 0:
         D = np.vstack([D, np.sqrt(config.lam) * W])
         t = np.concatenate([t, np.zeros(W.shape[0])])
     a, *_ = np.linalg.lstsq(D, t, rcond=None)
     return a
+
+
+WEIGHTINGS = [WeightingSpec(), WeightingSpec("fir", (1.0, -1.0)),
+              WeightingSpec("fir", (0.5, -1.0, 0.25))]
 
 
 # --- configuration types ------------------------------------------------------
@@ -65,21 +75,20 @@ def test_config_json_round_trip():
     assert config_from_json(data) == cfg
 
 
-# --- weighting_matrix -----------------------------------------------------------
+# --- weighting_taps -------------------------------------------------------------
 
 def test_weighting_identity():
-    assert np.array_equal(weighting_matrix(WeightingSpec(), 3).entries, np.eye(3))
+    assert np.array_equal(weighting_taps(WeightingSpec()), [1.0])
 
 
 def test_weighting_single_tap_fir_is_identity():
     spec = WeightingSpec("fir", (1.0,))
-    assert np.array_equal(weighting_matrix(spec, 3).entries, np.eye(3))
+    assert np.array_equal(weighting_taps(spec), weighting_taps(WeightingSpec()))
 
 
 def test_weighting_difference_fir():
     spec = WeightingSpec("fir", (1.0, -1.0))
-    want = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
-    assert np.array_equal(weighting_matrix(spec, 2).entries, want)
+    assert np.array_equal(weighting_taps(spec), [1.0, -1.0])
 
 
 # --- build_target ----------------------------------------------------------------
@@ -150,10 +159,13 @@ def test_huge_lambda_crushes_coefficients(rng):
 def test_matches_dense_oracle(rng):
     d = rng.standard_normal(12)
     t = rng.standard_normal(25)
-    cfg = EqDesignConfig(filter_length=8, lam=0.1)
-    filt = design_filter(make_ir(d), t, cfg)
-    want = dense_oracle(d, t, cfg)
-    assert np.linalg.norm(filt.coefficients - want) <= 1e-9 * (1.0 + np.linalg.norm(want))
+    for weighting in WEIGHTINGS:
+        for filter_length in (8, 20):  # shorter and longer than the plant
+            cfg = EqDesignConfig(filter_length=filter_length, lam=0.1, weighting=weighting)
+            filt = design_filter(make_ir(d), t, cfg)
+            want = dense_oracle(d, t, cfg)
+            err = np.linalg.norm(filt.coefficients - want)
+            assert err <= 1e-9 * (1.0 + np.linalg.norm(want)), (weighting, filter_length)
 
 
 def test_normal_equation_residual_bound(rng):
@@ -248,26 +260,25 @@ def test_pooled_design_of_identical_members_matches_single(rng):
 
 
 def test_pooled_design_matches_stacked_oracle(rng):
-    cfg = EqDesignConfig(filter_length=6, lam=0.2)
     ds = [rng.standard_normal(8), rng.standard_normal(11)]
     ts = [rng.standard_normal(16), rng.standard_normal(20)]
-    pooled = design_filter_pooled([make_ir(d) for d in ds], ts, cfg)
+    for weighting in WEIGHTINGS:
+        for filter_length in (6, 14):  # shorter and longer than both plants
+            cfg = EqDesignConfig(filter_length=filter_length, lam=0.2, weighting=weighting)
+            pooled = design_filter_pooled([make_ir(d) for d in ds], ts, cfg)
 
-    blocks, targets = [], []
-    for d, t in zip(ds, ts):
-        rows = len(d) + cfg.filter_length - 1
-        D = np.zeros((rows, cfg.filter_length))
-        for j in range(cfg.filter_length):
-            D[j : j + len(d), j] = d
-        blocks.append(D)
-        tt = np.zeros(rows)
-        tt[: min(rows, len(t))] = t[: min(rows, len(t))]
-        targets.append(tt)
-    lam = cfg.lam * len(ds)
-    blocks.append(np.sqrt(lam) * np.eye(cfg.filter_length))
-    targets.append(np.zeros(cfg.filter_length))
-    want, *_ = np.linalg.lstsq(np.vstack(blocks), np.concatenate(targets), rcond=None)
-    assert np.linalg.norm(pooled.coefficients - want) <= 1e-9 * (1.0 + np.linalg.norm(want))
+            blocks, targets = [], []
+            for d, t in zip(ds, ts):
+                D = loop_built(d, filter_length)
+                keep = min(D.shape[0], len(t))
+                blocks.append(D)
+                targets.append(np.concatenate([t[:keep], np.zeros(D.shape[0] - keep)]))
+            W = loop_built(weighting_taps(weighting), filter_length)
+            blocks.append(np.sqrt(cfg.lam * len(ds)) * W)
+            targets.append(np.zeros(W.shape[0]))
+            want, *_ = np.linalg.lstsq(np.vstack(blocks), np.concatenate(targets), rcond=None)
+            err = np.linalg.norm(pooled.coefficients - want)
+            assert err <= 1e-9 * (1.0 + np.linalg.norm(want)), (weighting, filter_length)
 
 
 def test_pooled_design_rejects_mismatched_inputs(rng):

@@ -193,6 +193,21 @@ def test_experiment_isolates_per_run_failures(tmp_path):
     assert (out / "runs" / "ear00__Optimal__dG16.csv").exists()
 
 
+def test_experiment_rerun_with_fewer_conditions_leaves_no_stale_runs(tmp_path, small_manifest):
+    out = tmp_path / "rerun"
+    args = ["experiment", "--manifest", str(small_manifest), "--delays", "16",
+            "--out", str(out)]
+    assert main([*args, "--conditions", "Optimal,GenericDH"]) == 0
+    (out / "notes.txt").write_text("not a run file\n")
+    assert main([*args, "--conditions", "Optimal"]) == 0
+    records = json.loads((out / "summary.json").read_text())["per_subject"]
+    assert len(records) == 3
+    run_files = sorted(p.name for p in (out / "runs").iterdir())
+    assert run_files == sorted(f"{r['subject']}__Optimal__dG16.{ext}"
+                               for r in records for ext in ("csv", "json"))
+    assert (out / "notes.txt").read_text() == "not a run file\n"
+
+
 def test_experiment_workers_do_not_change_output(tmp_path, small_manifest, caplog):
     outs = []
     for workers, name in ((1, "w1"), (3, "w3")):

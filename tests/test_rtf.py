@@ -12,16 +12,22 @@ from eqforge.rtf import (
     ls_deconvolve,
 )
 from eqforge.signals import convolve, unit_delay
-from eqforge.solvers import SingularSystemError
+from eqforge.solvers import SingularSystemError, solve_normal_equations
 from conftest import RATE, make_ir
+
+
+def loop_built(h, n_cols):
+    """Dense full convolution matrix of `h`, one shifted column at a time."""
+    matrix = np.zeros((len(h) + n_cols - 1, n_cols))
+    for j in range(n_cols):
+        matrix[j : j + len(h), j] = h
+    return matrix
 
 
 def dense_oracle(h_den, target, rtf_length, ridge):
     """Independent minimizer: SVD least squares on the stacked system."""
-    rows = len(h_den) + rtf_length - 1
-    matrix = np.zeros((rows, rtf_length))
-    for j in range(rtf_length):
-        matrix[j : j + len(h_den), j] = h_den
+    matrix = loop_built(h_den, rtf_length)
+    rows = matrix.shape[0]
     t = np.zeros(rows)
     keep = min(rows, len(target))
     t[:keep] = target[:keep]
@@ -196,6 +202,17 @@ def test_matches_dense_oracle(rng, ridge):
     got = ls_deconvolve(make_ir(h), t, rtf_length=7, ridge=ridge)
     want = dense_oracle(h, t, 7, ridge)
     assert np.linalg.norm(got - want) <= 1e-9 * (1.0 + np.linalg.norm(want))
+
+
+def test_ill_conditioned_deconvolution_takes_the_min_norm_fallback(rng):
+    # a quintuple zero at z = 1 puts the Gram matrix past the condition limit
+    h = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
+    t = rng.standard_normal(60)
+    matrix = loop_built(h, 96)
+    with pytest.raises(SingularSystemError, match="condition estimate"):
+        solve_normal_equations(matrix.T @ matrix, np.zeros(96))
+    got = ls_deconvolve(make_ir(h), t, rtf_length=96)
+    assert np.array_equal(got, dense_oracle(h, t, 96, 0.0))
 
 
 def test_rejects_bad_arguments(rng):
