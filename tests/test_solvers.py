@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -65,7 +70,7 @@ def test_overflowing_plant_raises_with_nothing_on_stderr(capfd):
 
 def test_condition_estimate_brackets_the_exact_1_norm_value(rng, monkeypatch):
     # the estimate is not returned, so bracket it by moving the limit around it
-    for n, n_plants, lam in [(8, 1, 0.0), (33, 2, 0.1), (64, 3, 0.0), (99, 1, 0.1)]:
+    for n, n_plants, lam in [(8, 1, 0.0), (33, 2, 0.1), (64, 3, 0.0), (99, 1, 0.1), (255, 2, 0.1)]:
         gram = pooled_gram(rng, n, n_plants, lam)
         rhs = rng.standard_normal(n)
         kappa = np.linalg.cond(gram, 1)
@@ -74,6 +79,56 @@ def test_condition_estimate_brackets_the_exact_1_norm_value(rng, monkeypatch):
         monkeypatch.setattr(solvers, "CONDITION_LIMIT", np.nextafter(kappa / 10.0, 0.0))
         with pytest.raises(SingularSystemError, match="condition estimate"):
             solve_normal_equations(gram, rhs)  # estimate >= kappa / 10
+
+
+# --- the packed factorization -----------------------------------------------------
+
+@pytest.mark.parametrize("n", [8, 99, 128, 255])
+def test_solution_matches_a_dense_cholesky_oracle(rng, n):
+    gram = pooled_gram(rng, n, 2, 0.1)
+    factor = scipy.linalg.cho_factor(gram)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        x = solve_normal_equations(gram, rhs)
+        assert x.shape == rhs.shape
+        assert np.allclose(x, scipy.linalg.cho_solve(factor, rhs), rtol=1e-10, atol=0.0)
+
+
+def test_only_the_upper_triangle_is_read(rng):
+    gram = pooled_gram(rng, 40, 2, 0.1)
+    rhs = rng.standard_normal(40)
+    scrambled = np.triu(gram) + np.tril(rng.standard_normal((40, 40)), -1)
+    assert np.array_equal(solve_normal_equations(scrambled, rhs), solve_normal_equations(gram, rhs))
+
+
+
+@pytest.mark.parametrize("gram_shape, rhs_shape", [((4, 4), (8,)), ((4, 4), (3,)), ((4, 3), (4,)), ((4,), (4,))])
+def test_mismatched_shapes_raise_value_error(gram_shape, rhs_shape):
+    with pytest.raises(ValueError, match="square Gram matrix"):
+        solve_normal_equations(np.ones(gram_shape), np.ones(rhs_shape))
+
+
+SOLVE_IN_CHILD = """
+import sys
+import numpy as np
+import scipy.linalg
+from eqforge.solvers import autocorrelation, solve_normal_equations
+rng = np.random.default_rng(3)
+first_row = sum(autocorrelation(rng.standard_normal(40), 255) for _ in range(3))
+x = solve_normal_equations(scipy.linalg.toeplitz(first_row), rng.standard_normal(255))
+sys.stdout.write(x.tobytes().hex())
+"""
+
+
+def test_solution_bytes_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS reads its thread count once, at load, so each count needs its own process
+    src = Path(solvers.__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", SOLVE_IN_CHILD], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 # --- the hot path stays in scipy's LAPACK -------------------------------------------
