@@ -25,6 +25,7 @@ from .conditions import (
     design_for_condition,
     desired_response,
     device_gain,
+    evaluate,
     run_condition,
 )
 from .design import (
@@ -32,7 +33,6 @@ from .design import (
     EqFilter,
     WeightingSpec,
     build_target,
-    cost,
     design_filter,
     design_filter_pooled,
     weighting_taps,

@@ -18,18 +18,9 @@ from pathlib import Path
 from typing import Any
 
 from . import cohort as cohort_mod
-from .conditions import (
-    CONDITION_NAMES,
-    condition_named,
-    design_for_condition,
-    device_gain,
-    aided_response,
-    desired_response,
-)
-from .design import EqDesignConfig, config_from_json, config_to_json, filter_from_json, filter_to_json
-from .experiment import DEFAULT_DELAYS, run_experiment, write_response_csv
-from .metrics import band_error_profile, log_spectral_distance
-from .signals import magnitude_response
+from .conditions import CONDITION_NAMES, condition_named, design_for_condition, evaluate
+from .design import EqDesignConfig, config_from_json, filter_from_json, filter_to_json
+from .experiment import DEFAULT_DELAYS, run_experiment, write_report
 from .solvers import SingularSystemError
 
 log = logging.getLogger("eqforge")
@@ -67,8 +58,19 @@ def _load_config(path: str | None) -> dict[str, Any]:
         raise CliError(f"config file not found: {p}")
     with _reported(f"invalid config file {p}"):
         config = json.loads(p.read_text())
-    if not isinstance(config, dict):
-        raise CliError(f"invalid config file {p}: expected a JSON object")
+        if not isinstance(config, dict):
+            raise ValueError("expected a JSON object")
+        cohort = config.get("cohort", {})
+        if not isinstance(cohort, dict):
+            raise ValueError(f'"cohort" must be an object, got {cohort!r}')
+        for key, value, kind, what in (
+            ("cohort.synth", cohort.get("synth", {}), dict, "an object"),
+            ("cohort.manifest", cohort.get("manifest", ""), str, "a string"),
+            ("out", config.get("out", ""), str, "a string"),
+            ("rate", config.get("rate", 1), int, "an integer"),
+        ):
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f'"{key}" must be {what}, got {value!r}')
     return config
 
 
@@ -101,10 +103,8 @@ def _str_list(text: str) -> list[str]:
 def _synth_params(args: argparse.Namespace, config: dict[str, Any]) -> cohort_mod.SynthCohortParams:
     data: dict[str, Any] = {}
     if "rate" in config:
-        data["sample_rate_hz"] = int(config["rate"])
-    cohort_cfg = config.get("cohort", {})
-    if isinstance(cohort_cfg, dict) and "synth" in cohort_cfg:
-        data.update(cohort_cfg["synth"])
+        data["sample_rate_hz"] = config["rate"]
+    data.update(config.get("cohort", {}).get("synth", {}))
     params_path = getattr(args, "params", None)
     if params_path:
         p = Path(params_path)
@@ -119,10 +119,8 @@ def _synth_params(args: argparse.Namespace, config: dict[str, Any]) -> cohort_mo
 
 
 def _load_cohort(args: argparse.Namespace, config: dict[str, Any]) -> cohort_mod.CohortData:
-    manifest = getattr(args, "manifest", None)
-    cohort_cfg = config.get("cohort", {})
-    if manifest is None and isinstance(cohort_cfg, dict):
-        manifest = cohort_cfg.get("manifest")
+    manifest = _pick(getattr(args, "manifest", None),
+                     config.get("cohort", {}).get("manifest"), None)
     if manifest is not None:
         path = Path(manifest)
         if not path.exists():
@@ -187,15 +185,15 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    conditions = list(_pick(args.conditions, config.get("conditions"), list(CONDITION_NAMES)))
-    delays = list(_pick(args.delays, config.get("delays"), list(DEFAULT_DELAYS)))
     with _reported("invalid experiment request"):
+        conditions = list(_pick(args.conditions, config.get("conditions"), CONDITION_NAMES))
+        delays = list(_pick(args.delays, config.get("delays"), DEFAULT_DELAYS))
         if not conditions or not delays:
             raise ValueError("need at least one condition and one delay")
         for name in conditions:
             condition_named(name)
         for delay in delays:
-            if not isinstance(delay, int) or delay < 0:
+            if not isinstance(delay, int) or isinstance(delay, bool) or delay < 0:
                 raise ValueError(f"device delays must be nonnegative integers, got {delay!r}")
     if args.workers is not None or "workers" in config:
         log.warning("--workers and the \"workers\" config key are deprecated and ignored; "
@@ -226,25 +224,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ears.setdefault(data.dummy.subject_id, data.dummy)
     if args.subject not in ears:
         raise CliError(f"subject {args.subject!r} is not in the cohort")
-    ear = ears[args.subject]
-    g = device_gain(filt.config.device_delay, ear.sample_rate_hz)
-    aided = magnitude_response(aided_response(ear, g, filt))
-    desired = magnitude_response(desired_response(ear, g))
-    occluded = magnitude_response(ear.h_occ)
-
+    with _reported(f"cannot evaluate on {args.subject}"):
+        report = evaluate(ears[args.subject], filt)
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     out_dir.mkdir(parents=True, exist_ok=True)
     name = f"eval_{args.subject}__dG{filt.config.device_delay}"
-    write_response_csv(desired, aided, occluded, out_dir / f"{name}.csv")
-    report = {
-        "subject": args.subject,
-        "d_G": filt.config.device_delay,
-        "lsd_db": log_spectral_distance(aided, desired),
-        "band_errors_db": {format(c, "g"): v for c, v in band_error_profile(aided, desired).items()},
-        "filter_config": config_to_json(filt.config),
-        "responses_csv": f"{name}.csv",
-    }
-    (out_dir / f"{name}.json").write_text(json.dumps(report, indent=2) + "\n")
+    write_report(report, out_dir, name, f"{name}.csv")
     print(out_dir / f"{name}.json")
     return 0
 

@@ -12,7 +12,7 @@ estimates (perturbed copies of the truth).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -313,27 +313,6 @@ class CohortData:
     sample_rate_hz: int
 
 
-def params_to_json(params: SynthCohortParams) -> dict:
-    return {
-        "n_subjects": params.n_subjects,
-        "seed": params.seed,
-        "sample_rate_hz": params.sample_rate_hz,
-        "resonance_bands": [
-            {"center_hz": list(b.center_hz), "quality": list(b.quality),
-             "gain_db": list(b.gain_db)}
-            for b in params.resonance_bands
-        ],
-        "canal_delay_range": list(params.canal_delay_range),
-        "inear_mismatch_db": params.inear_mismatch_db,
-        "model_error_db": params.model_error_db,
-        "occlusion_depth_db": params.occlusion_depth_db,
-        "occlusion_cutoff_hz": params.occlusion_cutoff_hz,
-        "ear_ir_length": params.ear_ir_length,
-        "receiver_ir_length": params.receiver_ir_length,
-        "coloring_ir_length": params.coloring_ir_length,
-    }
-
-
 def params_from_json(data: dict) -> SynthCohortParams:
     kwargs = dict(data)
     if "resonance_bands" in kwargs:
@@ -373,7 +352,7 @@ def save_cohort(
     ears_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"sample_rate_hz": cohort[0].sample_rate_hz}
     if params is not None:
-        manifest["synth_params"] = params_to_json(params)
+        manifest["synth_params"] = asdict(params)
     manifest["subjects"] = [_write_ear(ear, ears_dir, out_dir) for ear in cohort]
     if dummy is not None:
         manifest["dummy"] = _write_ear(dummy, ears_dir, out_dir)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .cohort import EarDataset
 from .design import EqDesignConfig, EqFilter, build_target, design_filter_pooled
-from .metrics import EVALUATION_BAND_HZ, ConditionReport, band_error_profile, log_spectral_distance
+from .metrics import ConditionReport, band_error_profile, log_spectral_distance
 from .rtf import (
     MeasurementPair,
     RelativeTransferEstimate,
@@ -21,7 +21,7 @@ from .rtf import (
     estimate_average,
     estimate_individual,
 )
-from .signals import DEFAULT_N_FFT, ImpulseResponse, convolve, magnitude_response, unit_delay, zero_extend
+from .signals import ImpulseResponse, convolve, magnitude_response, unit_delay, zero_extend
 
 # Where the design ears and their RTFs come from:
 #   own    the subject, with its own RTFs
@@ -129,13 +129,11 @@ def individual_rtfs(
         MeasurementPair(ear.h_m, ear.h_open, ear.subject_id),
         default_rtf_length(len(ear.h_open), acausal_lead),
         acausal_lead,
-        role="open",
     )
     r_occ = estimate_individual(
         MeasurementPair(ear.h_m, ear.h_occ, ear.subject_id),
         default_rtf_length(len(ear.h_occ), acausal_lead),
         acausal_lead,
-        role="occluded",
     )
     if cache is not None:
         cache.individual[ear.subject_id] = (r_open, r_occ)
@@ -160,8 +158,8 @@ def average_rtfs(
     occ_pairs = [MeasurementPair(e.h_m, e.h_occ, e.subject_id) for e in members]
     length_open = max(default_rtf_length(len(e.h_open), acausal_lead) for e in members)
     length_occ = max(default_rtf_length(len(e.h_occ), acausal_lead) for e in members)
-    r_open = estimate_average(open_pairs, length_open, acausal_lead, role="open")
-    r_occ = estimate_average(occ_pairs, length_occ, acausal_lead, role="occluded")
+    r_open = estimate_average(open_pairs, length_open, acausal_lead)
+    r_occ = estimate_average(occ_pairs, length_occ, acausal_lead)
     if cache is not None:
         cache.average[exclude_subject] = (r_open, r_occ)
     return r_open, r_occ
@@ -192,16 +190,33 @@ def design_for_condition(
         raise ValueError(f"condition {cond.name} needs a dummy-head ear")
     design_ears = {"own": [ear], "dummy": [dummy], "peers": peers, "loo": [ear]}[cond.rtf_source]
 
-    g = device_gain(config.device_delay, ear.sample_rate_hz)
     plants, targets = [], []
     for design_ear in design_ears:
         if cond.rtf_source == "loo":
             rtfs = average_rtfs(cohort, subject_id, config.acausal_lead, cache)
         else:
             rtfs = individual_rtfs(design_ear, config.acausal_lead, cache)
-        targets.append(build_target(*rtfs, g))
+        targets.append(build_target(*rtfs, config.device_delay))
         plants.append(design_ear.require(D_SOURCES[cond.d_source]))
     return design_filter_pooled(plants, targets, config)
+
+
+def evaluate(ear: EarDataset, filt: EqFilter, condition: str | None = None) -> ConditionReport:
+    """Score `filt` on the ear's true acoustics: aided against desired (open) spectra."""
+    g = device_gain(filt.config.device_delay, ear.sample_rate_hz)
+    aided = magnitude_response(aided_response(ear, g, filt))
+    desired = magnitude_response(desired_response(ear, g))
+    return ConditionReport(
+        subject_id=ear.subject_id,
+        condition=condition,
+        device_delay=filt.config.device_delay,
+        lsd_db=log_spectral_distance(aided, desired),
+        band_errors_db=band_error_profile(aided, desired),
+        aided=aided,
+        desired=desired,
+        occluded=magnitude_response(ear.h_occ),
+        eq_filter=filt,
+    )
 
 
 def run_condition(
@@ -212,24 +227,7 @@ def run_condition(
     *,
     dummy: EarDataset | None = None,
     cache: RtfCache | None = None,
-    n_fft: int = DEFAULT_N_FFT,
-    band: tuple[float, float] = EVALUATION_BAND_HZ,
 ) -> ConditionReport:
     """Design per the condition, evaluate on the subject's true acoustics."""
-    ear = _find_subject(cohort, subject_id)
     filt = design_for_condition(cohort, subject_id, cond, config, dummy=dummy, cache=cache)
-    g = device_gain(config.device_delay, ear.sample_rate_hz)
-    aided = magnitude_response(aided_response(ear, g, filt), n_fft)
-    desired = magnitude_response(desired_response(ear, g), n_fft)
-    occluded = magnitude_response(ear.h_occ, n_fft)
-    return ConditionReport(
-        subject_id=subject_id,
-        condition=cond.name,
-        device_delay=config.device_delay,
-        lsd_db=log_spectral_distance(aided, desired, band),
-        band_errors_db=band_error_profile(aided, desired),
-        aided=aided,
-        desired=desired,
-        occluded=occluded,
-        eq_filter=filt,
-    )
+    return evaluate(_find_subject(cohort, subject_id), filt, cond.name)

@@ -7,9 +7,9 @@ from typing import Any
 
 import numpy as np
 
-from .rtf import RelativeTransferEstimate, ls_deconvolve
+from .rtf import RelativeTransferEstimate
 from .signals import ImpulseResponse, zero_extend
-from .solvers import align_target, solve_pooled
+from .solvers import solve_pooled
 
 WEIGHTING_MODES = ("identity", "fir")
 
@@ -91,28 +91,23 @@ def weighting_taps(spec: WeightingSpec) -> np.ndarray:
 def build_target(
     r_open: RelativeTransferEstimate,
     r_occ: RelativeTransferEstimate,
-    g: ImpulseResponse,
+    device_delay: int,
 ) -> np.ndarray:
     """Equalization target: open-ear RTF minus the device-inverted occluded RTF.
 
-    The occluded estimate is deconvolved by the device processing `g`; for a
-    pure-delay device this discards its leading `device delay` samples and
-    zero-fills the tail.
+    The device processing is a pure delay of `device_delay` samples, so
+    inverting it discards the occluded estimate's leading `device_delay`
+    samples and zero-fills the tail.
     """
     if r_open.acausal_lead != r_occ.acausal_lead:
         raise ValueError(
             f"incompatible acausal leads: {r_open.acausal_lead} vs {r_occ.acausal_lead}"
         )
+    if device_delay < 0:
+        raise ValueError(f"device_delay must be nonnegative, got {device_delay}")
     occ = r_occ.coefficients
-    nonzero = np.flatnonzero(g.samples)
-    if nonzero.size == 1:
-        # Pure-delay (possibly scaled) device processing inverts exactly.
-        shift = int(nonzero[0])
-        keep = max(occ.size - shift, 0)
-        inverted = np.zeros(occ.size)
-        inverted[:keep] = occ[shift : shift + keep] / g.samples[shift]
-    else:
-        inverted = ls_deconvolve(g, occ, rtf_length=occ.size)
+    inverted = np.zeros(occ.size)
+    inverted[: max(occ.size - device_delay, 0)] = occ[device_delay:]
     n = max(r_open.coefficients.size, inverted.size)
     return zero_extend(r_open.coefficients, n) - zero_extend(inverted, n)
 
@@ -157,23 +152,6 @@ def design_filter_pooled(
         normal_eq_residual=solution.normal_eq_residual,
         normal_eq_scale=solution.normal_eq_scale,
     )
-
-
-def cost(
-    a: np.ndarray,
-    d_hat: ImpulseResponse,
-    target: np.ndarray,
-    config: EqDesignConfig,
-) -> float:
-    """Design cost of coefficients `a`: squared residual plus weighted penalty."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.size != config.filter_length:
-        raise ValueError(f"expected {config.filter_length} coefficients, got {a.size}")
-    estimate = np.convolve(d_hat.samples, a)
-    aligned, tail_sq = align_target(target, estimate.size)
-    residual = estimate - aligned
-    penalty = np.convolve(weighting_taps(config.weighting), a)
-    return float(residual @ residual + tail_sq + config.lam * (penalty @ penalty))
 
 
 # ---------------------------------------------------------------------------

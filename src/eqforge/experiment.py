@@ -12,8 +12,7 @@ from pathlib import Path
 from .cohort import EarDataset
 from .conditions import RtfCache, condition_named, run_condition
 from .design import EqDesignConfig, filter_to_json
-from .metrics import EVALUATION_BAND_HZ, ConditionReport, rank_conditions
-from .signals import DEFAULT_N_FFT, MagnitudeResponse
+from .metrics import ConditionReport, rank_conditions
 
 log = logging.getLogger("eqforge.experiment")
 
@@ -39,40 +38,29 @@ class ExperimentResult:
         return not self.failures
 
 
-def _run_name(subject_id: str, condition: str, delay: int) -> str:
-    return f"{subject_id}__{condition}__dG{delay}"
+def write_report(report: ConditionReport, out_dir: Path, name: str, csv_ref: str) -> None:
+    """Write one scored filter's report files under `out_dir`.
 
-
-def write_response_csv(
-    desired: MagnitudeResponse,
-    aided: MagnitudeResponse,
-    occluded: MagnitudeResponse,
-    path: Path,
-) -> None:
-    """The per-run response file: one row per frequency bin, 17 significant digits."""
+    `<name>.csv` holds the spectra, one row per frequency bin at 17 significant
+    digits; `<name>.json` holds the scores and the filter, and names the CSV
+    as `csv_ref`.
+    """
     row = "{:.17g},{:.17g},{:.17g},{:.17g}".format
-    columns = zip(desired.frequencies_hz.tolist(), desired.magnitude_db.tolist(),
-                  aided.magnitude_db.tolist(), occluded.magnitude_db.tolist())
+    columns = zip(report.desired.frequencies_hz.tolist(), report.desired.magnitude_db.tolist(),
+                  report.aided.magnitude_db.tolist(), report.occluded.magnitude_db.tolist())
     lines = ["frequency_hz,desired_db,aided_db,occluded_db"]
     lines.extend(row(*values) for values in columns)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_run_report(report: ConditionReport, out_dir: Path) -> str:
-    """Write one run's response CSV and JSON report; return their common stem."""
-    name = _run_name(report.subject_id, report.condition, report.device_delay)
-    write_response_csv(report.desired, report.aided, report.occluded, out_dir / f"{name}.csv")
+    (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
     payload = {
         "subject": report.subject_id,
         "condition": report.condition,
         "d_G": report.device_delay,
         "lsd_db": report.lsd_db,
         "band_errors_db": {format(c, "g"): v for c, v in report.band_errors_db.items()},
-        "responses_csv": f"runs/{name}.csv",
+        "responses_csv": csv_ref,
         "filter": filter_to_json(report.eq_filter) if report.eq_filter else None,
     }
     (out_dir / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
-    return name
 
 
 def _prune_stale_runs(runs_dir: Path, written: set[str]) -> None:
@@ -143,8 +131,6 @@ def run_experiment(
     out_dir: str | Path,
     *,
     dummy: EarDataset | None = None,
-    n_fft: int = DEFAULT_N_FFT,
-    band: tuple[float, float] = EVALUATION_BAND_HZ,
 ) -> ExperimentResult:
     """Run every (subject, condition, delay) cell and write all report files.
 
@@ -168,8 +154,7 @@ def run_experiment(
                 cfg = dataclasses.replace(design, device_delay=delay)
                 try:
                     result.reports.append(run_condition(
-                        cohort, ear.subject_id, spec, cfg,
-                        dummy=dummy, cache=cache, n_fft=n_fft, band=band,
+                        cohort, ear.subject_id, spec, cfg, dummy=dummy, cache=cache,
                     ))
                 except Exception as exc:
                     failure = RunFailure(ear.subject_id, spec.name, delay,
@@ -177,7 +162,11 @@ def run_experiment(
                     log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
                     result.failures.append(failure)
 
-    written = {_write_run_report(report, runs_dir) for report in result.reports}
+    written = set()
+    for report in result.reports:
+        name = f"{report.subject_id}__{report.condition}__dG{report.device_delay}"
+        write_report(report, runs_dir, name, f"runs/{name}.csv")
+        written.add(name)
     _prune_stale_runs(runs_dir, written)
     _write_summaries(result, list(delays), out_dir)
     log.info(

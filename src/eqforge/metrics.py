@@ -25,7 +25,7 @@ class ConditionReport:
     """Per-subject, per-condition evaluation: spectral errors plus the responses."""
 
     subject_id: str
-    condition: str
+    condition: str | None  # None when scoring a stored filter outside the grid
     device_delay: int
     lsd_db: float
     band_errors_db: dict[float, float]

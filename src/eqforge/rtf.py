@@ -15,8 +15,6 @@ import numpy as np
 from .signals import ImpulseResponse, zero_pad_leading
 from .solvers import solve_pooled
 
-ESTIMATE_KINDS = ("individual", "average")
-ESTIMATE_ROLES = ("occluded", "open")
 MAX_RTF_LENGTH = 512
 
 
@@ -26,8 +24,6 @@ class RelativeTransferEstimate:
 
     coefficients: np.ndarray
     acausal_lead: int
-    kind: str
-    role: str
 
     def __post_init__(self) -> None:
         coeffs = np.array(self.coefficients, dtype=np.float64, copy=True)
@@ -37,10 +33,6 @@ class RelativeTransferEstimate:
             raise ValueError("coefficients must all be finite")
         if self.acausal_lead < 0:
             raise ValueError(f"acausal_lead must be nonnegative, got {self.acausal_lead}")
-        if self.kind not in ESTIMATE_KINDS:
-            raise ValueError(f"kind must be one of {ESTIMATE_KINDS}, got {self.kind!r}")
-        if self.role not in ESTIMATE_ROLES:
-            raise ValueError(f"role must be one of {ESTIMATE_ROLES}, got {self.role!r}")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -69,48 +61,32 @@ def default_rtf_length(target_length: int, acausal_lead: int) -> int:
     return min(acausal_lead + target_length, MAX_RTF_LENGTH)
 
 
-def ls_deconvolve(
-    h_den: ImpulseResponse,
-    target: np.ndarray,
-    rtf_length: int,
-    ridge: float = 0.0,
-) -> np.ndarray:
+def ls_deconvolve(h_den: ImpulseResponse, target: np.ndarray, rtf_length: int) -> np.ndarray:
     """Least-squares deconvolution of `target` by `h_den`.
 
-    Minimizes ``|H x - t|^2 + ridge * |x|^2`` where H is the full convolution
-    matrix of `h_den` with `rtf_length` columns and t is the target, evaluated
-    over the common support (shorter side zero-extended). With ridge = 0 and a
-    numerically rank-deficient system the minimum-norm minimizer is returned.
+    Minimizes ``|H x - t|^2`` where H is the full convolution matrix of
+    `h_den` with `rtf_length` columns and t is the target, evaluated over the
+    common support (shorter side zero-extended). For a numerically
+    rank-deficient system the minimum-norm minimizer is returned.
     """
     if rtf_length < 1:
         raise ValueError(f"rtf_length must be at least 1, got {rtf_length}")
-    if ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
     return solve_pooled(
-        [h_den], [target], rtf_length, lam=ridge, min_norm_fallback=True,
-        context="deconvolution",
+        [h_den], [target], rtf_length, min_norm_fallback=True, context="deconvolution",
     ).coefficients
 
 
 def estimate_individual(
-    pair: MeasurementPair,
-    rtf_length: int,
-    acausal_lead: int,
-    *,
-    role: str = "open",
+    pair: MeasurementPair, rtf_length: int, acausal_lead: int
 ) -> RelativeTransferEstimate:
     """RTF estimate from a single subject's own measurements."""
     padded = zero_pad_leading(pair.h_target, acausal_lead)
     coeffs = ls_deconvolve(pair.h_m, padded.samples, rtf_length)
-    return RelativeTransferEstimate(coeffs, acausal_lead, "individual", role)
+    return RelativeTransferEstimate(coeffs, acausal_lead)
 
 
 def estimate_average(
-    pairs: list[MeasurementPair],
-    rtf_length: int,
-    acausal_lead: int,
-    *,
-    role: str = "open",
+    pairs: list[MeasurementPair], rtf_length: int, acausal_lead: int
 ) -> RelativeTransferEstimate:
     """Pooled RTF estimate across a set of measurements.
 
@@ -132,4 +108,4 @@ def estimate_average(
         min_norm_fallback=True,
         context="pooled RTF estimate",
     ).coefficients
-    return RelativeTransferEstimate(coeffs, acausal_lead, "average", role)
+    return RelativeTransferEstimate(coeffs, acausal_lead)

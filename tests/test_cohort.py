@@ -9,7 +9,6 @@ from eqforge.cohort import (
     SynthCohortParams,
     load_manifest,
     params_from_json,
-    params_to_json,
     save_cohort,
     synth_cohort,
     synth_dummy_ear,
@@ -45,7 +44,7 @@ def test_params_validation():
 def test_params_json_round_trip():
     params = SynthCohortParams(n_subjects=5, seed=7, inear_mismatch_db=4.0,
                                model_error_db=0.5)
-    assert params_from_json(params_to_json(params)) == params
+    assert params_from_json(dataclasses.asdict(params)) == params
 
 
 # --- generator ------------------------------------------------------------------

@@ -168,8 +168,7 @@ def test_practical_optimal_on_two_ears_uses_the_peers_rtfs(cohort, dummy):
     pair = list(cohort[:2])
     practical = design_for_condition(pair, "ear00", condition_named("PracticalOptimal"), CFG,
                                      dummy=dummy)
-    target = build_target(*individual_rtfs(pair[1], CFG.acausal_lead),
-                          device_gain(CFG.device_delay, RATE))
+    target = build_target(*individual_rtfs(pair[1], CFG.acausal_lead), CFG.device_delay)
     direct = design_filter(pair[0].d_true, target, CFG)
     assert np.max(np.abs(practical.coefficients - direct.coefficients)) <= 1e-10
 

@@ -8,7 +8,6 @@ from eqforge.design import (
     build_target,
     config_from_json,
     config_to_json,
-    cost,
     design_filter,
     design_filter_pooled,
     filter_from_json,
@@ -17,12 +16,24 @@ from eqforge.design import (
 )
 from eqforge.rtf import RelativeTransferEstimate, ls_deconvolve
 from eqforge.signals import unit_delay
-from eqforge.solvers import SingularSystemError
+from eqforge.solvers import SingularSystemError, align_target
 from conftest import make_ir
 
 
-def rte(coeffs, lead=0, kind="individual", role="open"):
-    return RelativeTransferEstimate(np.asarray(coeffs, float), lead, kind, role)
+def rte(coeffs, lead=0):
+    return RelativeTransferEstimate(np.asarray(coeffs, float), lead)
+
+
+def cost(a, d_hat, target, config):
+    """Design cost of coefficients `a`: squared residual plus weighted penalty."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.size != config.filter_length:
+        raise ValueError(f"expected {config.filter_length} coefficients, got {a.size}")
+    estimate = np.convolve(d_hat.samples, a)
+    aligned, tail_sq = align_target(target, estimate.size)
+    residual = estimate - aligned
+    penalty = np.convolve(weighting_taps(config.weighting), a)
+    return float(residual @ residual + tail_sq + config.lam * (penalty @ penalty))
 
 
 def loop_built(taps, n_cols):
@@ -95,15 +106,15 @@ def test_weighting_difference_fir():
 
 def test_target_with_identity_device(rng):
     r_open = rte(rng.standard_normal(10))
-    r_occ = rte(rng.standard_normal(10), role="occluded")
-    t = build_target(r_open, r_occ, unit_delay(0, 1))
+    r_occ = rte(rng.standard_normal(10))
+    t = build_target(r_open, r_occ, 0)
     assert np.allclose(t, r_open.coefficients - r_occ.coefficients, atol=1e-14)
 
 
 def test_target_with_silent_occluded_estimate(rng):
     r_open = rte(rng.standard_normal(10))
-    r_occ = rte(np.zeros(10), role="occluded")
-    t = build_target(r_open, r_occ, unit_delay(0, 1))
+    r_occ = rte(np.zeros(10))
+    t = build_target(r_open, r_occ, 0)
     assert np.array_equal(t, r_open.coefficients)
 
 
@@ -111,9 +122,9 @@ def test_target_inverts_pure_delay_against_deconvolution_oracle(rng):
     occ = np.zeros(20)
     occ[16] = 1.0
     r_open = rte(rng.standard_normal(20))
-    r_occ = rte(occ, role="occluded")
+    r_occ = rte(occ)
     g = unit_delay(16, 17)
-    t = build_target(r_open, r_occ, g)
+    t = build_target(r_open, r_occ, 16)
     oracle = ls_deconvolve(g, occ, rtf_length=20)
     assert np.allclose(t, r_open.coefficients - oracle, atol=1e-12)
     expected = r_open.coefficients.copy()
@@ -126,15 +137,19 @@ def test_target_fast_path_matches_solver_for_random_delays(rng):
     r_open = rte(rng.standard_normal(24))
     for delay in (0, 3, 11, 30):
         g = unit_delay(delay, delay + 1)
-        t = build_target(r_open, rte(occ, role="occluded"), g)
+        t = build_target(r_open, rte(occ), delay)
         oracle = r_open.coefficients - ls_deconvolve(g, occ, rtf_length=24)
         assert np.allclose(t, oracle, atol=1e-10)
 
 
 def test_target_rejects_incompatible_leads():
     with pytest.raises(ValueError):
-        build_target(rte(np.ones(4), lead=32), rte(np.ones(4), lead=0, role="occluded"),
-                     unit_delay(0, 1))
+        build_target(rte(np.ones(4), lead=32), rte(np.ones(4), lead=0), 0)
+
+
+def test_target_rejects_negative_delay():
+    with pytest.raises(ValueError, match="device_delay"):
+        build_target(rte(np.ones(4)), rte(np.ones(4)), -4)
 
 
 # --- design_filter ----------------------------------------------------------------

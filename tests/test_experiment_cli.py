@@ -15,7 +15,7 @@ from eqforge.cohort import (
     synth_dummy_ear,
 )
 from eqforge.conditions import condition_named, design_for_condition
-from eqforge.design import EqDesignConfig, filter_from_json
+from eqforge.design import EqDesignConfig, EqFilter, filter_from_json, filter_to_json
 from eqforge.experiment import run_experiment
 from eqforge.signals import ImpulseResponse
 
@@ -315,16 +315,31 @@ def _subject_named_dummy(tmp_path, manifest):
         tmp_path, manifest, lambda d: d["subjects"][2].update(id=d["dummy"]["id"]))
 
 
+def _config(data):
+    def make_args(tmp_path, manifest):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(data))
+        return ["--config", str(config)]
+    return make_args
+
+
 @pytest.mark.parametrize("make_args, message", [
     (_malformed_config, "invalid config file"),
+    (_config({"rate": "abc"}), "\"rate\" must be an integer"),
+    (_config({"cohort": {"synth": "x"}}), "\"cohort.synth\" must be an object"),
+    (_config({"cohort": {"synth": [1]}}), "\"cohort.synth\" must be an object"),
+    (_config({"cohort": {"manifest": 5}}), "\"cohort.manifest\" must be a string"),
+    (_config({"cohort": "m.json"}), "\"cohort\" must be an object"),
+    (_config({"conditions": ["Optimal"], "delays": [True]}), "got True"),
     (_without_h_m, "h_m"),
     (_duplicate_subject, "duplicate subject IDs ['ear01']"),
     (_subject_named_dummy, "duplicate subject IDs ['dummy']"),
     (lambda tmp_path, manifest: ["--manifest", str(manifest),
                                  "--conditions", "Optimal,Bogus"], "'Bogus'"),
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "-5"], "-5"),
-], ids=["malformed-config", "entry-without-h_m", "duplicate-id", "id-of-dummy",
-        "unknown-condition", "negative-delay"])
+], ids=["malformed-config", "rate-not-an-integer", "synth-a-string", "synth-a-list",
+        "manifest-a-number", "cohort-a-string", "delay-a-bool", "entry-without-h_m",
+        "duplicate-id", "id-of-dummy", "unknown-condition", "negative-delay"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
     out = tmp_path / "never"
@@ -362,6 +377,44 @@ def test_evaluate_round_trip(tmp_path, degenerate_manifest):
     csv_lines = (out / "eval_ear00__dG96.csv").read_text().splitlines()
     assert csv_lines[0] == "frequency_hz,desired_db,aided_db,occluded_db"
     assert len(csv_lines) == 2050
+
+
+def test_evaluate_writes_the_grid_report_of_the_same_filter(tmp_path, small_manifest):
+    grid = tmp_path / "grid"
+    assert main(["experiment", "--manifest", str(small_manifest), "--conditions", "ModelBased",
+                 "--delays", "16", "--out", str(grid)]) == 0
+    run = json.loads((grid / "runs" / "ear01__ModelBased__dG16.json").read_text())
+    filter_path = tmp_path / "filter.json"
+    filter_path.write_text(json.dumps(run["filter"]))
+    out = tmp_path / "eval"
+    args = ["evaluate", "--manifest", str(small_manifest), "--filter", str(filter_path),
+            "--out", str(out)]
+    assert main([*args, "--subject", "ear01"]) == 0
+    assert ((out / "eval_ear01__dG16.csv").read_bytes()
+            == (grid / "runs" / "ear01__ModelBased__dG16.csv").read_bytes())
+    report = json.loads((out / "eval_ear01__dG16.json").read_text())
+    assert list(report) == list(run)
+    assert report["condition"] is None and report["responses_csv"] == "eval_ear01__dG16.csv"
+    for key in ("subject", "d_G", "lsd_db", "band_errors_db", "filter"):
+        assert report[key] == run[key]
+
+    assert main([*args, "--subject", "dummy"]) == 0
+    dummy = json.loads((out / "eval_dummy__dG16.json").read_text())
+    assert dummy["subject"] == "dummy" and dummy["filter"] == run["filter"]
+    assert dummy["lsd_db"] > 0.0 and dummy["lsd_db"] != report["lsd_db"]
+    assert len((out / "eval_dummy__dG16.csv").read_text().splitlines()) == 2050
+
+
+def test_evaluate_on_an_ear_without_d_true_fails_cleanly(tmp_path, small_manifest, capsys):
+    filter_path = tmp_path / "zero.json"
+    zero = EqFilter(np.zeros(99), EqDesignConfig(device_delay=16), 0.0, 0.0)
+    filter_path.write_text(json.dumps(filter_to_json(zero)))
+    variant = _manifest_variant(tmp_path, small_manifest, lambda d: d["subjects"][0].pop("d_true"))
+    rc = main(["evaluate", *variant, "--subject", "ear00", "--filter", str(filter_path),
+               "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and "d_true" in err[0]
 
 
 def test_evaluate_missing_filter_fails_cleanly(tmp_path, degenerate_manifest, capsys):

@@ -9,7 +9,6 @@ import scipy.linalg
 
 from eqforge import solvers
 from eqforge.cohort import SynthCohortParams, synth_cohort
-from eqforge.conditions import device_gain
 from eqforge.design import EqDesignConfig, build_target, design_filter, design_filter_pooled
 from eqforge.rtf import (
     MeasurementPair,
@@ -19,7 +18,7 @@ from eqforge.rtf import (
     ls_deconvolve,
 )
 from eqforge.solvers import SingularSystemError, autocorrelation, solve_normal_equations
-from conftest import RATE, make_ir
+from conftest import make_ir
 
 
 def pooled_gram(rng, n, n_plants, lam):
@@ -144,15 +143,14 @@ def test_estimates_and_designs_call_no_numpy_linalg_factorization(monkeypatch):
     length = default_rtf_length(len(cohort[0].h_open), lead)
     open_pairs = [MeasurementPair(e.h_m, e.h_open, e.subject_id) for e in cohort]
     occ_pairs = [MeasurementPair(e.h_m, e.h_occ, e.subject_id) for e in cohort]
-    g = device_gain(16, RATE)
     targets = []
     for open_pair, occ_pair in zip(open_pairs, occ_pairs):
-        r_open = estimate_individual(open_pair, length, lead, role="open")
-        r_occ = estimate_individual(occ_pair, length, lead, role="occluded")
-        targets.append(build_target(r_open, r_occ, g))
-    r_open = estimate_average(open_pairs, length, lead, role="open")
-    r_occ = estimate_average(occ_pairs, length, lead, role="occluded")
-    targets.append(build_target(r_open, r_occ, g))
+        r_open = estimate_individual(open_pair, length, lead)
+        r_occ = estimate_individual(occ_pair, length, lead)
+        targets.append(build_target(r_open, r_occ, 16))
+    r_open = estimate_average(open_pairs, length, lead)
+    r_occ = estimate_average(occ_pairs, length, lead)
+    targets.append(build_target(r_open, r_occ, 16))
     plants = [e.d_true for e in cohort] + [cohort[0].d_model]
     filt = design_filter_pooled(plants, targets, EqDesignConfig(device_delay=16))
     assert np.isfinite(filt.coefficients).all()
