@@ -20,7 +20,7 @@ from eqforge import (
     synth_cohort,
     synth_dummy_ear,
 )
-from eqforge.conditions import CONDITION_NAMES, RtfCache
+from eqforge.conditions import CONDITION_NAMES
 from eqforge.experiment import DEFAULT_DELAYS
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "pilot_seed42.json"
@@ -33,7 +33,7 @@ def main() -> int:
 
     baseline: dict[str, dict[str, float]] = {}
     for delay in DEFAULT_DELAYS:
-        cache = RtfCache(acausal_lead=32)
+        cache: dict = {}
         cfg = EqDesignConfig(device_delay=delay)
         baseline[str(delay)] = {}
         for name in CONDITION_NAMES:

@@ -45,12 +45,10 @@ from .metrics import (
     rank_conditions,
 )
 from .rtf import (
-    MeasurementPair,
     RelativeTransferEstimate,
     default_rtf_length,
     estimate_average,
     estimate_individual,
-    ls_deconvolve,
 )
 from .signals import (
     ImpulseResponse,

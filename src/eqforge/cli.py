@@ -19,7 +19,7 @@ from typing import Any
 
 from . import cohort as cohort_mod
 from .conditions import CONDITION_NAMES, condition_named, design_for_condition, evaluate
-from .design import EqDesignConfig, config_from_json, filter_from_json, filter_to_json
+from .design import EqDesignConfig, config_from_json, filter_from_json, filter_to_json, json_typed
 from .experiment import DEFAULT_DELAYS, run_experiment, write_report
 from .solvers import SingularSystemError
 
@@ -46,7 +46,7 @@ def _reported(what: str):
         yield
     except KeyError as exc:
         raise CliError(f"{what}: missing key {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
         raise CliError(f"{what}: {exc}") from exc
 
 
@@ -63,14 +63,14 @@ def _load_config(path: str | None) -> dict[str, Any]:
         cohort = config.get("cohort", {})
         if not isinstance(cohort, dict):
             raise ValueError(f'"cohort" must be an object, got {cohort!r}')
-        for key, value, kind, what in (
+        for check in (
             ("cohort.synth", cohort.get("synth", {}), dict, "an object"),
             ("cohort.manifest", cohort.get("manifest", ""), str, "a string"),
+            ("design", config.get("design", {}), dict, "an object"),
             ("out", config.get("out", ""), str, "a string"),
             ("rate", config.get("rate", 1), int, "an integer"),
         ):
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ValueError(f'"{key}" must be {what}, got {value!r}')
+            json_typed(*check)
     return config
 
 
@@ -84,7 +84,7 @@ def _pick(flag: Any, config_value: Any, default: Any) -> Any:
 
 def _design_config(args: argparse.Namespace, config: dict[str, Any]) -> EqDesignConfig:
     with _reported("invalid design parameters"):
-        base = config_from_json(dict(config.get("design", {})))
+        base = config_from_json(config.get("design", {}))
         flags = {"filter_length": args.filter_length, "lam": args.lam,
                  "acausal_lead": args.lead}
         return dataclasses.replace(
@@ -176,9 +176,9 @@ def cmd_design(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     out = Path(_pick(args.out, config.get("out"), None) or _fail_out())
-    payload = filter_to_json(filt)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    with _reported(f"cannot write {out}"):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(filter_to_json(filt), indent=2) + "\n")
     print(out)
     return 0
 
@@ -227,9 +227,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with _reported(f"cannot evaluate on {args.subject}"):
         report = evaluate(ears[args.subject], filt)
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
-    out_dir.mkdir(parents=True, exist_ok=True)
     name = f"eval_{args.subject}__dG{filt.config.device_delay}"
-    write_report(report, out_dir, name, f"{name}.csv")
+    with _reported(f"cannot write reports under {out_dir}"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_report(report, out_dir, name, f"{name}.csv")
     print(out_dir / f"{name}.json")
     return 0
 

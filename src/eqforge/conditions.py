@@ -9,18 +9,12 @@ score isolates the impact of its design-side estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cohort import EarDataset
 from .design import EqDesignConfig, EqFilter, build_target, design_filter_pooled
 from .metrics import ConditionReport, band_error_profile, log_spectral_distance
-from .rtf import (
-    MeasurementPair,
-    RelativeTransferEstimate,
-    default_rtf_length,
-    estimate_average,
-    estimate_individual,
-)
+from .rtf import RelativeTransferEstimate, default_rtf_length, estimate_average
 from .signals import ImpulseResponse, convolve, magnitude_response, unit_delay, zero_extend
 
 # Where the design ears and their RTFs come from:
@@ -94,75 +88,44 @@ def aided_response(ear: EarDataset, g: ImpulseResponse, a: EqFilter) -> ImpulseR
     return ImpulseResponse(samples, ear.sample_rate_hz)
 
 
-@dataclass
-class RtfCache:
-    """Memoized estimates so grid runs do not refit identical systems.
+RtfPair = tuple[RelativeTransferEstimate, RelativeTransferEstimate]
 
-    Entries are keyed by subject ID and hold estimates at `acausal_lead` only.
+
+def _pooled_rtfs(ears: list[EarDataset], acausal_lead: int, cache: dict | None) -> RtfPair:
+    """(open, occluded) RTF estimates pooled over `ears`, memoized in `cache`.
+
+    The key is the lead and the ears themselves, which hash by identity, so
+    one cache may serve several cohorts and leads.
     """
-
-    acausal_lead: int
-    individual: dict[str, tuple[RelativeTransferEstimate, RelativeTransferEstimate]] = field(
-        default_factory=dict
+    key = (acausal_lead, *ears)
+    if cache is not None and key in cache:
+        return cache[key]
+    rtfs = tuple(
+        estimate_average(
+            [(e.h_m, getattr(e, name)) for e in ears],
+            max(default_rtf_length(len(getattr(e, name)), acausal_lead) for e in ears),
+            acausal_lead,
+        )
+        for name in ("h_open", "h_occ")
     )
-    average: dict[str, tuple[RelativeTransferEstimate, RelativeTransferEstimate]] = field(
-        default_factory=dict
-    )
-
-    def check_lead(self, acausal_lead: int) -> None:
-        if acausal_lead != self.acausal_lead:
-            raise ValueError(
-                f"RTF cache holds estimates at acausal lead {self.acausal_lead}, "
-                f"not {acausal_lead}"
-            )
+    if cache is not None:
+        cache[key] = rtfs
+    return rtfs
 
 
-def individual_rtfs(
-    ear: EarDataset, acausal_lead: int, cache: RtfCache | None = None
-) -> tuple[RelativeTransferEstimate, RelativeTransferEstimate]:
+def individual_rtfs(ear: EarDataset, acausal_lead: int, cache: dict | None = None) -> RtfPair:
     """(open, occluded) RTF estimates from one ear's own measurements."""
-    if cache is not None:
-        cache.check_lead(acausal_lead)
-        if ear.subject_id in cache.individual:
-            return cache.individual[ear.subject_id]
-    r_open = estimate_individual(
-        MeasurementPair(ear.h_m, ear.h_open, ear.subject_id),
-        default_rtf_length(len(ear.h_open), acausal_lead),
-        acausal_lead,
-    )
-    r_occ = estimate_individual(
-        MeasurementPair(ear.h_m, ear.h_occ, ear.subject_id),
-        default_rtf_length(len(ear.h_occ), acausal_lead),
-        acausal_lead,
-    )
-    if cache is not None:
-        cache.individual[ear.subject_id] = (r_open, r_occ)
-    return r_open, r_occ
+    return _pooled_rtfs([ear], acausal_lead, cache)
 
 
 def average_rtfs(
-    cohort: list[EarDataset],
-    exclude_subject: str,
-    acausal_lead: int,
-    cache: RtfCache | None = None,
-) -> tuple[RelativeTransferEstimate, RelativeTransferEstimate]:
+    cohort: list[EarDataset], exclude_subject: str, acausal_lead: int, cache: dict | None = None
+) -> RtfPair:
     """(open, occluded) pooled RTF estimates, leaving one subject out."""
-    if cache is not None:
-        cache.check_lead(acausal_lead)
-        if exclude_subject in cache.average:
-            return cache.average[exclude_subject]
     members = [e for e in cohort if e.subject_id != exclude_subject]
     if not members:
         raise ValueError(f"no cohort members remain after excluding {exclude_subject!r}")
-    open_pairs = [MeasurementPair(e.h_m, e.h_open, e.subject_id) for e in members]
-    occ_pairs = [MeasurementPair(e.h_m, e.h_occ, e.subject_id) for e in members]
-    length_open = max(default_rtf_length(len(e.h_open), acausal_lead) for e in members)
-    length_occ = max(default_rtf_length(len(e.h_occ), acausal_lead) for e in members)
-    r_open = estimate_average(open_pairs, length_open, acausal_lead)
-    r_occ = estimate_average(occ_pairs, length_occ, acausal_lead)
-    if cache is not None:
-        cache.average[exclude_subject] = (r_open, r_occ)
-    return r_open, r_occ
+    return _pooled_rtfs(members, acausal_lead, cache)
 
 
 def _find_subject(cohort: list[EarDataset], subject_id: str) -> EarDataset:
@@ -179,7 +142,7 @@ def design_for_condition(
     config: EqDesignConfig,
     *,
     dummy: EarDataset | None = None,
-    cache: RtfCache | None = None,
+    cache: dict | None = None,
 ) -> EqFilter:
     """Design the equalizer exactly as the condition's data prescribes."""
     ear = _find_subject(cohort, subject_id)
@@ -226,7 +189,7 @@ def run_condition(
     config: EqDesignConfig,
     *,
     dummy: EarDataset | None = None,
-    cache: RtfCache | None = None,
+    cache: dict | None = None,
 ) -> ConditionReport:
     """Design per the condition, evaluate on the subject's true acoustics."""
     filt = design_for_condition(cohort, subject_id, cond, config, dummy=dummy, cache=cache)

@@ -7,7 +7,7 @@ from typing import Any
 
 import numpy as np
 
-from .rtf import RelativeTransferEstimate
+from .rtf import MAX_RTF_LENGTH, RelativeTransferEstimate
 from .signals import ImpulseResponse, zero_extend
 from .solvers import solve_pooled
 
@@ -34,9 +34,9 @@ class WeightingSpec:
 class EqDesignConfig:
     """Solver parameters for the equalization filter design.
 
-    filter_length:  number of FIR taps in the equalizer (L_a)
-    lam:            regularization trade-off (lambda)
-    acausal_lead:   leading zeros in the estimation targets (L_d, samples)
+    filter_length:  number of FIR taps in the equalizer (L_a), at most 512
+    lam:            regularization trade-off (lambda), finite
+    acausal_lead:   leading zeros in the estimation targets (L_d, samples), at most 512
     device_delay:   hearing-device processing delay (d_G, samples)
     """
 
@@ -47,12 +47,16 @@ class EqDesignConfig:
     weighting: WeightingSpec = field(default_factory=WeightingSpec)
 
     def __post_init__(self) -> None:
-        if self.filter_length < 1:
-            raise ValueError(f"filter_length must be positive, got {self.filter_length}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if self.acausal_lead < 0:
-            raise ValueError(f"acausal_lead must be nonnegative, got {self.acausal_lead}")
+        if not 1 <= self.filter_length <= MAX_RTF_LENGTH:
+            raise ValueError(
+                f"filter_length must be in [1, {MAX_RTF_LENGTH}], got {self.filter_length}"
+            )
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        if not 0 <= self.acausal_lead <= MAX_RTF_LENGTH:
+            raise ValueError(
+                f"acausal_lead must be in [0, {MAX_RTF_LENGTH}], got {self.acausal_lead}"
+            )
         if self.device_delay < 0:
             raise ValueError(f"device_delay must be nonnegative, got {self.device_delay}")
 
@@ -166,10 +170,20 @@ def weighting_to_json(spec: WeightingSpec) -> dict[str, Any]:
     return out
 
 
-def weighting_from_json(data: dict[str, Any]) -> WeightingSpec:
-    taps = data.get("fir_taps")
-    return WeightingSpec(mode=data.get("mode", "identity"),
-                         fir_taps=tuple(taps) if taps else None)
+def json_typed(key: str, value: Any, kind: type | tuple[type, ...], what: str) -> Any:
+    """`value` if it is a JSON `kind` (a boolean never is), else a ValueError naming `key`."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f'"{key}" must be {what}, got {value!r}')
+    return value
+
+
+def weighting_from_json(data: Any) -> WeightingSpec:
+    json_typed("weighting", data, dict, "an object")
+    taps = json_typed("fir_taps", data.get("fir_taps", []), list, "a list of numbers")
+    for tap in taps:
+        json_typed("fir_taps", tap, (int, float), "a list of numbers")
+    return WeightingSpec(mode=json_typed("mode", data.get("mode", "identity"), str, "a string"),
+                         fir_taps=tuple(taps) or None)
 
 
 def config_to_json(config: EqDesignConfig) -> dict[str, Any]:
@@ -183,11 +197,12 @@ def config_to_json(config: EqDesignConfig) -> dict[str, Any]:
 
 
 def config_from_json(data: dict[str, Any]) -> EqDesignConfig:
+    """Design config from its wire names; a value of the wrong JSON type is a ValueError."""
     return EqDesignConfig(
-        filter_length=int(data.get("L_a", 99)),
-        lam=float(data.get("lambda", 0.1)),
-        acausal_lead=int(data.get("L_d", 32)),
-        device_delay=int(data.get("d_G", 0)),
+        filter_length=json_typed("L_a", data.get("L_a", 99), int, "an integer"),
+        lam=float(json_typed("lambda", data.get("lambda", 0.1), (int, float), "a number")),
+        acausal_lead=json_typed("L_d", data.get("L_d", 32), int, "an integer"),
+        device_delay=json_typed("d_G", data.get("d_G", 0), int, "an integer"),
         weighting=weighting_from_json(data.get("weighting", {})),
     )
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cohort import EarDataset
-from .conditions import RtfCache, condition_named, run_condition
+from .conditions import condition_named, run_condition
 from .design import EqDesignConfig, filter_to_json
 from .metrics import ConditionReport, rank_conditions
 
@@ -146,7 +146,7 @@ def run_experiment(
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
-    cache = RtfCache(acausal_lead=design.acausal_lead)
+    cache: dict = {}
     result = ExperimentResult()
     for ear in cohort:
         for spec in specs:

@@ -40,72 +40,40 @@ class RelativeTransferEstimate:
         return int(self.coefficients.size)
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementPair:
-    """One subject's microphone response paired with an eardrum response."""
-
-    h_m: ImpulseResponse
-    h_target: ImpulseResponse
-    subject_id: str
-
-    def __post_init__(self) -> None:
-        if self.h_m.sample_rate_hz != self.h_target.sample_rate_hz:
-            raise ValueError(
-                f"{self.subject_id}: sample rates differ "
-                f"({self.h_m.sample_rate_hz} vs {self.h_target.sample_rate_hz} Hz)"
-            )
-
-
 def default_rtf_length(target_length: int, acausal_lead: int) -> int:
     """Estimate length covering the padded target support, capped at 512 taps."""
     return min(acausal_lead + target_length, MAX_RTF_LENGTH)
 
 
-def ls_deconvolve(h_den: ImpulseResponse, target: np.ndarray, rtf_length: int) -> np.ndarray:
-    """Least-squares deconvolution of `target` by `h_den`.
-
-    Minimizes ``|H x - t|^2`` where H is the full convolution matrix of
-    `h_den` with `rtf_length` columns and t is the target, evaluated over the
-    common support (shorter side zero-extended). For a numerically
-    rank-deficient system the minimum-norm minimizer is returned.
-    """
-    if rtf_length < 1:
-        raise ValueError(f"rtf_length must be at least 1, got {rtf_length}")
-    return solve_pooled(
-        [h_den], [target], rtf_length, min_norm_fallback=True, context="deconvolution",
-    ).coefficients
-
-
 def estimate_individual(
-    pair: MeasurementPair, rtf_length: int, acausal_lead: int
+    h_m: ImpulseResponse, h_target: ImpulseResponse, rtf_length: int, acausal_lead: int
 ) -> RelativeTransferEstimate:
-    """RTF estimate from a single subject's own measurements."""
-    padded = zero_pad_leading(pair.h_target, acausal_lead)
-    coeffs = ls_deconvolve(pair.h_m, padded.samples, rtf_length)
-    return RelativeTransferEstimate(coeffs, acausal_lead)
+    """RTF estimate from one ear's own measurements: the pooled estimate over one pair."""
+    return estimate_average([(h_m, h_target)], rtf_length, acausal_lead)
 
 
 def estimate_average(
-    pairs: list[MeasurementPair], rtf_length: int, acausal_lead: int
+    pairs: list[tuple[ImpulseResponse, ImpulseResponse]], rtf_length: int, acausal_lead: int
 ) -> RelativeTransferEstimate:
-    """Pooled RTF estimate across a set of measurements.
+    """Pooled RTF estimate over (h_m, h_target) measurement pairs.
 
-    Solves the pooled normal equations: the per-pair Gram matrices and
-    right-hand sides are accumulated in list order and solved once, which
-    weights every measurement equally.
+    Minimizes ``sum_k |h_m,k * r - t_k|^2`` with t_k the eardrum response
+    delayed by `acausal_lead`: the per-pair normal equations are accumulated
+    in list order and solved once, which weights every pair equally. For a
+    numerically rank-deficient system the minimum-norm minimizer is returned.
     """
     if not pairs:
         raise ValueError("estimate_average requires at least one measurement pair")
-    rates = {p.h_m.sample_rate_hz for p in pairs}
+    rates = {h.sample_rate_hz for pair in pairs for h in pair}
     if len(rates) != 1:
-        raise ValueError(f"measurement pairs mix sample rates: {sorted(rates)}")
+        raise ValueError(f"measurements mix sample rates: {sorted(rates)}")
     if rtf_length < 1:
         raise ValueError(f"rtf_length must be at least 1, got {rtf_length}")
     coeffs = solve_pooled(
-        [p.h_m for p in pairs],
-        [zero_pad_leading(p.h_target, acausal_lead).samples for p in pairs],
+        [h_m for h_m, _ in pairs],
+        [zero_pad_leading(h_target, acausal_lead).samples for _, h_target in pairs],
         rtf_length,
         min_norm_fallback=True,
-        context="pooled RTF estimate",
+        context="RTF estimate",
     ).coefficients
     return RelativeTransferEstimate(coeffs, acausal_lead)

@@ -14,7 +14,7 @@ from eqforge.cli import main
 from eqforge.cohort import SynthCohortParams, synth_cohort, synth_dummy_ear
 from eqforge.conditions import aided_response, device_gain
 from eqforge.design import EqDesignConfig, EqFilter, WeightingSpec, design_filter, weighting_taps
-from eqforge.rtf import MeasurementPair, estimate_average, estimate_individual
+from eqforge.rtf import estimate_average, estimate_individual
 from eqforge.signals import ImpulseResponse, convolve, zero_extend
 from conftest import RATE, make_ir
 
@@ -141,14 +141,13 @@ def test_criterion_3_estimator_recovery():
         r_true = rng.standard_normal(int(rng.integers(2, 12)))
         h_m = make_ir(rng.standard_normal(int(rng.integers(4, 20))))
         h_target = convolve(h_m, make_ir(r_true))
-        pair = MeasurementPair(h_m, h_target, f"s{i}")
         length = lead + r_true.size
-        est = estimate_individual(pair, length, lead)
+        est = estimate_individual(h_m, h_target, length, lead)
         planted = np.concatenate([np.zeros(lead), r_true])
         rel = np.linalg.norm(est.coefficients - planted) / np.linalg.norm(r_true)
         worst_rel = max(worst_rel, rel)
 
-        avg = estimate_average([pair], length, lead)
+        avg = estimate_average([(h_m, h_target)], length, lead)
         worst_gap = max(worst_gap, float(np.max(np.abs(avg.coefficients - est.coefficients))))
     ok = worst_rel <= 1e-8 and worst_gap <= 1e-10
     check("3 estimator-recovery",

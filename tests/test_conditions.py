@@ -7,7 +7,6 @@ from eqforge.cohort import EarDataset, SynthCohortParams, synth_cohort, synth_du
 from eqforge.conditions import (
     CONDITION_NAMES,
     CONDITIONS,
-    RtfCache,
     aided_response,
     condition_named,
     individual_rtfs,
@@ -182,7 +181,7 @@ def test_leave_one_out_exclusion_is_exercised(cohort, dummy):
 
 
 def test_generic_dh_is_worse_than_optimal(cohort, dummy):
-    cache = RtfCache(acausal_lead=CFG.acausal_lead)
+    cache = {}
     for subject in ("ear00", "ear01"):
         optimal = run_condition(cohort, subject, condition_named("Optimal"), CFG,
                                 dummy=dummy, cache=cache)
@@ -227,20 +226,24 @@ def test_missing_receiver_estimate_raises(cohort, dummy):
 
 
 def test_rtf_cache_is_reused(cohort, dummy):
-    cache = RtfCache(acausal_lead=CFG.acausal_lead)
+    cache = {}
     run_condition(cohort, "ear00", condition_named("Optimal"), CFG, dummy=dummy, cache=cache)
-    assert "ear00" in cache.individual
+    assert (CFG.acausal_lead, cohort[0]) in cache
     run_condition(cohort, "ear00", condition_named("PracticalOptimal"), CFG,
                   dummy=dummy, cache=cache)
-    assert "ear00" in cache.average
+    assert (CFG.acausal_lead, *cohort[1:]) in cache
 
 
-def test_rtf_cache_rejects_another_lead(cohort):
-    cache = RtfCache(acausal_lead=CFG.acausal_lead)
-    individual_rtfs(cohort[0], CFG.acausal_lead, cache)
-    other = dataclasses.replace(CFG, acausal_lead=CFG.acausal_lead + 8)
-    with pytest.raises(ValueError, match="acausal lead"):
-        design_for_condition(cohort, "ear00", condition_named("Optimal"), other, cache=cache)
-    with pytest.raises(ValueError, match="acausal lead"):
-        design_for_condition(cohort, "ear00", condition_named("PracticalOptimal"), other,
-                             cache=cache)
+def test_rtf_cache_shared_across_cohorts_and_leads_matches_fresh_designs(dummy):
+    # the same subject IDs in two cohorts, and two leads, through one cache
+    cohorts = [synth_cohort(SynthCohortParams(n_subjects=3, seed=seed)) for seed in (1, 2)]
+    cache = {}
+    for ears in cohorts:
+        for lead in (CFG.acausal_lead, CFG.acausal_lead + 8):
+            cfg = dataclasses.replace(CFG, acausal_lead=lead)
+            for name in ("Optimal", "PracticalOptimal"):
+                spec = condition_named(name)
+                cached = design_for_condition(ears, "ear00", spec, cfg, dummy=dummy, cache=cache)
+                fresh = design_for_condition(ears, "ear00", spec, cfg, dummy=dummy)
+                assert cached.coefficients.tobytes() == fresh.coefficients.tobytes()
+    assert len(cache) == 8

@@ -14,9 +14,9 @@ from eqforge.design import (
     filter_to_json,
     weighting_taps,
 )
-from eqforge.rtf import RelativeTransferEstimate, ls_deconvolve
+from eqforge.rtf import RelativeTransferEstimate
 from eqforge.signals import unit_delay
-from eqforge.solvers import SingularSystemError, align_target
+from eqforge.solvers import SingularSystemError, align_target, solve_pooled
 from conftest import make_ir
 
 
@@ -71,6 +71,11 @@ def test_config_validation():
         EqDesignConfig(filter_length=0)
     with pytest.raises(ValueError):
         EqDesignConfig(lam=-0.1)
+    for bad in ({"filter_length": 513}, {"acausal_lead": 513}, {"acausal_lead": -1},
+                {"lam": float("inf")}, {"lam": float("nan")}):
+        with pytest.raises(ValueError):
+            EqDesignConfig(**bad)
+    assert EqDesignConfig(filter_length=512, acausal_lead=512).filter_length == 512
     with pytest.raises(ValueError):
         WeightingSpec(mode="fir")
     with pytest.raises(ValueError):
@@ -125,7 +130,7 @@ def test_target_inverts_pure_delay_against_deconvolution_oracle(rng):
     r_occ = rte(occ)
     g = unit_delay(16, 17)
     t = build_target(r_open, r_occ, 16)
-    oracle = ls_deconvolve(g, occ, rtf_length=20)
+    oracle = solve_pooled([g], [occ], 20, min_norm_fallback=True).coefficients
     assert np.allclose(t, r_open.coefficients - oracle, atol=1e-12)
     expected = r_open.coefficients.copy()
     expected[0] -= 1.0
@@ -138,8 +143,8 @@ def test_target_fast_path_matches_solver_for_random_delays(rng):
     for delay in (0, 3, 11, 30):
         g = unit_delay(delay, delay + 1)
         t = build_target(r_open, rte(occ), delay)
-        oracle = r_open.coefficients - ls_deconvolve(g, occ, rtf_length=24)
-        assert np.allclose(t, oracle, atol=1e-10)
+        oracle = solve_pooled([g], [occ], 24, min_norm_fallback=True).coefficients
+        assert np.allclose(t, r_open.coefficients - oracle, atol=1e-10)
 
 
 def test_target_rejects_incompatible_leads():

@@ -1,9 +1,14 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from eqforge.cli import main
 from eqforge.cohort import (
@@ -14,7 +19,7 @@ from eqforge.cohort import (
     synth_cohort,
     synth_dummy_ear,
 )
-from eqforge.conditions import condition_named, design_for_condition
+from eqforge.conditions import CONDITION_NAMES, condition_named, design_for_condition
 from eqforge.design import EqDesignConfig, EqFilter, filter_from_json, filter_to_json
 from eqforge.experiment import run_experiment
 from eqforge.signals import ImpulseResponse
@@ -129,6 +134,56 @@ def test_design_missing_subject_fails_cleanly(tmp_path, degenerate_manifest, cap
     ])
     assert rc == 1
     assert "ghost" in capsys.readouterr().err
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=6,
+)
+WEIGHTING = st.fixed_dictionaries({}, optional={
+    "mode": JSON | st.sampled_from(["identity", "fir"]),
+    "fir_taps": JSON | st.lists(st.floats(-4.0, 4.0), max_size=4),
+})
+DESIGN = st.fixed_dictionaries({}, optional={
+    "L_a": JSON | st.integers(-2, 600),
+    "lambda": JSON | st.floats(0.0, 10.0),
+    "L_d": JSON | st.integers(-2, 600),
+    "weighting": JSON | WEIGHTING,
+})
+
+
+@given(design=DESIGN, condition=st.sampled_from(CONDITION_NAMES))
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_design_section_fuzz_exits_0_or_prints_one_error_line(
+        design, condition, degenerate_manifest, tmp_path_factory):
+    root = tmp_path_factory.getbasetemp()
+    config = root / "fuzz_config.json"
+    config.write_text(json.dumps({"design": design}))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["design", "--manifest", str(degenerate_manifest), "--subject", "ear00",
+                   "--condition", condition, "--config", str(config),
+                   "--out", str(root / "fuzz_filter.json")])
+    err = stderr.getvalue().splitlines()
+    assert (rc, err) == (0, []) or (rc == 1 and len(err) == 1 and err[0].startswith("error: "))
+
+
+def test_unwritable_out_fails_cleanly(tmp_path, degenerate_manifest, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    filter_path = tmp_path / "f.json"
+    base = ["--manifest", str(degenerate_manifest), "--subject", "ear00"]
+    design = ["design", *base, "--condition", "Optimal"]
+    assert main([*design, "--out", str(filter_path)]) == 0
+    for args in ([*design, "--out", str(blocker / "x.json")],
+                 ["evaluate", *base, "--filter", str(filter_path), "--out", str(blocker)]):
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write")
 
 
 # --- experiment --------------------------------------------------------------------
@@ -331,6 +386,15 @@ def _config(data):
     (_config({"cohort": {"manifest": 5}}), "\"cohort.manifest\" must be a string"),
     (_config({"cohort": "m.json"}), "\"cohort\" must be an object"),
     (_config({"conditions": ["Optimal"], "delays": [True]}), "got True"),
+    (_config({"design": "x"}), "\"design\" must be an object"),
+    (_config({"design": {"weighting": "x"}}), "\"weighting\" must be an object"),
+    (_config({"design": {"weighting": {"mode": "fir", "fir_taps": "12"}}}),
+     "\"fir_taps\" must be a list of numbers"),
+    (_config({"design": {"L_a": 99.7}}), "\"L_a\" must be an integer, got 99.7"),
+    (_config({"design": {"L_a": True}}), "\"L_a\" must be an integer, got True"),
+    (_config({"design": {"L_a": 10**9}}), "filter_length must be in [1, 512]"),
+    (_config({"design": {"lambda": "0.5"}}), "\"lambda\" must be a number"),
+    (_config({"design": {"lambda": float("inf")}}), "lam must be finite"),
     (_without_h_m, "h_m"),
     (_duplicate_subject, "duplicate subject IDs ['ear01']"),
     (_subject_named_dummy, "duplicate subject IDs ['dummy']"),
@@ -338,7 +402,9 @@ def _config(data):
                                  "--conditions", "Optimal,Bogus"], "'Bogus'"),
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "-5"], "-5"),
 ], ids=["malformed-config", "rate-not-an-integer", "synth-a-string", "synth-a-list",
-        "manifest-a-number", "cohort-a-string", "delay-a-bool", "entry-without-h_m",
+        "manifest-a-number", "cohort-a-string", "delay-a-bool", "design-a-string",
+        "weighting-a-string", "fir_taps-a-string", "L_a-a-float", "L_a-a-bool",
+        "L_a-too-long", "lambda-a-string", "lambda-infinite", "entry-without-h_m",
         "duplicate-id", "id-of-dummy", "unknown-condition", "negative-delay"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
@@ -415,6 +481,20 @@ def test_evaluate_on_an_ear_without_d_true_fails_cleanly(tmp_path, small_manifes
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: ") and "d_true" in err[0]
+
+
+@pytest.mark.parametrize("key, value", [("lambda", "0.1"), ("L_a", 99.0), ("weighting", None)])
+def test_evaluate_rejects_filter_values_of_the_wrong_type(tmp_path, small_manifest, capsys,
+                                                          key, value):
+    data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0))
+    data[key] = value
+    filter_path = tmp_path / "typed.json"
+    filter_path.write_text(json.dumps(data))
+    rc = main(["evaluate", "--manifest", str(small_manifest), "--subject", "ear00",
+               "--filter", str(filter_path), "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and f'"{key}" must be' in err[0]
 
 
 def test_evaluate_missing_filter_fails_cleanly(tmp_path, degenerate_manifest, capsys):

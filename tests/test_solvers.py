@@ -10,13 +10,7 @@ import scipy.linalg
 from eqforge import solvers
 from eqforge.cohort import SynthCohortParams, synth_cohort
 from eqforge.design import EqDesignConfig, build_target, design_filter, design_filter_pooled
-from eqforge.rtf import (
-    MeasurementPair,
-    default_rtf_length,
-    estimate_average,
-    estimate_individual,
-    ls_deconvolve,
-)
+from eqforge.rtf import default_rtf_length, estimate_average, estimate_individual
 from eqforge.solvers import SingularSystemError, autocorrelation, solve_normal_equations
 from conftest import make_ir
 
@@ -63,7 +57,7 @@ def test_overflowing_plant_raises_with_nothing_on_stderr(capfd):
         design_filter(plant, np.ones(120), EqDesignConfig())
     # the estimators' min-norm fallback is not tried on non-finite systems
     with pytest.raises(SingularSystemError, match="not finite"):
-        ls_deconvolve(plant, np.ones(120), rtf_length=40)
+        estimate_individual(plant, make_ir(np.ones(120)), rtf_length=40, acausal_lead=0)
     assert capfd.readouterr().err == ""
 
 
@@ -141,12 +135,12 @@ def test_estimates_and_designs_call_no_numpy_linalg_factorization(monkeypatch):
     cohort = synth_cohort(SynthCohortParams(n_subjects=3, seed=11))
     lead = 32
     length = default_rtf_length(len(cohort[0].h_open), lead)
-    open_pairs = [MeasurementPair(e.h_m, e.h_open, e.subject_id) for e in cohort]
-    occ_pairs = [MeasurementPair(e.h_m, e.h_occ, e.subject_id) for e in cohort]
+    open_pairs = [(e.h_m, e.h_open) for e in cohort]
+    occ_pairs = [(e.h_m, e.h_occ) for e in cohort]
     targets = []
     for open_pair, occ_pair in zip(open_pairs, occ_pairs):
-        r_open = estimate_individual(open_pair, length, lead)
-        r_occ = estimate_individual(occ_pair, length, lead)
+        r_open = estimate_individual(*open_pair, length, lead)
+        r_occ = estimate_individual(*occ_pair, length, lead)
         targets.append(build_target(r_open, r_occ, 16))
     r_open = estimate_average(open_pairs, length, lead)
     r_occ = estimate_average(occ_pairs, length, lead)
