@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import cohort as cohort_mod
 from .conditions import CONDITION_NAMES, condition_named, design_for_condition, evaluate
 from .design import EqDesignConfig, config_from_json, filter_from_json, filter_to_json, json_typed
@@ -33,9 +35,7 @@ class CliError(Exception):
 def _setup_logging() -> None:
     level_name = os.environ.get("EQFORGE_LOG", "warning").lower()
     level = {"debug": logging.DEBUG, "info": logging.INFO,
-             "warning": logging.WARNING, "error": logging.ERROR}.get(level_name)
-    if level is None:
-        level = logging.WARNING
+             "warning": logging.WARNING, "error": logging.ERROR}.get(level_name, logging.WARNING)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -46,7 +46,7 @@ def _reported(what: str):
         yield
     except KeyError as exc:
         raise CliError(f"{what}: missing key {exc}") from exc
-    except (OSError, OverflowError, TypeError, ValueError) as exc:
+    except (ArithmeticError, OSError, TypeError, ValueError) as exc:
         raise CliError(f"{what}: {exc}") from exc
 
 
@@ -162,10 +162,10 @@ def _fail_out() -> str:
 
 def cmd_design(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
     cfg = _design_config(args, config)
     with _reported("invalid design parameters"):
         cfg = dataclasses.replace(cfg, device_delay=int(_pick(args.delay, None, cfg.device_delay)))
+    data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
     spec = condition_named(args.condition)
     try:
         filt = design_for_condition(
@@ -173,7 +173,7 @@ def cmd_design(args: argparse.Namespace) -> int:
         )
     except SingularSystemError as exc:
         raise CliError(f"condition {spec.name}: singular design system: {exc}") from exc
-    except ValueError as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     out = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     with _reported(f"cannot write {out}"):
@@ -185,6 +185,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    cfg = _design_config(args, config)
     with _reported("invalid experiment request"):
         conditions = list(_pick(args.conditions, config.get("conditions"), CONDITION_NAMES))
         delays = list(_pick(args.delays, config.get("delays"), DEFAULT_DELAYS))
@@ -193,13 +194,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         for name in conditions:
             condition_named(name)
         for delay in delays:
-            if not isinstance(delay, int) or isinstance(delay, bool) or delay < 0:
-                raise ValueError(f"device delays must be nonnegative integers, got {delay!r}")
+            dataclasses.replace(cfg, device_delay=json_typed("delays", delay, int, "integers"))
     if args.workers is not None or "workers" in config:
         log.warning("--workers and the \"workers\" config key are deprecated and ignored; "
                     "the grid runs serially")
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
-    cfg = _design_config(args, config)
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     try:
         result = run_experiment(
@@ -207,18 +206,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         )
     except OSError as exc:
         raise CliError(f"cannot write reports under {out_dir}: {exc}") from exc
-    print(f"{len(result.reports)} runs ok, {len(result.failures)} failed -> {out_dir}")
+    print(f"{len(result.runs)} runs ok, {len(result.failures)} failed -> {out_dir}")
     return 0 if result.ok else 1
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
     filter_path = Path(args.filter)
     if not filter_path.exists():
         raise CliError(f"filter file not found: {filter_path}")
     with _reported(f"invalid filter file {filter_path}"):
         filt = filter_from_json(json.loads(filter_path.read_text()))
+    data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
     ears = {e.subject_id: e for e in data.ears}
     if data.dummy is not None:
         ears.setdefault(data.dummy.subject_id, data.dummy)
@@ -230,7 +229,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     name = f"eval_{args.subject}__dG{filt.config.device_delay}"
     with _reported(f"cannot write reports under {out_dir}"):
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_report(report, out_dir, name, f"{name}.csv")
+        write_report(report, out_dir, name, f"{name}.csv", {})
     print(out_dir / f"{name}.json")
     return 0
 
@@ -292,7 +291,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow and invalid arithmetic (from absurd input values) raise
+        # FloatingPointError instead of warning and writing non-finite reports.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

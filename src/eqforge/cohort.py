@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import butter, sosfilt
 
+from .design import json_typed
 from .signals import (
     ImpulseResponse,
     convolve,
@@ -378,7 +379,7 @@ def load_manifest(path: str | Path) -> CohortData:
     rate = int(data["sample_rate_hz"])
     # RTF caches and leave-one-out exclusions are keyed by subject ID.
     entries = data["subjects"] + ([data["dummy"]] if "dummy" in data else [])
-    ids = [entry["id"] for entry in entries]
+    ids = [json_typed("id", entry["id"], str, "a string") for entry in entries]
     duplicates = sorted({i for i in ids if ids.count(i) > 1})
     if duplicates:
         raise ValueError(f"{path}: duplicate subject IDs {duplicates}")

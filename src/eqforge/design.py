@@ -37,7 +37,7 @@ class EqDesignConfig:
     filter_length:  number of FIR taps in the equalizer (L_a), at most 512
     lam:            regularization trade-off (lambda), finite
     acausal_lead:   leading zeros in the estimation targets (L_d, samples), at most 512
-    device_delay:   hearing-device processing delay (d_G, samples)
+    device_delay:   hearing-device processing delay (d_G, samples), at most 512
     """
 
     filter_length: int = 99
@@ -57,8 +57,10 @@ class EqDesignConfig:
             raise ValueError(
                 f"acausal_lead must be in [0, {MAX_RTF_LENGTH}], got {self.acausal_lead}"
             )
-        if self.device_delay < 0:
-            raise ValueError(f"device_delay must be nonnegative, got {self.device_delay}")
+        if not 0 <= self.device_delay <= MAX_RTF_LENGTH:
+            raise ValueError(
+                f"device_delay must be in [0, {MAX_RTF_LENGTH}], got {self.device_delay}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -91,8 +91,11 @@ def band_error_profile(
     return profile
 
 
-def rank_conditions(reports: list[ConditionReport]) -> list[ConditionSummary]:
+def rank_conditions(reports: list) -> list[ConditionSummary]:
     """Per-condition mean and spread of the log-spectral distance, best first.
+
+    Reads only each report's `condition` and `lsd_db`, so the grid's run
+    records rank as well as full reports.
 
     Ties in the mean break lexicographically by condition name; input order
     never matters.

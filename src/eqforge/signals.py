@@ -154,7 +154,7 @@ def read_impulse_csv(path: str | Path, sample_rate_hz: int) -> ImpulseResponse:
         lines = lines[1:]
     if not lines:
         raise ValueError(f"{path}: no samples found")
-    return ImpulseResponse(np.array([float(ln) for ln in lines]), sample_rate_hz)
+    return ImpulseResponse(np.array(lines, dtype=np.float64), sample_rate_hz)
 
 
 def write_impulse_wav(h: ImpulseResponse, path: str | Path) -> None:

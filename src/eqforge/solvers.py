@@ -24,20 +24,16 @@ def solve_normal_equations(
 
     Only the upper triangle is read. It is factored in packed storage
     (``dpptrf``, ``dppcon``, ``dpptrs``), which runs on one thread at every
-    order. OpenBLAS's blocked ``dpotrf`` uses its thread pool from order 128
-    up: its factors then depend on the BLAS thread count, and a pooled call
-    now and then waited tens of milliseconds for a worker on a busy 2-core
-    machine. The packed factorization has no such tail, at about twice the
-    median time (1.1 ms against 0.6 ms at order 255).
+    order, so the factors do not depend on the BLAS thread count as those of
+    the blocked ``dpotrf`` do from order 128 up.
 
-    The guard is LAPACK's estimate of the 1-norm condition number, taken from
-    the Cholesky factor (``dppcon``), not the exact 2-norm value of an SVD.
-    For an n x n matrix the two differ by at most a factor of n; on the
-    default seed-42 grid the largest estimate is 1.1e5, almost seven orders of
-    magnitude under CONDITION_LIMIT. Raises SingularSystemError, naming the
-    condition estimate, when the Gram matrix or right-hand side is not
-    finite, the Gram matrix is zero or not positive definite, or the estimate
-    exceeds CONDITION_LIMIT; raises ValueError when the shapes do not match.
+    The guard is LAPACK's estimate of the 1-norm condition number from the
+    Cholesky factor (``dppcon``), within a factor of n of the 2-norm value;
+    the largest on the default seed-42 grid is 1.1e5. Raises
+    SingularSystemError, naming the condition estimate, when the Gram matrix
+    or right-hand side is not finite, the Gram matrix is zero or not positive
+    definite, or the estimate exceeds CONDITION_LIMIT; raises ValueError when
+    the shapes do not match.
     """
     gram = np.asarray(gram, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 
 from eqforge.cli import main
 from eqforge.cohort import (
+    RESPONSE_KEYS,
     EarDataset,
     SynthCohortParams,
     load_manifest,
@@ -398,14 +399,21 @@ def _config(data):
     (_without_h_m, "h_m"),
     (_duplicate_subject, "duplicate subject IDs ['ear01']"),
     (_subject_named_dummy, "duplicate subject IDs ['dummy']"),
+    (lambda tmp_path, manifest: _manifest_variant(
+        tmp_path, manifest, lambda d: d["subjects"][0].update(id=["ear00"])),
+     '"id" must be a string, got [\'ear00\']'),
     (lambda tmp_path, manifest: ["--manifest", str(manifest),
                                  "--conditions", "Optimal,Bogus"], "'Bogus'"),
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "-5"], "-5"),
+    (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "16,513"],
+     "device_delay must be in [0, 512], got 513"),
+    (_config({"design": {"d_G": 513}}), "device_delay must be in [0, 512], got 513"),
 ], ids=["malformed-config", "rate-not-an-integer", "synth-a-string", "synth-a-list",
         "manifest-a-number", "cohort-a-string", "delay-a-bool", "design-a-string",
         "weighting-a-string", "fir_taps-a-string", "L_a-a-float", "L_a-a-bool",
         "L_a-too-long", "lambda-a-string", "lambda-infinite", "entry-without-h_m",
-        "duplicate-id", "id-of-dummy", "unknown-condition", "negative-delay"])
+        "duplicate-id", "id-of-dummy", "id-a-list", "unknown-condition", "negative-delay",
+        "delay-too-long", "config-d_G-too-long"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
     out = tmp_path / "never"
@@ -414,6 +422,23 @@ def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, ca
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not out.exists()
+
+
+def test_device_delay_over_512_fails_before_the_cohort_loads(tmp_path, capsys):
+    # The manifest does not exist, so an error about it would mean it was read first.
+    data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0))
+    filter_path = tmp_path / "late.json"
+    filter_path.write_text(json.dumps({**data, "d_G": 513}))
+    manifest = ["--manifest", str(tmp_path / "no-manifest.json")]
+    for args in (["experiment", *manifest, "--delays", "513"],
+                 ["design", *manifest, "--subject", "ear00", "--condition", "Optimal",
+                  "--delay", "513"],
+                 ["evaluate", *manifest, "--subject", "ear00", "--filter", str(filter_path)]):
+        assert main([*args, "--out", str(tmp_path / "never")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "device_delay must be in [0, 512], got 513" in err[0]
+    assert not (tmp_path / "never").exists()
 
 
 def test_run_experiment_rejects_empty_requests(small_manifest, tmp_path):
@@ -504,3 +529,61 @@ def test_evaluate_missing_filter_fails_cleanly(tmp_path, degenerate_manifest, ca
     ])
     assert rc == 1
     assert "not found" in capsys.readouterr().err
+
+
+# --- manifest and response-CSV fuzzing ----------------------------------------------
+
+CSV_LINE = (st.sampled_from(["sample", "", "  ", "1 2", "nan", "inf", "1e400", "1,2", "x"])
+            | st.floats().map(repr) | st.text(max_size=4))
+CSV_TEXT = (st.lists(CSV_LINE, max_size=6).map("\n".join)
+            | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
+            .map(lambda xs: "sample\n" + "\n".join(map(repr, xs)) + "\n"))
+MANIFEST_KEY = st.sampled_from(["sample_rate_hz", "subjects", "dummy"])
+ENTRY_KEY = st.sampled_from(("id",) + RESPONSE_KEYS)
+# (where, key, new value); a value of None deletes the key, "missing" names no file
+EDIT = st.tuples(st.sampled_from(["manifest", "ear00", "ear01"]),
+                 MANIFEST_KEY | ENTRY_KEY, st.none() | st.just("missing") | JSON)
+
+
+@pytest.fixture(scope="module")
+def fuzz_cohort(tmp_path_factory):
+    """A 2-ear cohort, its manifest as a dict of absolute paths, and an Optimal filter."""
+    root = tmp_path_factory.mktemp("fuzz_cohort")
+    params = SynthCohortParams(n_subjects=2, seed=3)
+    manifest = save_cohort(synth_cohort(params), root, dummy=synth_dummy_ear(params))
+    data = json.loads(manifest.read_text())
+    for entry in data["subjects"] + [data["dummy"]]:
+        entry.update({k: str(root / v) for k, v in entry.items() if k != "id"})
+    filter_path = root / "filter.json"
+    assert main(["design", "--manifest", str(manifest), "--subject", "ear00",
+                 "--condition", "Optimal", "--out", str(filter_path)]) == 0
+    return data, filter_path
+
+
+@given(csv_key=st.sampled_from(RESPONSE_KEYS), csv=CSV_TEXT | st.binary(max_size=8),
+       edits=st.lists(EDIT, max_size=2), whole=st.none() | JSON)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_manifest_and_csv_fuzz_exits_0_or_prints_one_error_line(
+        csv_key, csv, edits, whole, fuzz_cohort, tmp_path_factory):
+    base, filter_path = fuzz_cohort
+    root = tmp_path_factory.getbasetemp() / "fuzz_inputs"
+    root.mkdir(exist_ok=True)
+    data = json.loads(json.dumps(base))
+    csv_path = root / "fuzzed.csv"
+    (csv_path.write_bytes if isinstance(csv, bytes) else csv_path.write_text)(csv)
+    data["subjects"][0][csv_key] = str(csv_path)
+    entries = {"manifest": data, "ear00": data["subjects"][0], "ear01": data["subjects"][1]}
+    for where, key, value in edits:
+        if value is None:
+            entries[where].pop(key, None)
+        else:
+            entries[where][key] = str(root / "no-such.csv") if value == "missing" else value
+    manifest = root / "manifest.json"
+    manifest.write_text(json.dumps(data if whole is None else whole))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["evaluate", "--manifest", str(manifest), "--subject", "ear00",
+                   "--filter", str(filter_path), "--out", str(root / "eval")])
+    err = stderr.getvalue().splitlines()
+    assert (rc, err) == (0, []) or (rc == 1 and len(err) == 1 and err[0].startswith("error: "))

@@ -91,13 +91,6 @@ def test_all_zero_denominator_is_singular():
 
 # --- estimate_average ----------------------------------------------------------
 
-def test_single_pair_average_equals_individual(rng):
-    pair, _ = synth_pair(rng)
-    ind = estimate_individual(*pair, rtf_length=8, acausal_lead=0)
-    avg = estimate_average([pair], rtf_length=8, acausal_lead=0)
-    assert np.max(np.abs(ind.coefficients - avg.coefficients)) <= 1e-10
-
-
 def test_repeated_pair_average_equals_individual(rng):
     pair, _ = synth_pair(rng)
     ind = estimate_individual(*pair, rtf_length=8, acausal_lead=0)

@@ -251,6 +251,15 @@ def test_csv_header_is_optional(tmp_path):
     assert np.array_equal(h.samples, [0.25, -1.5])
 
 
+def test_csv_reads_one_value_per_line(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("sample\n\n  0.5 \n1 2\n")
+    with pytest.raises(ValueError, match="could not convert string to float: '1 2'"):
+        read_impulse_csv(path, RATE)
+    path.write_text("sample\n\n  0.5 \n\n-2\n")
+    assert np.array_equal(read_impulse_csv(path, RATE).samples, [0.5, -2.0])
+
+
 def test_wav_round_trip(tmp_path, rng):
     h = make_ir(rng.standard_normal(64))
     path = tmp_path / "h.wav"
