@@ -128,18 +128,24 @@ def _load_cohort(args: argparse.Namespace, config: dict[str, Any]) -> cohort_mod
         with _reported(f"invalid manifest {path}"):
             return cohort_mod.load_manifest(path)
     params = _synth_params(args, config)
-    ears = cohort_mod.synth_cohort(params)
-    dummy = cohort_mod.synth_dummy_ear(params)
-    return cohort_mod.CohortData(ears=ears, dummy=dummy, sample_rate_hz=params.sample_rate_hz)
+    return cohort_mod.CohortData.of(cohort_mod.synth_cohort(params),
+                                    cohort_mod.synth_dummy_ear(params), params.sample_rate_hz)
 
 
 def _apply_exclusion(data: cohort_mod.CohortData, exclude: str | None) -> cohort_mod.CohortData:
     if not exclude:
         return data
-    kept = [e for e in data.ears if e.subject_id != exclude]
-    if len(kept) == len(data.ears):
+    if exclude not in data.subject_ids:
         raise CliError(f"--exclude-subject {exclude!r}: no such subject in the cohort")
-    return cohort_mod.CohortData(ears=kept, dummy=data.dummy, sample_rate_hz=data.sample_rate_hz)
+    return dataclasses.replace(data, subject_ids=tuple(i for i in data.subject_ids if i != exclude))
+
+
+def _read(data: cohort_mod.CohortData, subject_id: str | None) -> cohort_mod.EarDataset | None:
+    """The ear of `subject_id` (None for None), read now so a bad file fails before any solve."""
+    if subject_id is None:
+        return None
+    with _reported(f"cannot read subject {subject_id!r}"):
+        return data.ear(subject_id)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -167,10 +173,11 @@ def cmd_design(args: argparse.Namespace) -> int:
         cfg = dataclasses.replace(cfg, device_delay=int(_pick(args.delay, None, cfg.device_delay)))
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
     spec = condition_named(args.condition)
+    pooled = spec.rtf_source in ("peers", "loo")
+    ears = [_read(data, i) for i in data.subject_ids if pooled or i == args.subject]
+    dummy = _read(data, data.dummy_id if spec.rtf_source == "dummy" else None)
     try:
-        filt = design_for_condition(
-            data.ears, args.subject, spec, cfg, dummy=data.dummy
-        )
+        filt = design_for_condition(ears, args.subject, spec, cfg, dummy=dummy)
     except SingularSystemError as exc:
         raise CliError(f"condition {spec.name}: singular design system: {exc}") from exc
     except (ArithmeticError, ValueError) as exc:
@@ -199,11 +206,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         log.warning("--workers and the \"workers\" config key are deprecated and ignored; "
                     "the grid runs serially")
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
+    ears = [_read(data, i) for i in data.subject_ids]
+    dummy = _read(data, data.dummy_id)
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     try:
-        result = run_experiment(
-            data.ears, conditions, delays, cfg, out_dir, dummy=data.dummy,
-        )
+        result = run_experiment(ears, conditions, delays, cfg, out_dir, dummy=dummy)
     except OSError as exc:
         raise CliError(f"cannot write reports under {out_dir}: {exc}") from exc
     print(f"{len(result.runs)} runs ok, {len(result.failures)} failed -> {out_dir}")
@@ -218,13 +225,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with _reported(f"invalid filter file {filter_path}"):
         filt = filter_from_json(json.loads(filter_path.read_text()))
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
-    ears = {e.subject_id: e for e in data.ears}
-    if data.dummy is not None:
-        ears.setdefault(data.dummy.subject_id, data.dummy)
-    if args.subject not in ears:
+    if args.subject not in (*data.subject_ids, data.dummy_id):
         raise CliError(f"subject {args.subject!r} is not in the cohort")
+    ear = _read(data, args.subject)
     with _reported(f"cannot evaluate on {args.subject}"):
-        report = evaluate(ears[args.subject], filt)
+        report = evaluate(ear, filt)
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     name = f"eval_{args.subject}__dG{filt.config.device_delay}"
     with _reported(f"cannot write reports under {out_dir}"):

@@ -12,7 +12,8 @@ estimates (perturbed copies of the truth).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -307,11 +308,36 @@ def synth_dummy_ear(params: SynthCohortParams) -> EarDataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohortData:
-    ears: list[EarDataset]
-    dummy: EarDataset | None
+    """A cohort's IDs and rate; `ear(id)` reads an ear on first use and keeps it."""
+
+    subject_ids: tuple[str, ...]
+    dummy_id: str | None
     sample_rate_hz: int
+    read_ear: Callable[[str], EarDataset]
+    _memo: dict[str, EarDataset] = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def of(cls, ears: list[EarDataset], dummy: EarDataset | None, rate: int) -> CohortData:
+        by_id = {e.subject_id: e for e in [*ears, *([dummy] if dummy else [])]}
+        return cls(tuple(e.subject_id for e in ears), dummy.subject_id if dummy else None, rate,
+                   by_id.__getitem__)
+
+    def ear(self, subject_id: str) -> EarDataset:
+        if subject_id not in (*self.subject_ids, self.dummy_id):
+            raise ValueError(f"subject {subject_id!r} is not in the cohort")
+        if subject_id not in self._memo:
+            self._memo[subject_id] = self.read_ear(subject_id)
+        return self._memo[subject_id]
+
+    @property
+    def ears(self) -> list[EarDataset]:
+        return [self.ear(i) for i in self.subject_ids]
+
+    @property
+    def dummy(self) -> EarDataset | None:
+        return None if self.dummy_id is None else self.ear(self.dummy_id)
 
 
 def params_from_json(data: dict) -> SynthCohortParams:
@@ -362,28 +388,40 @@ def save_cohort(
     return manifest_path
 
 
-def _load_ear(entry: dict, base_dir: Path, rate: int) -> EarDataset:
-    loaded: dict = {"subject_id": entry["id"]}
-    for name in RESPONSE_KEYS:
-        if name in entry:
-            loaded[name] = load_impulse(base_dir / entry[name], rate)
-    missing = [k for k in ("h_m", "h_open", "h_occ") if k not in loaded]
+def _checked_entry(entry: dict, base_dir: Path) -> str:
+    """The entry's ID, once its ID, required keys and listed files are valid."""
+    sid = json_typed("id", entry["id"], str, "a string")
+    # IDs become output file names: nothing that names or climbs a directory.
+    if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+        raise ValueError(f'"id" must be a plain file name, got {sid!r}')
+    missing = [k for k in ("h_m", "h_open", "h_occ") if k not in entry]
     if missing:
-        raise ValueError(f"{entry['id']}: manifest entry lacks required responses {missing}")
-    return EarDataset(**loaded)
+        raise ValueError(f"{sid}: manifest entry lacks required responses {missing}")
+    for name in RESPONSE_KEYS:
+        if name in entry and not (base_dir / entry[name]).is_file():
+            raise FileNotFoundError(f"{sid}: response {name} file not found: {entry[name]}")
+    return sid
 
 
 def load_manifest(path: str | Path) -> CohortData:
+    """Check the whole manifest now; read each ear's responses when it is first used."""
     path = Path(path)
     data = json.loads(path.read_text())
-    rate = int(data["sample_rate_hz"])
+    rate = json_typed("sample_rate_hz", data["sample_rate_hz"], int, "an integer")
+    if rate <= 0:
+        raise ValueError(f'"sample_rate_hz" must be positive, got {rate}')
     # RTF caches and leave-one-out exclusions are keyed by subject ID.
     entries = data["subjects"] + ([data["dummy"]] if "dummy" in data else [])
-    ids = [json_typed("id", entry["id"], str, "a string") for entry in entries]
+    ids = [_checked_entry(entry, path.parent) for entry in entries]
     duplicates = sorted({i for i in ids if ids.count(i) > 1})
     if duplicates:
         raise ValueError(f"{path}: duplicate subject IDs {duplicates}")
-    base_dir = path.parent
-    ears = [_load_ear(entry, base_dir, rate) for entry in data["subjects"]]
-    dummy = _load_ear(data["dummy"], base_dir, rate) if "dummy" in data else None
-    return CohortData(ears=ears, dummy=dummy, sample_rate_hz=rate)
+    by_id = dict(zip(ids, entries))
+
+    def read_ear(sid: str) -> EarDataset:
+        responses = {k: load_impulse(path.parent / v, rate)
+                     for k, v in by_id[sid].items() if k in RESPONSE_KEYS}
+        return EarDataset(sid, **responses)
+
+    return CohortData(tuple(ids[:len(data["subjects"])]),
+                      ids[-1] if "dummy" in data else None, rate, read_ear)

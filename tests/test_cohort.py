@@ -1,8 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from eqforge import cohort as cohort_mod
 from eqforge.cohort import (
     EarDataset,
     ResonanceBand,
@@ -173,3 +175,26 @@ def test_manifest_rejects_missing_core_response(tmp_path):
     manifest.write_text(broken)
     with pytest.raises(ValueError, match="h_occ"):
         load_manifest(manifest)
+
+
+@pytest.mark.parametrize("bad_id", ["", ".", "..", "a/b", "a\\b", "a\0b"])
+def test_manifest_rejects_ids_that_are_not_plain_file_names(tmp_path, bad_id):
+    manifest = save_cohort(synth_cohort(SMALL), tmp_path)
+    data = json.loads(manifest.read_text())
+    data["subjects"][1]["id"] = bad_id
+    manifest.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="plain file name"):
+        load_manifest(manifest)
+
+
+def test_manifest_ears_are_read_once_on_first_use(tmp_path, monkeypatch):
+    manifest = save_cohort(synth_cohort(SMALL), tmp_path)
+    read = []
+    load = cohort_mod.load_impulse
+    monkeypatch.setattr(cohort_mod, "load_impulse", lambda *a: read.append(a) or load(*a))
+    data = load_manifest(manifest)
+    assert read == [] and data.subject_ids == ("ear00", "ear01", "ear02")
+    assert data.ear("ear01") is data.ear("ear01") and len(read) == 6
+    assert data.ears[1] is data.ear("ear01") and len(read) == 18
+    with pytest.raises(ValueError, match="'ghost' is not in the cohort"):
+        data.ear("ghost")

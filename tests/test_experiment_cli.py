@@ -4,12 +4,14 @@ import hashlib
 import io
 import json
 import warnings
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from eqforge import cohort as cohort_mod
 from eqforge.cli import main
 from eqforge.cohort import (
     RESPONSE_KEYS,
@@ -402,6 +404,12 @@ def _config(data):
     (lambda tmp_path, manifest: _manifest_variant(
         tmp_path, manifest, lambda d: d["subjects"][0].update(id=["ear00"])),
      '"id" must be a string, got [\'ear00\']'),
+    (lambda tmp_path, manifest: _manifest_variant(
+        tmp_path, manifest, lambda d: d["subjects"][0].update(id="../../escaped")),
+     '"id" must be a plain file name, got \'../../escaped\''),
+    *[(lambda tmp_path, manifest, rate=rate: _manifest_variant(
+        tmp_path, manifest, lambda d: d.update(sample_rate_hz=rate)),
+       f'"sample_rate_hz" must be an integer, got {rate!r}') for rate in (16000.9, True, "16000")],
     (lambda tmp_path, manifest: ["--manifest", str(manifest),
                                  "--conditions", "Optimal,Bogus"], "'Bogus'"),
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "-5"], "-5"),
@@ -412,16 +420,20 @@ def _config(data):
         "manifest-a-number", "cohort-a-string", "delay-a-bool", "design-a-string",
         "weighting-a-string", "fir_taps-a-string", "L_a-a-float", "L_a-a-bool",
         "L_a-too-long", "lambda-a-string", "lambda-infinite", "entry-without-h_m",
-        "duplicate-id", "id-of-dummy", "id-a-list", "unknown-condition", "negative-delay",
+        "duplicate-id", "id-of-dummy", "id-a-list", "id-escapes-out", "rate-a-float",
+        "rate-a-bool", "rate-a-string", "unknown-condition", "negative-delay",
         "delay-too-long", "config-d_G-too-long"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
     out = tmp_path / "never"
-    rc = main(["experiment", *make_args(tmp_path, small_manifest), "--out", str(out)])
+    args = make_args(tmp_path, small_manifest)
+    before = set(tmp_path.rglob("*"))
+    rc = main(["experiment", *args, "--out", str(out)])
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not out.exists()
+    assert set(tmp_path.rglob("*")) == before
 
 
 def test_device_delay_over_512_fails_before_the_cohort_loads(tmp_path, capsys):
@@ -560,14 +572,8 @@ def fuzz_cohort(tmp_path_factory):
     return data, filter_path
 
 
-@given(csv_key=st.sampled_from(RESPONSE_KEYS), csv=CSV_TEXT | st.binary(max_size=8),
-       edits=st.lists(EDIT, max_size=2), whole=st.none() | JSON)
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_manifest_and_csv_fuzz_exits_0_or_prints_one_error_line(
-        csv_key, csv, edits, whole, fuzz_cohort, tmp_path_factory):
-    base, filter_path = fuzz_cohort
-    root = tmp_path_factory.getbasetemp() / "fuzz_inputs"
-    root.mkdir(exist_ok=True)
+def _fuzzed_manifest(base, root, csv_key, csv, edits, whole):
+    """`base` with ear00's `csv_key` pointing at `csv`, then `edits`, or `whole` instead."""
     data = json.loads(json.dumps(base))
     csv_path = root / "fuzzed.csv"
     (csv_path.write_bytes if isinstance(csv, bytes) else csv_path.write_text)(csv)
@@ -580,10 +586,132 @@ def test_manifest_and_csv_fuzz_exits_0_or_prints_one_error_line(
             entries[where][key] = str(root / "no-such.csv") if value == "missing" else value
     manifest = root / "manifest.json"
     manifest.write_text(json.dumps(data if whole is None else whole))
+    return manifest
+
+
+def _exits_0_or_prints_one_error_line(argv):
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = main(["evaluate", "--manifest", str(manifest), "--subject", "ear00",
-                   "--filter", str(filter_path), "--out", str(root / "eval")])
+        rc = main(argv)
     err = stderr.getvalue().splitlines()
     assert (rc, err) == (0, []) or (rc == 1 and len(err) == 1 and err[0].startswith("error: "))
+
+
+FUZZED_MANIFEST = dict(csv_key=st.sampled_from(RESPONSE_KEYS),
+                       csv=CSV_TEXT | st.binary(max_size=8),
+                       edits=st.lists(EDIT, max_size=2), whole=st.none() | JSON)
+
+
+@given(**FUZZED_MANIFEST)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_manifest_and_csv_fuzz_exits_0_or_prints_one_error_line(
+        csv_key, csv, edits, whole, fuzz_cohort, tmp_path_factory):
+    base, filter_path = fuzz_cohort
+    root = tmp_path_factory.getbasetemp() / "fuzz_inputs"
+    root.mkdir(exist_ok=True)
+    manifest = _fuzzed_manifest(base, root, csv_key, csv, edits, whole)
+    _exits_0_or_prints_one_error_line([
+        "evaluate", "--manifest", str(manifest), "--subject", "ear00",
+        "--filter", str(filter_path), "--out", str(root / "eval")])
+
+
+@given(**FUZZED_MANIFEST, subject=st.sampled_from(["ear00", "ear01"]),
+       condition=st.sampled_from(["Optimal", "PracticalOptimal"]))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_manifest_and_csv_fuzz_through_design_exits_0_or_prints_one_error_line(
+        csv_key, csv, edits, whole, subject, condition, fuzz_cohort, tmp_path_factory):
+    # Optimal on ear01 never reads the fuzzed ear00 file; PracticalOptimal reads both ears.
+    root = tmp_path_factory.getbasetemp() / "fuzz_design_inputs"
+    root.mkdir(exist_ok=True)
+    manifest = _fuzzed_manifest(fuzz_cohort[0], root, csv_key, csv, edits, whole)
+    _exits_0_or_prints_one_error_line([
+        "design", "--manifest", str(manifest), "--subject", subject,
+        "--condition", condition, "--out", str(root / "filter.json")])
+
+
+# --- which response files a request reads -------------------------------------------
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The ear directory of every response file the cohort module reads."""
+    seen = []
+    load = cohort_mod.load_impulse
+
+    def counted(path, rate):
+        seen.append(Path(path).parent.name)
+        return load(path, rate)
+
+    monkeypatch.setattr(cohort_mod, "load_impulse", counted)
+    return seen
+
+
+def _read_ears(reads):
+    """{ear: files read}; every ear has six response files, each read at most once."""
+    return {ear: reads.count(ear) for ear in reads}
+
+
+ALL_SIX = dict.fromkeys(["ear00", "ear01", "ear02"], 6)
+
+
+@pytest.mark.parametrize("condition, read", [
+    ("Optimal", {"ear01": 6}),
+    ("GenericDH", {"ear01": 6, "dummy": 6}),
+    ("PracticalOptimal", ALL_SIX),
+    ("GenericAV", ALL_SIX),
+], ids=["Optimal", "GenericDH", "PracticalOptimal", "GenericAV"])
+def test_design_reads_only_the_ears_its_condition_uses(tmp_path, small_manifest, reads,
+                                                       condition, read):
+    assert main(["design", "--manifest", str(small_manifest), "--subject", "ear01",
+                 "--condition", condition, "--out", str(tmp_path / "f.json")]) == 0
+    assert _read_ears(reads) == read
+
+
+def test_evaluate_reads_only_its_subject(tmp_path, small_manifest, reads):
+    filter_path = tmp_path / "f.json"
+    filter_path.write_text(json.dumps(filter_to_json(
+        EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0))))
+    for subject in ("ear02", "dummy"):
+        reads.clear()
+        assert main(["evaluate", "--manifest", str(small_manifest), "--subject", subject,
+                     "--filter", str(filter_path), "--out", str(tmp_path / "e")]) == 0
+        assert _read_ears(reads) == {subject: 6}
+
+
+def test_a_bad_file_fails_the_requests_that_use_its_ear(tmp_path, small_manifest, reads,
+                                                        capsys):
+    corrupt = tmp_path / "corrupt.csv"
+    corrupt.write_text("sample\n1 2\n")
+    bad_csv = _manifest_variant(tmp_path, small_manifest,
+                                lambda d: d["subjects"][2].update(h_occ=str(corrupt)))
+    design = ["design", *bad_csv, "--subject", "ear01", "--out", str(tmp_path / "f.json")]
+    assert main([*design, "--condition", "Optimal"]) == 0
+    capsys.readouterr()
+    assert main([*design, "--condition", "PracticalOptimal"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read subject 'ear02'")
+
+    # A missing file fails every request up front, before any response is read.
+    missing = _manifest_variant(tmp_path, small_manifest,
+                                lambda d: d["subjects"][2].update(d_model="no-such.csv"))
+    reads.clear()
+    assert main(["evaluate", *missing, "--subject", "ear00", "--filter", str(tmp_path / "f.json"),
+                 "--out", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "ear02" in err[0]
+    assert "d_model file not found" in err[0] and reads == []
+
+
+def test_exclude_subject_is_checked_against_the_manifest_ids(tmp_path, small_manifest, reads,
+                                                              capsys):
+    design = ["design", "--manifest", str(small_manifest), "--subject", "ear00",
+              "--out", str(tmp_path / "f.json")]
+    assert main([*design, "--condition", "Optimal", "--exclude-subject", "ear01"]) == 0
+    assert _read_ears(reads) == {"ear00": 6}
+    reads.clear()
+    assert main([*design, "--condition", "PracticalOptimal", "--exclude-subject", "ear01"]) == 0
+    assert _read_ears(reads) == {"ear00": 6, "ear02": 6}
+    capsys.readouterr()
+    assert main([*design, "--condition", "Optimal", "--exclude-subject", "ghost"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --exclude-subject 'ghost'")
