@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from eqforge import (
+    CohortData,
     EqDesignConfig,
     SynthCohortParams,
     condition_named,
@@ -28,20 +29,15 @@ OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "pilot_seed42.
 
 def main() -> int:
     params = SynthCohortParams()
-    cohort = synth_cohort(params)
-    dummy = synth_dummy_ear(params)
+    cohort = CohortData.of(synth_cohort(params), synth_dummy_ear(params))
 
     baseline: dict[str, dict[str, float]] = {}
     for delay in DEFAULT_DELAYS:
-        cache: dict = {}
         cfg = EqDesignConfig(device_delay=delay)
         baseline[str(delay)] = {}
         for name in CONDITION_NAMES:
-            values = [
-                run_condition(cohort, ear.subject_id, condition_named(name), cfg,
-                              dummy=dummy, cache=cache).lsd_db
-                for ear in cohort
-            ]
+            values = [run_condition(cohort, subject_id, condition_named(name), cfg).lsd_db
+                      for subject_id in cohort.subject_ids]
             baseline[str(delay)][name] = float(np.mean(sorted(values)))
         line = "  ".join(f"{k}={v:.4f}" for k, v in baseline[str(delay)].items())
         print(f"d_G={delay}: {line}")

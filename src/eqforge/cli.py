@@ -25,8 +25,6 @@ from .design import EqDesignConfig, config_from_json, filter_from_json, filter_t
 from .experiment import DEFAULT_DELAYS, run_experiment, write_report
 from .solvers import SingularSystemError
 
-log = logging.getLogger("eqforge")
-
 
 class CliError(Exception):
     """User-facing failure; the message is printed and the exit code is 1."""
@@ -71,6 +69,18 @@ def _load_config(path: str | None) -> dict[str, Any]:
             ("rate", config.get("rate", 1), int, "an integer"),
         ):
             json_typed(*check)
+        design = config.get("design", {})
+        weighting = json_typed("weighting", design.get("weighting", {}), dict, "an object")
+        # A misspelt key would silently leave its default in place.
+        for where, section, known in (
+            ("the config", config, ("cohort", "conditions", "delays", "design", "out", "rate")),
+            ('"cohort"', cohort, ("manifest", "synth")),
+            ('"design"', design, ("L_a", "lambda", "L_d", "d_G", "weighting")),
+            ('"weighting"', weighting, ("mode", "fir_taps")),
+        ):
+            unknown = sorted(set(section) - set(known))
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r} in {where}")
     return config
 
 
@@ -129,7 +139,7 @@ def _load_cohort(args: argparse.Namespace, config: dict[str, Any]) -> cohort_mod
             return cohort_mod.load_manifest(path)
     params = _synth_params(args, config)
     return cohort_mod.CohortData.of(cohort_mod.synth_cohort(params),
-                                    cohort_mod.synth_dummy_ear(params), params.sample_rate_hz)
+                                    cohort_mod.synth_dummy_ear(params))
 
 
 def _apply_exclusion(data: cohort_mod.CohortData, exclude: str | None) -> cohort_mod.CohortData:
@@ -138,14 +148,6 @@ def _apply_exclusion(data: cohort_mod.CohortData, exclude: str | None) -> cohort
     if exclude not in data.subject_ids:
         raise CliError(f"--exclude-subject {exclude!r}: no such subject in the cohort")
     return dataclasses.replace(data, subject_ids=tuple(i for i in data.subject_ids if i != exclude))
-
-
-def _read(data: cohort_mod.CohortData, subject_id: str | None) -> cohort_mod.EarDataset | None:
-    """The ear of `subject_id` (None for None), read now so a bad file fails before any solve."""
-    if subject_id is None:
-        return None
-    with _reported(f"cannot read subject {subject_id!r}"):
-        return data.ear(subject_id)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -173,11 +175,8 @@ def cmd_design(args: argparse.Namespace) -> int:
         cfg = dataclasses.replace(cfg, device_delay=int(_pick(args.delay, None, cfg.device_delay)))
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
     spec = condition_named(args.condition)
-    pooled = spec.rtf_source in ("peers", "loo")
-    ears = [_read(data, i) for i in data.subject_ids if pooled or i == args.subject]
-    dummy = _read(data, data.dummy_id if spec.rtf_source == "dummy" else None)
     try:
-        filt = design_for_condition(ears, args.subject, spec, cfg, dummy=dummy)
+        filt = design_for_condition(data, args.subject, spec, cfg)
     except SingularSystemError as exc:
         raise CliError(f"condition {spec.name}: singular design system: {exc}") from exc
     except (ArithmeticError, ValueError) as exc:
@@ -202,17 +201,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             condition_named(name)
         for delay in delays:
             dataclasses.replace(cfg, device_delay=json_typed("delays", delay, int, "integers"))
-    if args.workers is not None or "workers" in config:
-        log.warning("--workers and the \"workers\" config key are deprecated and ignored; "
-                    "the grid runs serially")
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
-    ears = [_read(data, i) for i in data.subject_ids]
-    dummy = _read(data, data.dummy_id)
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     try:
-        result = run_experiment(ears, conditions, delays, cfg, out_dir, dummy=dummy)
+        result = run_experiment(data, conditions, delays, cfg, out_dir)
     except OSError as exc:
         raise CliError(f"cannot write reports under {out_dir}: {exc}") from exc
+    except ValueError as exc:  # an ear that cannot be read
+        raise CliError(str(exc)) from exc
     print(f"{len(result.runs)} runs ok, {len(result.failures)} failed -> {out_dir}")
     return 0 if result.ok else 1
 
@@ -225,9 +221,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with _reported(f"invalid filter file {filter_path}"):
         filt = filter_from_json(json.loads(filter_path.read_text()))
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
-    if args.subject not in (*data.subject_ids, data.dummy_id):
-        raise CliError(f"subject {args.subject!r} is not in the cohort")
-    ear = _read(data, args.subject)
+    try:
+        ear = data.ear(args.subject)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     with _reported(f"cannot evaluate on {args.subject}"):
         report = evaluate(ear, filt)
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
@@ -277,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     design_flags(p_exp)
     p_exp.add_argument("--conditions", type=_str_list, help="comma-separated condition names")
     p_exp.add_argument("--delays", type=_int_list, help="comma-separated d_G values")
-    p_exp.add_argument("--workers", type=int, help="deprecated and ignored")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_eval = sub.add_parser("evaluate", help="re-simulate a stored filter on a subject")

@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, sosfilt
 
 from .design import json_typed
+from .rtf import RelativeTransferEstimate, default_rtf_length, estimate_average
 from .signals import (
     ImpulseResponse,
     convolve,
@@ -191,6 +191,8 @@ def _resonator_ir(
     rate: int,
 ) -> ImpulseResponse:
     """Impulse response of a peaking-biquad cascade behind an integer delay."""
+    from scipy.signal import sosfilt  # imported here: it is most of the package's import time
+
     impulse = np.zeros(length)
     impulse[0] = 1.0
     if resonances:
@@ -215,6 +217,8 @@ def _occluded_leak(
     h_open: ImpulseResponse, depth_db: float, cutoff_hz: float
 ) -> ImpulseResponse:
     """Low-pass leak of the open path, scaled `depth_db` below it in band energy."""
+    from scipy.signal import butter, sosfilt
+
     sos = butter(2, cutoff_hz, fs=h_open.sample_rate_hz, btype="low", output="sos")
     leak = ImpulseResponse(sosfilt(sos, h_open.samples), h_open.sample_rate_hz)
     ratio = _band_energy(h_open) / _band_energy(leak)
@@ -308,28 +312,41 @@ def synth_dummy_ear(params: SynthCohortParams) -> EarDataset:
 # ---------------------------------------------------------------------------
 
 
+RtfPair = tuple[RelativeTransferEstimate, RelativeTransferEstimate]
+
+
 @dataclass(frozen=True, eq=False)
 class CohortData:
-    """A cohort's IDs and rate; `ear(id)` reads an ear on first use and keeps it."""
+    """A cohort's IDs; `ear(id)` reads an ear on first use, and both ears and RTFs are memoized."""
 
     subject_ids: tuple[str, ...]
     dummy_id: str | None
-    sample_rate_hz: int
     read_ear: Callable[[str], EarDataset]
-    _memo: dict[str, EarDataset] = field(default_factory=dict, init=False, repr=False)
+    _ears: dict[str, EarDataset] = field(default_factory=dict, init=False, repr=False)
+    _rtfs: dict[tuple, RtfPair] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Both memos and leave-one-out exclusions are keyed by subject ID.
+        ids = [*self.subject_ids, *([self.dummy_id] if self.dummy_id is not None else [])]
+        duplicates = sorted({i for i in ids if ids.count(i) > 1})
+        if duplicates:
+            raise ValueError(f"duplicate subject IDs {duplicates}")
 
     @classmethod
-    def of(cls, ears: list[EarDataset], dummy: EarDataset | None, rate: int) -> CohortData:
+    def of(cls, ears: list[EarDataset], dummy: EarDataset | None = None) -> CohortData:
         by_id = {e.subject_id: e for e in [*ears, *([dummy] if dummy else [])]}
-        return cls(tuple(e.subject_id for e in ears), dummy.subject_id if dummy else None, rate,
+        return cls(tuple(e.subject_id for e in ears), dummy.subject_id if dummy else None,
                    by_id.__getitem__)
 
     def ear(self, subject_id: str) -> EarDataset:
         if subject_id not in (*self.subject_ids, self.dummy_id):
             raise ValueError(f"subject {subject_id!r} is not in the cohort")
-        if subject_id not in self._memo:
-            self._memo[subject_id] = self.read_ear(subject_id)
-        return self._memo[subject_id]
+        if subject_id not in self._ears:
+            try:
+                self._ears[subject_id] = self.read_ear(subject_id)
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"cannot read subject {subject_id!r}: {exc}") from exc
+        return self._ears[subject_id]
 
     @property
     def ears(self) -> list[EarDataset]:
@@ -338,6 +355,21 @@ class CohortData:
     @property
     def dummy(self) -> EarDataset | None:
         return None if self.dummy_id is None else self.ear(self.dummy_id)
+
+    def pooled_rtfs(self, subject_ids: tuple[str, ...], acausal_lead: int) -> RtfPair:
+        """(open, occluded) RTF estimates pooled over the named ears, estimated once per key."""
+        key = (acausal_lead, *subject_ids)
+        if key not in self._rtfs:
+            ears = [self.ear(i) for i in subject_ids]
+            self._rtfs[key] = tuple(
+                estimate_average(
+                    [(e.h_m, getattr(e, name)) for e in ears],
+                    max(default_rtf_length(len(getattr(e, name)), acausal_lead) for e in ears),
+                    acausal_lead,
+                )
+                for name in ("h_open", "h_occ")
+            )
+        return self._rtfs[key]
 
 
 def params_from_json(data: dict) -> SynthCohortParams:
@@ -410,12 +442,8 @@ def load_manifest(path: str | Path) -> CohortData:
     rate = json_typed("sample_rate_hz", data["sample_rate_hz"], int, "an integer")
     if rate <= 0:
         raise ValueError(f'"sample_rate_hz" must be positive, got {rate}')
-    # RTF caches and leave-one-out exclusions are keyed by subject ID.
     entries = data["subjects"] + ([data["dummy"]] if "dummy" in data else [])
     ids = [_checked_entry(entry, path.parent) for entry in entries]
-    duplicates = sorted({i for i in ids if ids.count(i) > 1})
-    if duplicates:
-        raise ValueError(f"{path}: duplicate subject IDs {duplicates}")
     by_id = dict(zip(ids, entries))
 
     def read_ear(sid: str) -> EarDataset:
@@ -424,4 +452,4 @@ def load_manifest(path: str | Path) -> CohortData:
         return EarDataset(sid, **responses)
 
     return CohortData(tuple(ids[:len(data["subjects"])]),
-                      ids[-1] if "dummy" in data else None, rate, read_ear)
+                      ids[-1] if "dummy" in data else None, read_ear)

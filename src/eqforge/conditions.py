@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohort import EarDataset
+from .cohort import CohortData, EarDataset, RtfPair
 from .design import EqDesignConfig, EqFilter, build_target, design_filter_pooled
 from .metrics import ConditionReport, band_error_profile, log_spectral_distance
-from .rtf import RelativeTransferEstimate, default_rtf_length, estimate_average
 from .signals import ImpulseResponse, convolve, magnitude_response, unit_delay, zero_extend
 
 # Where the design ears and their RTFs come from:
@@ -88,79 +87,46 @@ def aided_response(ear: EarDataset, g: ImpulseResponse, a: EqFilter) -> ImpulseR
     return ImpulseResponse(samples, ear.sample_rate_hz)
 
 
-RtfPair = tuple[RelativeTransferEstimate, RelativeTransferEstimate]
-
-
-def _pooled_rtfs(ears: list[EarDataset], acausal_lead: int, cache: dict | None) -> RtfPair:
-    """(open, occluded) RTF estimates pooled over `ears`, memoized in `cache`.
-
-    The key is the lead and the ears themselves, which hash by identity, so
-    one cache may serve several cohorts and leads.
-    """
-    key = (acausal_lead, *ears)
-    if cache is not None and key in cache:
-        return cache[key]
-    rtfs = tuple(
-        estimate_average(
-            [(e.h_m, getattr(e, name)) for e in ears],
-            max(default_rtf_length(len(getattr(e, name)), acausal_lead) for e in ears),
-            acausal_lead,
-        )
-        for name in ("h_open", "h_occ")
-    )
-    if cache is not None:
-        cache[key] = rtfs
-    return rtfs
-
-
-def individual_rtfs(ear: EarDataset, acausal_lead: int, cache: dict | None = None) -> RtfPair:
+def individual_rtfs(cohort: CohortData, subject_id: str, acausal_lead: int) -> RtfPair:
     """(open, occluded) RTF estimates from one ear's own measurements."""
-    return _pooled_rtfs([ear], acausal_lead, cache)
+    return cohort.pooled_rtfs((subject_id,), acausal_lead)
 
 
-def average_rtfs(
-    cohort: list[EarDataset], exclude_subject: str, acausal_lead: int, cache: dict | None = None
-) -> RtfPair:
+def average_rtfs(cohort: CohortData, exclude_subject: str, acausal_lead: int) -> RtfPair:
     """(open, occluded) pooled RTF estimates, leaving one subject out."""
-    members = [e for e in cohort if e.subject_id != exclude_subject]
+    members = tuple(i for i in cohort.subject_ids if i != exclude_subject)
     if not members:
         raise ValueError(f"no cohort members remain after excluding {exclude_subject!r}")
-    return _pooled_rtfs(members, acausal_lead, cache)
-
-
-def _find_subject(cohort: list[EarDataset], subject_id: str) -> EarDataset:
-    for ear in cohort:
-        if ear.subject_id == subject_id:
-            return ear
-    raise ValueError(f"subject {subject_id!r} is not in the cohort")
+    return cohort.pooled_rtfs(members, acausal_lead)
 
 
 def design_for_condition(
-    cohort: list[EarDataset],
-    subject_id: str,
-    cond: ConditionSpec,
-    config: EqDesignConfig,
-    *,
-    dummy: EarDataset | None = None,
-    cache: dict | None = None,
+    cohort: CohortData, subject_id: str, cond: ConditionSpec, config: EqDesignConfig
 ) -> EqFilter:
-    """Design the equalizer exactly as the condition's data prescribes."""
-    ear = _find_subject(cohort, subject_id)
-    peers = [e for e in cohort if e.subject_id != subject_id]
+    """Design the equalizer exactly as the condition's data prescribes.
+
+    The subject and every ear the design uses are read before any solve.
+    """
+    if subject_id not in cohort.subject_ids:
+        raise ValueError(f"subject {subject_id!r} is not in the cohort")
+    peers = [i for i in cohort.subject_ids if i != subject_id]
     if cond.rtf_source in ("peers", "loo") and not peers:
         raise ValueError(f"condition {cond.name} needs a cohort of at least 2 ears")
-    if cond.rtf_source == "dummy" and dummy is None:
+    if cond.rtf_source == "dummy" and cohort.dummy_id is None:
         raise ValueError(f"condition {cond.name} needs a dummy-head ear")
-    design_ears = {"own": [ear], "dummy": [dummy], "peers": peers, "loo": [ear]}[cond.rtf_source]
+    design_ids = {"own": [subject_id], "dummy": [cohort.dummy_id], "peers": peers,
+                  "loo": [subject_id]}[cond.rtf_source]
+    cohort.ear(subject_id)
+    design_ears = [cohort.ear(i) for i in design_ids]
 
     plants, targets = [], []
-    for design_ear in design_ears:
-        if cond.rtf_source == "loo":
-            rtfs = average_rtfs(cohort, subject_id, config.acausal_lead, cache)
+    for ear in design_ears:
+        if cond.rtf_source == "loo":  # the average reads every peer before it solves
+            rtfs = average_rtfs(cohort, subject_id, config.acausal_lead)
         else:
-            rtfs = individual_rtfs(design_ear, config.acausal_lead, cache)
+            rtfs = individual_rtfs(cohort, ear.subject_id, config.acausal_lead)
         targets.append(build_target(*rtfs, config.device_delay))
-        plants.append(design_ear.require(D_SOURCES[cond.d_source]))
+        plants.append(ear.require(D_SOURCES[cond.d_source]))
     return design_filter_pooled(plants, targets, config)
 
 
@@ -183,14 +149,8 @@ def evaluate(ear: EarDataset, filt: EqFilter, condition: str | None = None) -> C
 
 
 def run_condition(
-    cohort: list[EarDataset],
-    subject_id: str,
-    cond: ConditionSpec,
-    config: EqDesignConfig,
-    *,
-    dummy: EarDataset | None = None,
-    cache: dict | None = None,
+    cohort: CohortData, subject_id: str, cond: ConditionSpec, config: EqDesignConfig
 ) -> ConditionReport:
     """Design per the condition, evaluate on the subject's true acoustics."""
-    filt = design_for_condition(cohort, subject_id, cond, config, dummy=dummy, cache=cache)
-    return evaluate(_find_subject(cohort, subject_id), filt, cond.name)
+    filt = design_for_condition(cohort, subject_id, cond, config)
+    return evaluate(cohort.ear(subject_id), filt, cond.name)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohort import EarDataset
+from .cohort import CohortData
 from .conditions import condition_named, run_condition
 from .design import EqDesignConfig, filter_to_json
 from .metrics import ConditionReport, rank_conditions
@@ -119,13 +119,11 @@ def _write_summaries(result: ExperimentResult, delays: list[int], out_dir: Path)
 
 
 def run_experiment(
-    cohort: list[EarDataset],
+    cohort: CohortData,
     conditions: list[str],
     delays: list[int],
     design: EqDesignConfig,
     out_dir: str | Path,
-    *,
-    dummy: EarDataset | None = None,
 ) -> ExperimentResult:
     """Run every (subject, condition, delay) cell and write all report files.
 
@@ -139,21 +137,21 @@ def run_experiment(
     if not conditions or not delays:
         raise ValueError("need at least one condition and one delay")
     specs = [condition_named(name) for name in conditions]
+    # Every ear, the dummy's too, is read now: a bad file fails the run, not a cell.
+    ears, _ = cohort.ears, cohort.dummy
     out_dir = Path(out_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
-    cache: dict = {}
     result = ExperimentResult()
     written = set()
-    for ear in cohort:
+    for ear in ears:
         memo: dict = {}  # the grid is ear-major, so an ear's columns are not needed again
         for spec in specs:
             for delay in delays:
                 cfg = dataclasses.replace(design, device_delay=delay)
                 try:
-                    report = run_condition(cohort, ear.subject_id, spec, cfg,
-                                           dummy=dummy, cache=cache)
+                    report = run_condition(cohort, ear.subject_id, spec, cfg)
                 except Exception as exc:
                     failure = RunFailure(ear.subject_id, spec.name, delay,
                                          f"{type(exc).__name__}: {exc}")

@@ -154,7 +154,10 @@ def read_impulse_csv(path: str | Path, sample_rate_hz: int) -> ImpulseResponse:
         lines = lines[1:]
     if not lines:
         raise ValueError(f"{path}: no samples found")
-    return ImpulseResponse(np.array(lines, dtype=np.float64), sample_rate_hz)
+    try:
+        return ImpulseResponse(np.array(lines, dtype=np.float64), sample_rate_hz)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_impulse_wav(h: ImpulseResponse, path: str | Path) -> None:

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,7 +141,7 @@ def test_manifest_round_trip(tmp_path):
     assert manifest == tmp_path / "manifest.json"
 
     data = load_manifest(manifest)
-    assert data.sample_rate_hz == params.sample_rate_hz
+    assert data.ear("ear00").sample_rate_hz == params.sample_rate_hz
     assert len(data.ears) == len(cohort)
     for orig, loaded in zip(cohort, data.ears):
         assert loaded.subject_id == orig.subject_id
@@ -198,3 +202,12 @@ def test_manifest_ears_are_read_once_on_first_use(tmp_path, monkeypatch):
     assert data.ears[1] is data.ear("ear01") and len(read) == 18
     with pytest.raises(ValueError, match="'ghost' is not in the cohort"):
         data.ear("ghost")
+
+
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    # scipy.signal is most of the package's import time, and only the synthesizer uses it.
+    src = str(Path(cohort_mod.__file__).resolve().parents[1])
+    code = "import sys, eqforge.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from eqforge.cohort import EarDataset, SynthCohortParams, synth_cohort, synth_dummy_ear
+from eqforge import cohort as cohort_mod
+from eqforge.cohort import CohortData, EarDataset, SynthCohortParams, synth_cohort, synth_dummy_ear
 from eqforge.conditions import (
     CONDITION_NAMES,
     CONDITIONS,
@@ -123,9 +124,9 @@ def test_aided_is_device_chain_plus_leak(cohort, rng):
 # --- per-condition design behavior ------------------------------------------------
 
 def test_d_source_conditions_coincide_on_degenerate_ears(cohort, dummy):
-    degen = [degenerate(e) for e in cohort]
+    degen = CohortData.of([degenerate(e) for e in cohort], dummy)
     filters = {
-        name: design_for_condition(degen, "ear00", condition_named(name), CFG, dummy=dummy)
+        name: design_for_condition(degen, "ear00", condition_named(name), CFG)
         for name in ("Optimal", "NaiveInEar", "ModelBased")
     }
     for name in ("NaiveInEar", "ModelBased"):
@@ -135,10 +136,10 @@ def test_d_source_conditions_coincide_on_degenerate_ears(cohort, dummy):
 
 def test_all_conditions_collapse_on_identical_cohort(cohort):
     base = degenerate(cohort[0])
-    clones = [dataclasses.replace(base, subject_id=f"c{i}") for i in range(3)]
-    dummy = dataclasses.replace(base, subject_id="dummy")
+    clones = CohortData.of([dataclasses.replace(base, subject_id=f"c{i}") for i in range(3)],
+                           dataclasses.replace(base, subject_id="dummy"))
     filters = [
-        design_for_condition(clones, "c0", condition_named(name), CFG, dummy=dummy)
+        design_for_condition(clones, "c0", condition_named(name), CFG)
         for name in CONDITION_NAMES
     ]
     reference = filters[0].coefficients
@@ -148,51 +149,48 @@ def test_all_conditions_collapse_on_identical_cohort(cohort):
 
 
 def test_generic_dh_is_optimal_designed_on_the_dummy(cohort, dummy):
+    data = CohortData.of(cohort, dummy)
     for subject in ("ear00", "ear03"):
-        dh = design_for_condition(cohort, subject, condition_named("GenericDH"), CFG,
-                                  dummy=dummy)
-        on_dummy = design_for_condition(list(cohort) + [dummy], "dummy",
+        dh = design_for_condition(data, subject, condition_named("GenericDH"), CFG)
+        on_dummy = design_for_condition(CohortData.of([*cohort, dummy]), "dummy",
                                         condition_named("Optimal"), CFG)
         assert np.array_equal(dh.coefficients, on_dummy.coefficients)
 
 
 def test_generic_av_on_two_ears_is_the_peers_optimal(cohort, dummy):
-    pair = list(cohort[:2])
-    av = design_for_condition(pair, "ear00", condition_named("GenericAV"), CFG, dummy=dummy)
-    peer = design_for_condition(pair, "ear01", condition_named("Optimal"), CFG, dummy=dummy)
+    pair = CohortData.of(cohort[:2], dummy)
+    av = design_for_condition(pair, "ear00", condition_named("GenericAV"), CFG)
+    peer = design_for_condition(pair, "ear01", condition_named("Optimal"), CFG)
     assert np.array_equal(av.coefficients, peer.coefficients)
 
 
 def test_practical_optimal_on_two_ears_uses_the_peers_rtfs(cohort, dummy):
-    pair = list(cohort[:2])
-    practical = design_for_condition(pair, "ear00", condition_named("PracticalOptimal"), CFG,
-                                     dummy=dummy)
-    target = build_target(*individual_rtfs(pair[1], CFG.acausal_lead), CFG.device_delay)
-    direct = design_filter(pair[0].d_true, target, CFG)
+    practical = design_for_condition(CohortData.of(cohort[:2], dummy), "ear00",
+                                     condition_named("PracticalOptimal"), CFG)
+    rtfs = individual_rtfs(CohortData.of(cohort[:2]), "ear01", CFG.acausal_lead)
+    direct = design_filter(cohort[0].d_true, build_target(*rtfs, CFG.device_delay), CFG)
     assert np.max(np.abs(practical.coefficients - direct.coefficients)) <= 1e-10
 
 
 def test_leave_one_out_exclusion_is_exercised(cohort, dummy):
     spec = condition_named("PracticalOptimal")
-    baseline = design_for_condition(cohort, "ear00", spec, CFG, dummy=dummy)
-    duplicated = list(cohort) + [dataclasses.replace(cohort[0], subject_id="ear00_copy")]
-    shifted = design_for_condition(duplicated, "ear00", spec, CFG, dummy=dummy)
+    baseline = design_for_condition(CohortData.of(cohort, dummy), "ear00", spec, CFG)
+    duplicated = [*cohort, dataclasses.replace(cohort[0], subject_id="ear00_copy")]
+    shifted = design_for_condition(CohortData.of(duplicated, dummy), "ear00", spec, CFG)
     assert not np.allclose(baseline.coefficients, shifted.coefficients, atol=1e-12)
 
 
 def test_generic_dh_is_worse_than_optimal(cohort, dummy):
-    cache = {}
+    data = CohortData.of(cohort, dummy)
     for subject in ("ear00", "ear01"):
-        optimal = run_condition(cohort, subject, condition_named("Optimal"), CFG,
-                                dummy=dummy, cache=cache)
-        dh = run_condition(cohort, subject, condition_named("GenericDH"), CFG,
-                           dummy=dummy, cache=cache)
+        optimal = run_condition(data, subject, condition_named("Optimal"), CFG)
+        dh = run_condition(data, subject, condition_named("GenericDH"), CFG)
         assert optimal.lsd_db < dh.lsd_db
 
 
 def test_run_condition_report_contents(cohort, dummy):
-    report = run_condition(cohort, "ear02", condition_named("ModelBased"), CFG,
-                           dummy=dummy)
+    report = run_condition(CohortData.of(cohort, dummy), "ear02", condition_named("ModelBased"),
+                           CFG)
     assert report.subject_id == "ear02"
     assert report.condition == "ModelBased"
     assert report.device_delay == CFG.device_delay
@@ -204,46 +202,76 @@ def test_run_condition_report_contents(cohort, dummy):
 
 def test_missing_dummy_raises(cohort):
     with pytest.raises(ValueError, match="dummy"):
-        design_for_condition(cohort, "ear00", condition_named("GenericDH"), CFG)
+        design_for_condition(CohortData.of(cohort), "ear00", condition_named("GenericDH"), CFG)
 
 
 def test_unknown_subject_raises(cohort, dummy):
     with pytest.raises(ValueError, match="not in the cohort"):
-        run_condition(cohort, "nobody", condition_named("Optimal"), CFG, dummy=dummy)
+        run_condition(CohortData.of(cohort, dummy), "nobody", condition_named("Optimal"), CFG)
+    # the dummy is readable, but it is not a design subject
+    with pytest.raises(ValueError, match="not in the cohort"):
+        design_for_condition(CohortData.of(cohort, dummy), "dummy", condition_named("Optimal"),
+                             CFG)
 
 
 def test_leave_one_out_needs_peers(cohort, dummy):
-    alone = [cohort[0]]
+    alone = CohortData.of(cohort[:1], dummy)
     with pytest.raises(ValueError):
-        design_for_condition(alone, "ear00", condition_named("GenericAV"), CFG, dummy=dummy)
+        design_for_condition(alone, "ear00", condition_named("GenericAV"), CFG)
 
 
 def test_missing_receiver_estimate_raises(cohort, dummy):
-    stripped = [dataclasses.replace(e, d_model=None) for e in cohort]
+    stripped = CohortData.of([dataclasses.replace(e, d_model=None) for e in cohort], dummy)
     with pytest.raises(ValueError, match="d_model"):
-        design_for_condition(stripped, "ear00", condition_named("ModelBased"), CFG,
-                             dummy=dummy)
+        design_for_condition(stripped, "ear00", condition_named("ModelBased"), CFG)
 
 
-def test_rtf_cache_is_reused(cohort, dummy):
-    cache = {}
-    run_condition(cohort, "ear00", condition_named("Optimal"), CFG, dummy=dummy, cache=cache)
-    assert (CFG.acausal_lead, cohort[0]) in cache
-    run_condition(cohort, "ear00", condition_named("PracticalOptimal"), CFG,
-                  dummy=dummy, cache=cache)
-    assert (CFG.acausal_lead, *cohort[1:]) in cache
+@pytest.fixture
+def estimates(monkeypatch):
+    """How many ears each RTF estimate of a cohort memo pools, in call order."""
+    seen = []
+    estimate = cohort_mod.estimate_average
+
+    def counted(pairs, *args):
+        seen.append(len(pairs))
+        return estimate(pairs, *args)
+
+    monkeypatch.setattr(cohort_mod, "estimate_average", counted)
+    return seen
 
 
-def test_rtf_cache_shared_across_cohorts_and_leads_matches_fresh_designs(dummy):
-    # the same subject IDs in two cohorts, and two leads, through one cache
-    cohorts = [synth_cohort(SynthCohortParams(n_subjects=3, seed=seed)) for seed in (1, 2)]
-    cache = {}
-    for ears in cohorts:
-        for lead in (CFG.acausal_lead, CFG.acausal_lead + 8):
-            cfg = dataclasses.replace(CFG, acausal_lead=lead)
+def test_rtf_cache_is_reused(cohort, dummy, estimates):
+    data = CohortData.of(cohort, dummy)
+    run_condition(data, "ear00", condition_named("Optimal"), CFG)
+    assert estimates == [1, 1]  # the open and the occluded RTF of ear00
+    run_condition(data, "ear00", condition_named("NaiveInEar"), CFG)
+    assert estimates == [1, 1]
+    run_condition(data, "ear00", condition_named("PracticalOptimal"), CFG)
+    assert estimates == [1, 1, 3, 3]
+    run_condition(data, "ear01", condition_named("GenericAV"), CFG)  # ear00 is already known
+    assert estimates == [1, 1, 3, 3, 1, 1, 1, 1]
+    run_condition(data, "ear02", condition_named("ModelBased"), CFG)
+    assert len(estimates) == 8
+
+
+def test_rtf_memo_is_per_cohort_and_per_lead(dummy, estimates):
+    # two cohorts with the same subject IDs, designed in turn at two leads
+    cohorts = [CohortData.of(synth_cohort(SynthCohortParams(n_subjects=3, seed=seed)), dummy)
+               for seed in (1, 2)]
+    for lead in (CFG.acausal_lead, CFG.acausal_lead + 8):
+        cfg = dataclasses.replace(CFG, acausal_lead=lead)
+        for data in cohorts:
             for name in ("Optimal", "PracticalOptimal"):
                 spec = condition_named(name)
-                cached = design_for_condition(ears, "ear00", spec, cfg, dummy=dummy, cache=cache)
-                fresh = design_for_condition(ears, "ear00", spec, cfg, dummy=dummy)
+                cached = design_for_condition(data, "ear00", spec, cfg)
+                fresh = design_for_condition(dataclasses.replace(data), "ear00", spec, cfg)
                 assert cached.coefficients.tobytes() == fresh.coefficients.tobytes()
-    assert len(cache) == 8
+    # per lead, cohort and memo (cached or fresh): ear00's own RTFs and its leave-one-out ones
+    assert len(estimates) == 2 * 2 * 2 * (2 + 2)
+
+
+def test_cohort_rejects_duplicate_ids(cohort, dummy):
+    with pytest.raises(ValueError, match=r"duplicate subject IDs \['ear01'\]"):
+        CohortData.of([*cohort, cohort[1]], dummy)
+    with pytest.raises(ValueError, match=r"duplicate subject IDs \['dummy'\]"):
+        CohortData.of([*cohort, dummy], dummy)

@@ -122,9 +122,7 @@ def test_design_round_trip_matches_recomputation(tmp_path, degenerate_manifest):
     stored = filter_from_json(json.loads(out.read_text()))
     data = load_manifest(degenerate_manifest)
     cfg = EqDesignConfig(device_delay=96)
-    redesigned = design_for_condition(
-        data.ears, "ear02", condition_named("PracticalOptimal"), cfg, dummy=data.dummy
-    )
+    redesigned = design_for_condition(data, "ear02", condition_named("PracticalOptimal"), cfg)
     assert np.allclose(stored.coefficients, redesigned.coefficients, atol=1e-12)
     assert stored.residual_norm == pytest.approx(redesigned.residual_norm, rel=1e-12)
     assert stored.penalty_norm == pytest.approx(redesigned.penalty_norm, rel=1e-12)
@@ -266,21 +264,6 @@ def test_experiment_rerun_with_fewer_conditions_leaves_no_stale_runs(tmp_path, s
     assert (out / "notes.txt").read_text() == "not a run file\n"
 
 
-def test_experiment_workers_do_not_change_output(tmp_path, small_manifest, caplog):
-    outs = []
-    for workers, name in ((1, "w1"), (3, "w3")):
-        out = tmp_path / name
-        assert main([
-            "experiment", "--manifest", str(small_manifest),
-            "--conditions", "Optimal,PracticalModelBased", "--delays", "0,16",
-            "--workers", str(workers), "--out", str(out),
-        ]) == 0
-        outs.append(tree_digest(out))
-    assert outs[0] == outs[1]
-    warnings = [r.getMessage() for r in caplog.records if "--workers" in r.getMessage()]
-    assert len(warnings) == 2 and all("ignored" in w for w in warnings)
-
-
 def test_experiment_config_file_with_flag_override(tmp_path, small_manifest):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -416,13 +399,20 @@ def _config(data):
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "16,513"],
      "device_delay must be in [0, 512], got 513"),
     (_config({"design": {"d_G": 513}}), "device_delay must be in [0, 512], got 513"),
+    (_config({"design": {"lamda": 50}}), "unknown key 'lamda' in \"design\""),
+    (_config({"desing": {"L_a": 40}, "delays": [3]}), "unknown key 'desing' in the config"),
+    (_config({"cohort": {"manifets": "m.json"}}), "unknown key 'manifets' in \"cohort\""),
+    (_config({"design": {"weighting": {"mode": "fir", "taps": [1]}}}),
+     "unknown key 'taps' in \"weighting\""),
+    (_config({"workers": 2}), "unknown key 'workers' in the config"),
 ], ids=["malformed-config", "rate-not-an-integer", "synth-a-string", "synth-a-list",
         "manifest-a-number", "cohort-a-string", "delay-a-bool", "design-a-string",
         "weighting-a-string", "fir_taps-a-string", "L_a-a-float", "L_a-a-bool",
         "L_a-too-long", "lambda-a-string", "lambda-infinite", "entry-without-h_m",
         "duplicate-id", "id-of-dummy", "id-a-list", "id-escapes-out", "rate-a-float",
         "rate-a-bool", "rate-a-string", "unknown-condition", "negative-delay",
-        "delay-too-long", "config-d_G-too-long"])
+        "delay-too-long", "config-d_G-too-long", "unknown-design-key", "unknown-top-level-key",
+        "unknown-cohort-key", "unknown-weighting-key", "workers-key"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
     out = tmp_path / "never"
@@ -434,6 +424,18 @@ def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, ca
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not out.exists()
     assert set(tmp_path.rglob("*")) == before
+
+
+def test_design_rejects_an_unknown_config_key_before_the_cohort_loads(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"design": {"lamda": 50}}))
+    rc = main(["design", "--manifest", str(tmp_path / "no-manifest.json"), "--subject", "ear00",
+               "--condition", "Optimal", "--config", str(config),
+               "--out", str(tmp_path / "f.json")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1
+    assert err[0].startswith("error: ") and "unknown key 'lamda' in \"design\"" in err[0]
+    assert not (tmp_path / "f.json").exists()
 
 
 def test_device_delay_over_512_fails_before_the_cohort_loads(tmp_path, capsys):
@@ -456,9 +458,9 @@ def test_device_delay_over_512_fails_before_the_cohort_loads(tmp_path, capsys):
 def test_run_experiment_rejects_empty_requests(small_manifest, tmp_path):
     data = load_manifest(small_manifest)
     with pytest.raises(ValueError):
-        run_experiment(data.ears, [], [0], EqDesignConfig(), tmp_path / "x")
+        run_experiment(data, [], [0], EqDesignConfig(), tmp_path / "x")
     with pytest.raises(ValueError):
-        run_experiment(data.ears, ["Optimal"], [], EqDesignConfig(), tmp_path / "y")
+        run_experiment(data, ["Optimal"], [], EqDesignConfig(), tmp_path / "y")
 
 
 # --- evaluate ----------------------------------------------------------------------
@@ -680,7 +682,8 @@ def test_evaluate_reads_only_its_subject(tmp_path, small_manifest, reads):
 
 def test_a_bad_file_fails_the_requests_that_use_its_ear(tmp_path, small_manifest, reads,
                                                         capsys):
-    corrupt = tmp_path / "corrupt.csv"
+    corrupt = tmp_path / "ear02" / "h_occ.csv"
+    corrupt.parent.mkdir()
     corrupt.write_text("sample\n1 2\n")
     bad_csv = _manifest_variant(tmp_path, small_manifest,
                                 lambda d: d["subjects"][2].update(h_occ=str(corrupt)))
@@ -690,6 +693,12 @@ def test_a_bad_file_fails_the_requests_that_use_its_ear(tmp_path, small_manifest
     assert main([*design, "--condition", "PracticalOptimal"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot read subject 'ear02'")
+    assert "h_occ.csv" in err[0] and "could not convert string to float: '1 2'" in err[0]
+    # The grid reads every ear first, so the file fails the run, not its cells.
+    assert main(["experiment", *bad_csv, "--out", str(tmp_path / "grid")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read subject 'ear02'")
+    assert not (tmp_path / "grid").exists()
 
     # A missing file fails every request up front, before any response is read.
     missing = _manifest_variant(tmp_path, small_manifest,

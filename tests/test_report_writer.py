@@ -8,7 +8,7 @@ import pytest
 
 from eqforge import experiment
 from eqforge.cli import main
-from eqforge.cohort import EarDataset, save_cohort
+from eqforge.cohort import CohortData, EarDataset, save_cohort
 from eqforge.conditions import condition_named, evaluate, run_condition
 from eqforge.design import EqDesignConfig, filter_from_json
 from eqforge.experiment import RunRecord, run_experiment
@@ -45,11 +45,13 @@ def floor_cohort():
 
 
 def test_grid_csvs_match_the_row_formatter_including_floor_bins(floor_cohort, tmp_path):
-    result = run_experiment(floor_cohort, CONDITIONS, DELAYS, EqDesignConfig(), tmp_path)
+    result = run_experiment(CohortData.of(floor_cohort), CONDITIONS, DELAYS, EqDesignConfig(),
+                            tmp_path)
     assert result.ok and len(result.runs) == len(floor_cohort) * len(CONDITIONS) * len(DELAYS)
+    fresh = CohortData.of(floor_cohort)
     for run in result.runs:
         cfg = EqDesignConfig(device_delay=run.device_delay)
-        report = run_condition(floor_cohort, run.subject_id, condition_named(run.condition), cfg)
+        report = run_condition(fresh, run.subject_id, condition_named(run.condition), cfg)
         name = f"{run.subject_id}__{run.condition}__dG{run.device_delay}"
         written = (tmp_path / "runs" / f"{name}.csv").read_bytes()
         assert written == oracle_csv(report)
@@ -71,7 +73,8 @@ def test_evaluate_csv_matches_the_row_formatter(floor_cohort, tmp_path):
 
 
 def test_experiment_result_keeps_only_the_summary_fields(floor_cohort, tmp_path):
-    result = run_experiment(floor_cohort, CONDITIONS, DELAYS, EqDesignConfig(), tmp_path)
+    result = run_experiment(CohortData.of(floor_cohort), CONDITIONS, DELAYS, EqDesignConfig(),
+                            tmp_path)
     fields = [f.name for f in dataclasses.fields(RunRecord)]
     assert fields == ["subject_id", "condition", "device_delay", "lsd_db"]
     for run in result.runs:
@@ -86,13 +89,14 @@ def test_experiment_result_keeps_only_the_summary_fields(floor_cohort, tmp_path)
 def test_one_failing_cell_leaves_every_other_cell_written(floor_cohort, tmp_path, monkeypatch):
     failing = ("f1", "NaiveInEar", 16)
 
-    def run_or_fail(cohort, subject_id, cond, config, **kwargs):
+    def run_or_fail(cohort, subject_id, cond, config):
         if (subject_id, cond.name, config.device_delay) == failing:
             raise RuntimeError("planted failure")
-        return run_condition(cohort, subject_id, cond, config, **kwargs)
+        return run_condition(cohort, subject_id, cond, config)
 
     monkeypatch.setattr(experiment, "run_condition", run_or_fail)
-    result = run_experiment(floor_cohort, CONDITIONS, DELAYS, EqDesignConfig(), tmp_path)
+    result = run_experiment(CohortData.of(floor_cohort), CONDITIONS, DELAYS, EqDesignConfig(),
+                            tmp_path)
     assert [(f.subject_id, f.condition, f.device_delay) for f in result.failures] == [failing]
     expected = sorted(f"{e.subject_id}__{c}__dG{d}.{ext}"
                       for e in floor_cohort for c in CONDITIONS for d in DELAYS
