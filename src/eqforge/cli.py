@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -28,6 +28,13 @@ from .solvers import SingularSystemError
 
 class CliError(Exception):
     """User-facing failure; the message is printed and the exit code is 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors take `main`'s one error path."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(message)
 
 
 def _setup_logging() -> None:
@@ -65,6 +72,8 @@ def _load_config(path: str | None) -> dict[str, Any]:
             ("cohort.synth", cohort.get("synth", {}), dict, "an object"),
             ("cohort.manifest", cohort.get("manifest", ""), str, "a string"),
             ("design", config.get("design", {}), dict, "an object"),
+            ("conditions", config.get("conditions", []), list, "a list"),
+            ("delays", config.get("delays", []), list, "a list"),
             ("out", config.get("out", ""), str, "a string"),
             ("rate", config.get("rate", 1), int, "an integer"),
         ):
@@ -93,13 +102,11 @@ def _pick(flag: Any, config_value: Any, default: Any) -> Any:
 
 
 def _design_config(args: argparse.Namespace, config: dict[str, Any]) -> EqDesignConfig:
-    with _reported("invalid design parameters"):
-        base = config_from_json(config.get("design", {}))
-        flags = {"filter_length": args.filter_length, "lam": args.lam,
-                 "acausal_lead": args.lead}
-        return dataclasses.replace(
-            base, **{name: value for name, value in flags.items() if value is not None}
-        )
+    base = config_from_json(config.get("design", {}))
+    flags = {"filter_length": args.filter_length, "lam": args.lam, "acausal_lead": args.lead}
+    return dataclasses.replace(
+        base, **{name: value for name, value in flags.items() if value is not None}
+    )
 
 
 def _int_list(text: str) -> list[int]:
@@ -124,8 +131,7 @@ def _synth_params(args: argparse.Namespace, config: dict[str, Any]) -> cohort_mo
             data.update(json.loads(p.read_text()))
     if args.seed is not None:
         data["seed"] = args.seed
-    with _reported("invalid synth parameters"):
-        return cohort_mod.params_from_json(data)
+    return cohort_mod.params_from_json(data)
 
 
 def _load_cohort(args: argparse.Namespace, config: dict[str, Any]) -> cohort_mod.CohortData:
@@ -156,10 +162,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     ears = cohort_mod.synth_cohort(params)
     dummy = cohort_mod.synth_dummy_ear(params)
-    try:
+    with _reported(f"cannot write cohort under {out_dir}"):
         manifest = cohort_mod.save_cohort(ears, out_dir, dummy=dummy, params=params)
-    except OSError as exc:
-        raise CliError(f"cannot write cohort under {out_dir}: {exc}") from exc
     print(manifest)
     return 0
 
@@ -171,16 +175,9 @@ def _fail_out() -> str:
 def cmd_design(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     cfg = _design_config(args, config)
-    with _reported("invalid design parameters"):
-        cfg = dataclasses.replace(cfg, device_delay=int(_pick(args.delay, None, cfg.device_delay)))
+    cfg = dataclasses.replace(cfg, device_delay=_pick(args.delay, None, cfg.device_delay))
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
-    spec = condition_named(args.condition)
-    try:
-        filt = design_for_condition(data, args.subject, spec, cfg)
-    except SingularSystemError as exc:
-        raise CliError(f"condition {spec.name}: singular design system: {exc}") from exc
-    except (ArithmeticError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    filt = design_for_condition(data, args.subject, condition_named(args.condition), cfg)
     out = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     with _reported(f"cannot write {out}"):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -192,23 +189,20 @@ def cmd_design(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     cfg = _design_config(args, config)
-    with _reported("invalid experiment request"):
-        conditions = list(_pick(args.conditions, config.get("conditions"), CONDITION_NAMES))
-        delays = list(_pick(args.delays, config.get("delays"), DEFAULT_DELAYS))
-        if not conditions or not delays:
-            raise ValueError("need at least one condition and one delay")
-        for name in conditions:
-            condition_named(name)
-        for delay in delays:
-            dataclasses.replace(cfg, device_delay=json_typed("delays", delay, int, "integers"))
+    conditions = list(_pick(args.conditions, config.get("conditions"), CONDITION_NAMES))
+    delays = list(_pick(args.delays, config.get("delays"), DEFAULT_DELAYS))
+    if not conditions or not delays:
+        raise CliError("need at least one condition and one delay")
+    for name in conditions:
+        condition_named(json_typed("conditions", name, str, "a list of names"))
+    for delay in delays:
+        dataclasses.replace(cfg, device_delay=json_typed("delays", delay, int, "integers"))
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     try:
         result = run_experiment(data, conditions, delays, cfg, out_dir)
     except OSError as exc:
         raise CliError(f"cannot write reports under {out_dir}: {exc}") from exc
-    except ValueError as exc:  # an ear that cannot be read
-        raise CliError(str(exc)) from exc
     print(f"{len(result.runs)} runs ok, {len(result.failures)} failed -> {out_dir}")
     return 0 if result.ok else 1
 
@@ -221,12 +215,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with _reported(f"invalid filter file {filter_path}"):
         filt = filter_from_json(json.loads(filter_path.read_text()))
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
-    try:
-        ear = data.ear(args.subject)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    with _reported(f"cannot evaluate on {args.subject}"):
-        report = evaluate(ear, filt)
+    report = evaluate(data.ear(args.subject), filt)
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     name = f"eval_{args.subject}__dG{filt.config.device_delay}"
     with _reported(f"cannot write reports under {out_dir}"):
@@ -237,7 +226,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eqforge",
         description="Hear-through equalization: cohort synthesis, filter design, experiments.",
     )
@@ -289,15 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # Overflow and invalid arithmetic (from absurd input values) raise
         # FloatingPointError instead of warning and writing non-finite reports.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, ArithmeticError, SingularSystemError) as exc:
+        # A path or value quoted in the message may hold a line break.
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return 1
 
 

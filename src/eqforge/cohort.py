@@ -12,9 +12,11 @@ estimates (perturbed copies of the truth).
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -59,8 +61,8 @@ class ResonanceBand:
             ("quality", self.quality),
             ("gain_db", self.gain_db),
         ):
-            if lo > hi:
-                raise ValueError(f"{name} range is inverted: ({lo}, {hi})")
+            if not -math.inf < lo <= hi < math.inf:
+                raise ValueError(f"{name} range is inverted or not finite: ({lo}, {hi})")
         if self.center_hz[0] <= 0 or self.quality[0] <= 0:
             raise ValueError("center_hz and quality must be positive")
 
@@ -93,22 +95,24 @@ class SynthCohortParams:
     def __post_init__(self) -> None:
         if self.n_subjects < 2:
             raise ValueError("n_subjects must be at least 2 (leave-one-out needs peers)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
+        if not 0 < self.occlusion_cutoff_hz < self.sample_rate_hz / 2:
+            raise ValueError(f"occlusion_cutoff_hz must lie in (0, {self.sample_rate_hz / 2:g}), "
+                             f"got {self.occlusion_cutoff_hz}")
         if not self.resonance_bands:
             raise ValueError("at least one resonance band is required")
         lo, hi = self.canal_delay_range
-        if lo < 0 or lo > hi:
+        if not 0 <= lo <= hi < self.receiver_ir_length:
             raise ValueError(f"canal_delay_range is invalid: ({lo}, {hi})")
-        if self.model_error_db < 0 or self.inear_mismatch_db < 0:
-            raise ValueError("perturbation magnitudes must be nonnegative")
-        if self.model_error_db >= self.inear_mismatch_db:
-            raise ValueError(
-                "model_error_db must stay below inear_mismatch_db "
-                f"({self.model_error_db} vs {self.inear_mismatch_db})"
-            )
-        if self.occlusion_depth_db <= 0:
-            raise ValueError("occlusion_depth_db must be positive")
+        if not 0 <= self.model_error_db < self.inear_mismatch_db < math.inf:
+            raise ValueError("need 0 <= model_error_db < inear_mismatch_db < inf, got "
+                             f"{self.model_error_db} and {self.inear_mismatch_db}")
+        if not 0 < self.occlusion_depth_db < math.inf:
+            raise ValueError("occlusion_depth_db must be positive and finite, "
+                             f"got {self.occlusion_depth_db}")
         if min(self.ear_ir_length, self.receiver_ir_length, self.coloring_ir_length) < 8:
             raise ValueError("impulse-response lengths below 8 samples are not useful")
 
@@ -372,19 +376,38 @@ class CohortData:
         return self._rtfs[key]
 
 
+def _json_pair(key: str, value: Any, kind: type | tuple[type, ...], what: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f'"{key}" must be {what}, got {value!r}')
+    return tuple(json_typed(key, v, kind, what) for v in value)
+
+
+def _band_from_json(band: Any) -> ResonanceBand:
+    json_typed("resonance_bands", band, dict, "a list of objects")
+    return ResonanceBand(**{
+        name: _json_pair(name, band.get(name), (int, float), "a pair of numbers")
+        for name in ("center_hz", "quality", "gain_db")})
+
+
 def params_from_json(data: dict) -> SynthCohortParams:
-    kwargs = dict(data)
-    if "resonance_bands" in kwargs:
-        kwargs["resonance_bands"] = tuple(
-            ResonanceBand(
-                center_hz=tuple(b["center_hz"]),
-                quality=tuple(b["quality"]),
-                gain_db=tuple(b["gain_db"]),
-            )
-            for b in kwargs["resonance_bands"]
-        )
-    if "canal_delay_range" in kwargs:
-        kwargs["canal_delay_range"] = tuple(kwargs["canal_delay_range"])
+    """Generator parameters from their JSON form; a wrong type or unknown key is a ValueError."""
+    kwargs: dict[str, Any] = {}
+    for f in fields(SynthCohortParams):
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        if f.name == "resonance_bands":
+            bands = json_typed(f.name, value, (list, tuple), "a list of objects")
+            kwargs[f.name] = tuple(_band_from_json(band) for band in bands)
+        elif f.name == "canal_delay_range":
+            kwargs[f.name] = _json_pair(f.name, value, int, "a pair of integers")
+        elif isinstance(f.default, int):
+            kwargs[f.name] = json_typed(f.name, value, int, "an integer")
+        else:
+            kwargs[f.name] = json_typed(f.name, value, (int, float), "a number")
+    unknown = sorted(set(data) - set(kwargs))
+    if unknown:
+        raise ValueError(f"unknown synth parameter {unknown[0]!r}")
     return SynthCohortParams(**kwargs)
 
 

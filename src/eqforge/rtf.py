@@ -59,8 +59,9 @@ def estimate_average(
 
     Minimizes ``sum_k |h_m,k * r - t_k|^2`` with t_k the eardrum response
     delayed by `acausal_lead`: the per-pair normal equations are accumulated
-    in list order and solved once, which weights every pair equally. For a
-    numerically rank-deficient system the minimum-norm minimizer is returned.
+    in list order and solved once, which weights every pair equally. A system
+    that is not positive definite or whose condition estimate exceeds
+    CONDITION_LIMIT raises SingularSystemError.
     """
     if not pairs:
         raise ValueError("estimate_average requires at least one measurement pair")
@@ -73,7 +74,6 @@ def estimate_average(
         [h_m for h_m, _ in pairs],
         [zero_pad_leading(h_target, acausal_lead).samples for _, h_target in pairs],
         rtf_length,
-        min_norm_fallback=True,
         context="RTF estimate",
     ).coefficients
     return RelativeTransferEstimate(coeffs, acausal_lead)

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .signals import ImpulseResponse, convolution_matrix, zero_extend
+from .signals import ImpulseResponse, zero_extend
 
 CONDITION_LIMIT = 1e12
 
@@ -111,7 +111,6 @@ def solve_pooled(
     *,
     lam: float = 0.0,
     weight_taps: Sequence[float] = (1.0,),
-    min_norm_fallback: bool = False,
     context: str = "least squares",
 ) -> PooledSolution:
     """Minimize ``sum_k |h_k * x - t_k|^2 + lam * K * |w * x|^2`` over x of length n_cols.
@@ -125,10 +124,8 @@ def solve_pooled(
     is built from one accumulated first row and solved once; right-hand
     sides are cross-correlations, accumulated in list order.
 
-    When finite, nonzero normal equations are too ill-conditioned for
-    Cholesky, the minimum-norm minimizer of the stacked dense system is
-    returned if `min_norm_fallback` is set; otherwise SingularSystemError is
-    raised.
+    Normal equations that Cholesky refuses raise SingularSystemError, which
+    names the condition estimate; no other solver is tried.
     """
     if not plants or len(plants) != len(targets):
         raise ValueError("plants and targets must be equally long and nonempty")
@@ -149,20 +146,7 @@ def solve_pooled(
         first_row = first_row + lam_pooled * autocorrelation(weight_taps, n_cols)
     gram = scipy.linalg.toeplitz(first_row)
 
-    try:
-        x = solve_normal_equations(gram, rhs, context=context)
-    except SingularSystemError:
-        finite = np.isfinite(gram).all() and np.isfinite(rhs).all()
-        if not min_norm_fallback or not finite or not np.any(gram):
-            raise
-        stacked = [convolution_matrix(plant, n_cols) for plant in plants]
-        stacked_t = aligned_targets
-        if lam_pooled > 0.0:
-            weighting = ImpulseResponse(weight_taps, plants[0].sample_rate_hz)
-            weights = convolution_matrix(weighting, n_cols)
-            stacked = [*stacked, np.sqrt(lam_pooled) * weights]
-            stacked_t = [*aligned_targets, np.zeros(weights.shape[0])]
-        x, *_ = np.linalg.lstsq(np.vstack(stacked), np.concatenate(stacked_t), rcond=None)
+    x = solve_normal_equations(gram, rhs, context=context)
 
     residual_sq = tail_sq
     gradient = np.zeros(n_cols)

@@ -45,6 +45,13 @@ def test_params_validation():
         SynthCohortParams(canal_delay_range=(4, 1))
     with pytest.raises(ValueError):
         ResonanceBand(center_hz=(2000.0, 1000.0), quality=(1, 2), gain_db=(0, 1))
+    for bad in (dict(seed=-1), dict(occlusion_cutoff_hz=8000.0), dict(occlusion_cutoff_hz=0.0),
+                dict(canal_delay_range=(1, 128)), dict(model_error_db=float("nan")),
+                dict(inear_mismatch_db=float("inf")), dict(occlusion_depth_db=float("inf"))):
+        with pytest.raises(ValueError):
+            SynthCohortParams(**bad)
+    with pytest.raises(ValueError, match="not finite"):
+        ResonanceBand(center_hz=(1000.0, 2000.0), quality=(1, 2), gain_db=(0, float("inf")))
 
 
 def test_params_json_round_trip():

@@ -130,7 +130,7 @@ def test_target_inverts_pure_delay_against_deconvolution_oracle(rng):
     r_occ = rte(occ)
     g = unit_delay(16, 17)
     t = build_target(r_open, r_occ, 16)
-    oracle = solve_pooled([g], [occ], 20, min_norm_fallback=True).coefficients
+    oracle = solve_pooled([g], [occ], 20).coefficients
     assert np.allclose(t, r_open.coefficients - oracle, atol=1e-12)
     expected = r_open.coefficients.copy()
     expected[0] -= 1.0
@@ -143,7 +143,7 @@ def test_target_fast_path_matches_solver_for_random_delays(rng):
     for delay in (0, 3, 11, 30):
         g = unit_delay(delay, delay + 1)
         t = build_target(r_open, rte(occ), delay)
-        oracle = solve_pooled([g], [occ], 24, min_norm_fallback=True).coefficients
+        oracle = solve_pooled([g], [occ], 24).coefficients
         assert np.allclose(t, r_open.coefficients - oracle, atol=1e-10)
 
 

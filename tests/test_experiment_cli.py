@@ -25,7 +25,7 @@ from eqforge.cohort import (
 from eqforge.conditions import CONDITION_NAMES, condition_named, design_for_condition
 from eqforge.design import EqDesignConfig, EqFilter, filter_from_json, filter_to_json
 from eqforge.experiment import run_experiment
-from eqforge.signals import ImpulseResponse
+from eqforge.signals import ImpulseResponse, write_impulse_csv
 
 
 def tree_digest(root):
@@ -76,6 +76,22 @@ def test_synth_seed_flag_overrides_params(tmp_path):
     main(["synth", "--params", str(params), "--out", str(tmp_path / "s11")])
     main(["synth", "--params", str(params), "--seed", "12", "--out", str(tmp_path / "s12")])
     assert tree_digest(tmp_path / "s11") != tree_digest(tmp_path / "s12")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ({"n_subjects": 2.5}, '"n_subjects" must be an integer, got 2.5'),
+    ({"ear_ir_length": 8.5}, '"ear_ir_length" must be an integer, got 8.5'),
+    ({"sample_rate_hz": 1000}, "occlusion_cutoff_hz must lie in (0, 500), got 1100"),
+], ids=["negative-seed", "n_subjects-a-float", "ear_ir_length-a-float", "cutoff-above-nyquist"])
+def test_bad_synth_parameters_print_one_error_line(tmp_path, capsys, args, message):
+    if isinstance(args, dict):
+        args = ["--params", str(write_params(tmp_path, **args))]
+    before = set(tmp_path.rglob("*"))
+    assert main(["synth", *args, "--out", str(tmp_path / "never")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert set(tmp_path.rglob("*")) == before
 
 
 # --- design ----------------------------------------------------------------------
@@ -172,6 +188,57 @@ def test_design_section_fuzz_exits_0_or_prints_one_error_line(
     assert (rc, err) == (0, []) or (rc == 1 and len(err) == 1 and err[0].startswith("error: "))
 
 
+def _pair(low, high):
+    return st.lists(st.floats(low, high), min_size=2, max_size=2).map(sorted)
+
+
+# Values in or near each synth parameter's range. The cohort size is always
+# given, since its default of 12 ears would make the fuzz slow.
+SYNTH_VALUES = {
+    "seed": st.integers(-2, 2**64),
+    "sample_rate_hz": st.sampled_from([0, 1000, 8000, 16000, 44100]),
+    "resonance_bands": st.lists(st.fixed_dictionaries({
+        "center_hz": _pair(1.0, 30000.0), "quality": _pair(0.1, 10.0),
+        "gain_db": _pair(-40.0, 60.0)}), max_size=3),
+    "canal_delay_range": st.lists(st.integers(-2, 140), min_size=2, max_size=2).map(sorted),
+    "inear_mismatch_db": st.floats(-1.0, 12.0),
+    "model_error_db": st.floats(-1.0, 12.0),
+    "occlusion_depth_db": st.floats(-1.0, 400.0),
+    "occlusion_cutoff_hz": st.floats(-1.0, 25000.0),
+    **{f"{name}_ir_length": st.integers(-2, 512) for name in ("ear", "receiver", "coloring")},
+}
+
+SYNTH_CAPS = {"n_subjects": 4, "ear_ir_length": 512, "receiver_ir_length": 512,
+              "coloring_ir_length": 512}
+
+
+@given(synth=st.fixed_dictionaries({"n_subjects": st.integers(1, 4)}, optional=SYNTH_VALUES),
+       junk=st.none() | st.tuples(st.sampled_from(["n_subjects", *SYNTH_VALUES, "typo"]), JSON),
+       via_params=st.booleans())
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_synth_section_fuzz_exits_0_or_prints_one_error_line(synth, junk, via_params,
+                                                            tmp_path_factory):
+    # At most one key holds an arbitrary JSON value; bare JSON integers are
+    # unbounded, so the cohort size and the lengths are capped to stay small.
+    if junk is not None:
+        key, value = junk
+        capped = key in SYNTH_CAPS and type(value) is int
+        synth[key] = min(value, SYNTH_CAPS[key]) if capped else value
+    root = tmp_path_factory.getbasetemp()
+    path = root / "fuzz_synth.json"
+    path.write_text(json.dumps(synth if via_params else {"cohort": {"synth": synth}}))
+    flag = "--params" if via_params else "--config"
+    _exits_0_or_prints_one_error_line(["synth", flag, str(path),
+                                       "--out", str(root / "fuzz_cohort")])
+
+
+def test_a_line_break_in_a_quoted_path_stays_on_the_error_line(tmp_path, capsys):
+    assert main(["design", "--manifest", str(tmp_path / "a\nb\x0c.json"), "--subject", "ear00",
+                 "--condition", "Optimal", "--out", str(tmp_path / "f.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: manifest not found: ")
+
+
 def test_unwritable_out_fails_cleanly(tmp_path, degenerate_manifest, capsys):
     blocker = tmp_path / "a-file"
     blocker.write_text("")
@@ -247,6 +314,31 @@ def test_experiment_isolates_per_run_failures(tmp_path):
     optimal_runs = [r for r in data["per_subject"] if r["condition"] == "Optimal"]
     assert len(optimal_runs) == 3
     assert (out / "runs" / "ear00__Optimal__dG16.csv").exists()
+
+
+def test_an_ill_conditioned_rtf_system_fails_with_one_error_line(tmp_path, small_manifest,
+                                                                 capsys):
+    # A quintuple zero at z = 1 in ear00's h_m puts its own RTF systems past
+    # the condition limit; pooled with the other ears they stay solvable.
+    h_m = tmp_path / "h_m.csv"
+    write_impulse_csv(ImpulseResponse([1.0, -5.0, 10.0, -10.0, 5.0, -1.0], 16000), h_m)
+    variant = _manifest_variant(tmp_path, small_manifest,
+                                lambda d: d["subjects"][0].update(h_m=str(h_m)))
+    assert main(["design", *variant, "--subject", "ear00", "--condition", "Optimal",
+                 "--out", str(tmp_path / "never.json")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: RTF estimate: ")
+    assert "condition estimate" in err[0]
+    assert not (tmp_path / "never.json").exists()
+
+    out = tmp_path / "grid"
+    assert main(["experiment", *variant, "--conditions", "Optimal,PracticalOptimal",
+                 "--delays", "16", "--out", str(out)]) == 1
+    data = json.loads((out / "summary.json").read_text())
+    assert [(f["subject_id"], f["condition"]) for f in data["failures"]] == [("ear00", "Optimal")]
+    assert "SingularSystemError" in data["failures"][0]["error"]
+    assert "condition estimate" in data["failures"][0]["error"]
+    assert len(data["per_subject"]) == 5
 
 
 def test_experiment_rerun_with_fewer_conditions_leaves_no_stale_runs(tmp_path, small_manifest):
@@ -372,6 +464,9 @@ def _config(data):
     (_config({"cohort": {"manifest": 5}}), "\"cohort.manifest\" must be a string"),
     (_config({"cohort": "m.json"}), "\"cohort\" must be an object"),
     (_config({"conditions": ["Optimal"], "delays": [True]}), "got True"),
+    (_config({"conditions": "Optimal"}), "\"conditions\" must be a list, got 'Optimal'"),
+    (_config({"conditions": [["Optimal"]]}), "\"conditions\" must be a list of names"),
+    (_config({"delays": 16}), "\"delays\" must be a list, got 16"),
     (_config({"design": "x"}), "\"design\" must be an object"),
     (_config({"design": {"weighting": "x"}}), "\"weighting\" must be an object"),
     (_config({"design": {"weighting": {"mode": "fir", "fir_taps": "12"}}}),
@@ -406,7 +501,8 @@ def _config(data):
      "unknown key 'taps' in \"weighting\""),
     (_config({"workers": 2}), "unknown key 'workers' in the config"),
 ], ids=["malformed-config", "rate-not-an-integer", "synth-a-string", "synth-a-list",
-        "manifest-a-number", "cohort-a-string", "delay-a-bool", "design-a-string",
+        "manifest-a-number", "cohort-a-string", "delay-a-bool", "conditions-a-string",
+        "condition-a-list", "delays-a-number", "design-a-string",
         "weighting-a-string", "fir_taps-a-string", "L_a-a-float", "L_a-a-bool",
         "L_a-too-long", "lambda-a-string", "lambda-infinite", "entry-without-h_m",
         "duplicate-id", "id-of-dummy", "id-a-list", "id-escapes-out", "rate-a-float",
@@ -724,3 +820,46 @@ def test_exclude_subject_is_checked_against_the_manifest_ids(tmp_path, small_man
     assert main([*design, "--condition", "Optimal", "--exclude-subject", "ghost"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: --exclude-subject 'ghost'")
+
+
+# --- command-line parsing -------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["synthesize"], "invalid choice: 'synthesize'"),
+    (["synth", "--seeed", "3"], "unrecognized arguments: --seeed 3"),
+    (["synth", "--seed"], "argument --seed: expected one argument"),
+    (["synth", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["design", "--subject", "ear00", "--condition", "Optimal", "--lamda", "1"],
+     "unrecognized arguments: --lamda 1"),
+    (["design", "--subject", "ear00"], "the following arguments are required: --condition"),
+    (["design", "--subject", "ear00", "--condition", "Bogus"],
+     "argument --condition: invalid choice: 'Bogus'"),
+    (["experiment", "--delyas", "16"], "unrecognized arguments: --delyas 16"),
+    (["experiment", "--delays"], "argument --delays: expected one argument"),
+    (["experiment", "--delays", "16,x"], "argument --delays: invalid _int_list value"),
+    (["evaluate", "--subject", "ear00", "--filter", "f.json", "--manifst", "m.json"],
+     "unrecognized arguments: --manifst m.json"),
+    (["evaluate", "--subject", "ear00"], "the following arguments are required: --filter"),
+    (["evaluate", "--subject", "ear00", "--filter", "f.json", "--condition", "Optimal"],
+     "unrecognized arguments: --condition Optimal"),
+], ids=["no-command", "unknown-command", "synth-misspelt", "synth-missing-value",
+        "synth-not-an-int", "design-misspelt", "design-missing-condition",
+        "design-bad-condition", "experiment-misspelt", "experiment-missing-value",
+        "experiment-bad-delays", "evaluate-misspelt", "evaluate-missing-filter",
+        "evaluate-no-condition-flag"])
+def test_argument_errors_print_one_error_line(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "never")] if argv else argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [[], ["synth"], ["design"], ["experiment"], ["evaluate"]])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: eqforge")

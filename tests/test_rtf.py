@@ -179,15 +179,15 @@ def test_matches_dense_oracle(rng):
     assert np.linalg.norm(got - want) <= 1e-9 * (1.0 + np.linalg.norm(want))
 
 
-def test_ill_conditioned_deconvolution_takes_the_min_norm_fallback(rng):
+def test_ill_conditioned_deconvolution_raises_naming_the_condition_estimate(rng):
     # a quintuple zero at z = 1 puts the Gram matrix past the condition limit
     h = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
-    t = rng.standard_normal(60)
     matrix = loop_built(h, 96)
     with pytest.raises(SingularSystemError, match="condition estimate"):
         solve_normal_equations(matrix.T @ matrix, np.zeros(96))
-    got = deconvolve(make_ir(h), t, rtf_length=96)
-    assert np.array_equal(got, dense_oracle(h, t, 96))
+    target = make_ir(rng.standard_normal(60))
+    with pytest.raises(SingularSystemError, match=r"RTF estimate: condition estimate 3\.0\d*e\+13"):
+        estimate_average([(make_ir(h), target)], rtf_length=96, acausal_lead=0)
 
 
 def test_rejects_bad_arguments(rng):

@@ -55,7 +55,6 @@ def test_overflowing_plant_raises_with_nothing_on_stderr(capfd):
     plant = make_ir([1e200, -3e200, 2e200])
     with pytest.raises(SingularSystemError, match="not finite"):
         design_filter(plant, np.ones(120), EqDesignConfig())
-    # the estimators' min-norm fallback is not tried on non-finite systems
     with pytest.raises(SingularSystemError, match="not finite"):
         estimate_individual(plant, make_ir(np.ones(120)), rtf_length=40, acausal_lead=0)
     assert capfd.readouterr().err == ""
