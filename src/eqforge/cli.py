@@ -1,8 +1,10 @@
 """Command-line front-end: cohort synthesis, filter design, experiments, evaluation.
 
-Value precedence everywhere: explicit flags override config-file entries,
-which override built-in defaults. `EQFORGE_LOG` (debug/info/warning/error)
-sets verbosity.
+Every input has one way in. Value precedence everywhere: explicit flags
+override config-file entries, which override built-in defaults. A run's
+cohort is a manifest (`--manifest` or `cohort.manifest`) or is synthesized
+from `cohort.synth`, whose seed `--seed` overrides; `--seed` with a manifest
+is an error. `EQFORGE_LOG` (debug/info/warning/error) sets verbosity.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from . import cohort as cohort_mod
 from .conditions import CONDITION_NAMES, condition_named, design_for_condition, evaluate
-from .design import EqDesignConfig, config_from_json, filter_from_json, filter_to_json, json_typed
+from .design import EqDesignConfig, config_from_json, filter_from_json, filter_to_json
+from .design import json_typed, known_keys
 from .experiment import DEFAULT_DELAYS, run_experiment, write_report
 from .solvers import SingularSystemError
 
@@ -55,41 +58,35 @@ def _reported(what: str):
         raise CliError(f"{what}: {exc}") from exc
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    if not path:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"config file not found: {p}")
-    with _reported(f"invalid config file {p}"):
-        config = json.loads(p.read_text())
-        if not isinstance(config, dict):
-            raise ValueError("expected a JSON object")
-        cohort = config.get("cohort", {})
-        if not isinstance(cohort, dict):
-            raise ValueError(f'"cohort" must be an object, got {cohort!r}')
-        for check in (
-            ("cohort.synth", cohort.get("synth", {}), dict, "an object"),
-            ("cohort.manifest", cohort.get("manifest", ""), str, "a string"),
-            ("design", config.get("design", {}), dict, "an object"),
-            ("conditions", config.get("conditions", []), list, "a list"),
-            ("delays", config.get("delays", []), list, "a list"),
-            ("out", config.get("out", ""), str, "a string"),
-            ("rate", config.get("rate", 1), int, "an integer"),
-        ):
-            json_typed(*check)
-        design = config.get("design", {})
-        weighting = json_typed("weighting", design.get("weighting", {}), dict, "an object")
-        # A misspelt key would silently leave its default in place.
-        for where, section, known in (
-            ("the config", config, ("cohort", "conditions", "delays", "design", "out", "rate")),
-            ('"cohort"', cohort, ("manifest", "synth")),
-            ('"design"', design, ("L_a", "lambda", "L_d", "d_G", "weighting")),
-            ('"weighting"', weighting, ("mode", "fir_taps")),
-        ):
-            unknown = sorted(set(section) - set(known))
-            if unknown:
-                raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+# The JSON type of every top-level and "cohort" config key; `config_from_json`
+# checks the keys inside "design".
+_CONFIG_KEYS = (
+    ("the config", "", {"cohort": dict, "conditions": list, "delays": list, "design": dict,
+                        "out": str}),
+    ('"cohort"', "cohort.", {"manifest": str, "synth": dict}),
+)
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _load_config(args: argparse.Namespace) -> dict[str, Any]:
+    """The checked config file, with "design" parsed into an EqDesignConfig."""
+    config: dict[str, Any] = {}
+    if args.config:
+        p = Path(args.config)
+        if not p.exists():
+            raise CliError(f"config file not found: {p}")
+        with _reported(f"invalid config file {p}"):
+            config = json_typed("config", json.loads(p.read_text()), dict, "an object")
+            for where, prefix, kinds in _CONFIG_KEYS:
+                section = config.get(prefix[:-1], {}) if prefix else config
+                for key, value in known_keys(where, section, kinds).items():
+                    json_typed(prefix + key, value, kinds[key], _JSON_KINDS[kinds[key]])
+            if {"manifest", "synth"} <= config.get("cohort", {}).keys():
+                raise ValueError('"cohort" holds both "manifest" and "synth"; give one')
+    # Parsed now, so that a bad design key fails before the cohort loads.
+    config["design"] = config_from_json(config.get("design", {}))
+    if args.seed is not None and "manifest" in args and _manifest(args, config) is not None:
+        raise CliError("--seed sets the seed of a synthesized cohort; it cannot go with a manifest")
     return config
 
 
@@ -102,11 +99,9 @@ def _pick(flag: Any, config_value: Any, default: Any) -> Any:
 
 
 def _design_config(args: argparse.Namespace, config: dict[str, Any]) -> EqDesignConfig:
-    base = config_from_json(config.get("design", {}))
     flags = {"filter_length": args.filter_length, "lam": args.lam, "acausal_lead": args.lead}
-    return dataclasses.replace(
-        base, **{name: value for name, value in flags.items() if value is not None}
-    )
+    given = {name: value for name, value in flags.items() if value is not None}
+    return dataclasses.replace(config["design"], **given)
 
 
 def _int_list(text: str) -> list[int]:
@@ -118,25 +113,19 @@ def _str_list(text: str) -> list[str]:
 
 
 def _synth_params(args: argparse.Namespace, config: dict[str, Any]) -> cohort_mod.SynthCohortParams:
-    data: dict[str, Any] = {}
-    if "rate" in config:
-        data["sample_rate_hz"] = config["rate"]
-    data.update(config.get("cohort", {}).get("synth", {}))
-    params_path = getattr(args, "params", None)
-    if params_path:
-        p = Path(params_path)
-        if not p.exists():
-            raise CliError(f"synth params file not found: {p}")
-        with _reported(f"invalid synth params file {p}"):
-            data.update(json.loads(p.read_text()))
+    data = dict(config.get("cohort", {}).get("synth", {}))
     if args.seed is not None:
         data["seed"] = args.seed
     return cohort_mod.params_from_json(data)
 
 
+def _manifest(args: argparse.Namespace, config: dict[str, Any]) -> str | None:
+    """The manifest a cohort-loading command reads, or None to synthesize the cohort."""
+    return _pick(args.manifest, config.get("cohort", {}).get("manifest"), None)
+
+
 def _load_cohort(args: argparse.Namespace, config: dict[str, Any]) -> cohort_mod.CohortData:
-    manifest = _pick(getattr(args, "manifest", None),
-                     config.get("cohort", {}).get("manifest"), None)
+    manifest = _manifest(args, config)
     if manifest is not None:
         path = Path(manifest)
         if not path.exists():
@@ -157,7 +146,7 @@ def _apply_exclusion(data: cohort_mod.CohortData, exclude: str | None) -> cohort
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     params = _synth_params(args, config)
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     ears = cohort_mod.synth_cohort(params)
@@ -173,7 +162,7 @@ def _fail_out() -> str:
 
 
 def cmd_design(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     cfg = _design_config(args, config)
     cfg = dataclasses.replace(cfg, device_delay=_pick(args.delay, None, cfg.device_delay))
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
@@ -187,7 +176,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     cfg = _design_config(args, config)
     conditions = list(_pick(args.conditions, config.get("conditions"), CONDITION_NAMES))
     delays = list(_pick(args.delays, config.get("delays"), DEFAULT_DELAYS))
@@ -208,14 +197,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     filter_path = Path(args.filter)
     if not filter_path.exists():
         raise CliError(f"filter file not found: {filter_path}")
     with _reported(f"invalid filter file {filter_path}"):
         filt = filter_from_json(json.loads(filter_path.read_text()))
-    data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
-    report = evaluate(data.ear(args.subject), filt)
+    report = evaluate(_load_cohort(args, config).ear(args.subject), filt)
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     name = f"eval_{args.subject}__dG{filt.config.device_delay}"
     with _reported(f"cannot write reports under {out_dir}"):
@@ -235,17 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", help="output directory (or file for `design`)")
-        p.add_argument("--seed", type=int, help="synthetic-cohort seed override")
-        p.add_argument("--exclude-subject", help="drop this subject from the cohort")
+        p.add_argument("--seed", type=int, help="seed of a synthesized cohort (no manifest)")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic ear cohort")
     common(p_synth)
-    p_synth.add_argument("--params", help="JSON file with cohort generator parameters")
     p_synth.set_defaults(func=cmd_synth)
 
     def design_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--manifest", help="cohort manifest JSON (default: synthesize)")
-        p.add_argument("--params", help="synth parameter JSON when no manifest is given")
+        p.add_argument("--exclude-subject", help="drop this subject from the cohort")
         p.add_argument("--lambda", dest="lam", type=float, help="regularization trade-off")
         p.add_argument("--filter-length", type=int, help="equalizer taps (L_a)")
         p.add_argument("--lead", type=int, help="acausal lead in samples (L_d)")
@@ -268,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="re-simulate a stored filter on a subject")
     common(p_eval)
     p_eval.add_argument("--manifest", help="cohort manifest JSON (default: synthesize)")
-    p_eval.add_argument("--params", help="synth parameter JSON when no manifest is given")
     p_eval.add_argument("--subject", required=True)
     p_eval.add_argument("--filter", required=True, help="filter JSON written by `design`")
     p_eval.set_defaults(func=cmd_evaluate)

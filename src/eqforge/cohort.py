@@ -20,8 +20,8 @@ from typing import Any
 
 import numpy as np
 
-from .design import json_typed
-from .rtf import RelativeTransferEstimate, default_rtf_length, estimate_average
+from .design import json_typed, known_keys
+from .rtf import MAX_RTF_LENGTH, RelativeTransferEstimate, default_rtf_length, estimate_average
 from .signals import (
     ImpulseResponse,
     convolve,
@@ -77,7 +77,10 @@ DEFAULT_RESONANCE_BANDS = (
 
 @dataclass(frozen=True)
 class SynthCohortParams:
-    """Knobs of the synthetic cohort generator; defaults suit 16 kHz material."""
+    """Knobs of the synthetic cohort generator; defaults suit 16 kHz material.
+
+    A drawn resonance center above 0.9 times the Nyquist frequency is capped there.
+    """
 
     n_subjects: int = 12
     seed: int = 42
@@ -93,8 +96,9 @@ class SynthCohortParams:
     coloring_ir_length: int = 64
 
     def __post_init__(self) -> None:
-        if self.n_subjects < 2:
-            raise ValueError("n_subjects must be at least 2 (leave-one-out needs peers)")
+        if not 2 <= self.n_subjects <= 1000:
+            raise ValueError("n_subjects must be in [2, 1000] (leave-one-out needs peers), "
+                             f"got {self.n_subjects}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.sample_rate_hz <= 0:
@@ -113,8 +117,10 @@ class SynthCohortParams:
         if not 0 < self.occlusion_depth_db < math.inf:
             raise ValueError("occlusion_depth_db must be positive and finite, "
                              f"got {self.occlusion_depth_db}")
-        if min(self.ear_ir_length, self.receiver_ir_length, self.coloring_ir_length) < 8:
-            raise ValueError("impulse-response lengths below 8 samples are not useful")
+        for name in ("ear_ir_length", "receiver_ir_length", "coloring_ir_length"):
+            if not 8 <= getattr(self, name) <= MAX_RTF_LENGTH:
+                raise ValueError(f"{name} must be in [8, {MAX_RTF_LENGTH}], "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,13 +200,14 @@ def _resonator_ir(
     length: int,
     rate: int,
 ) -> ImpulseResponse:
-    """Impulse response of a peaking-biquad cascade behind an integer delay."""
+    """Impulse response of a peaking-biquad cascade (centers capped) behind an integer delay."""
     from scipy.signal import sosfilt  # imported here: it is most of the package's import time
 
     impulse = np.zeros(length)
     impulse[0] = 1.0
     if resonances:
-        sos = np.stack([_peaking_sos(f, q, g, rate) for f, q, g in resonances])
+        cap_hz = 0.9 * (rate / 2.0)  # 0.9 times the Nyquist frequency
+        sos = np.stack([_peaking_sos(min(f, cap_hz), q, g, rate) for f, q, g in resonances])
         shaped = sosfilt(sos, impulse)
     else:
         shaped = impulse
@@ -225,27 +232,24 @@ def _occluded_leak(
 
     sos = butter(2, cutoff_hz, fs=h_open.sample_rate_hz, btype="low", output="sos")
     leak = ImpulseResponse(sosfilt(sos, h_open.samples), h_open.sample_rate_hz)
-    ratio = _band_energy(h_open) / _band_energy(leak)
+    leak_energy = _band_energy(leak)
+    ratio = _band_energy(h_open) / leak_energy if leak_energy > 0 else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"occlusion_cutoff_hz {cutoff_hz:g} leaves the occluded leak no energy "
+                         f"in the {_ENERGY_BAND_HZ[0]:g}-{_ENERGY_BAND_HZ[1]:g} Hz band")
     scale = 10.0 ** (-depth_db / 20.0) * np.sqrt(ratio)
     return ImpulseResponse(leak.samples * scale, h_open.sample_rate_hz)
 
 
-def _perturbed(
-    resonances: list[tuple[float, float, float]],
-    shifts: list[tuple[float, float]],
-    nyquist_hz: float,
-) -> list[tuple[float, float, float]]:
+def _perturbed(resonances: list[tuple[float, float, float]],
+               shifts: list[tuple[float, float]]) -> list[tuple[float, float, float]]:
     """Shift resonance centers (fractional octaves) and gains (dB) per draw."""
-    out = []
-    for (f, q, g), (df_db, dg_db) in zip(resonances, shifts):
-        f_shifted = min(f * 2.0 ** (df_db / 40.0), 0.9 * nyquist_hz)
-        out.append((f_shifted, q, g + dg_db))
-    return out
+    return [(f * 2.0 ** (df_db / 40.0), q, g + dg_db)
+            for (f, q, g), (df_db, dg_db) in zip(resonances, shifts)]
 
 
 def _build_ear(subject_id: str, draws: _Draws, params: SynthCohortParams) -> EarDataset:
     rate = params.sample_rate_hz
-    nyquist = rate / 2.0
 
     # Draw order is fixed; reordering would silently reshuffle every cohort.
     canal_delay = draws.integer(*params.canal_delay_range)
@@ -276,10 +280,10 @@ def _build_ear(subject_id: str, draws: _Draws, params: SynthCohortParams) -> Ear
 
     d_true = _resonator_ir(canal, canal_delay, params.receiver_ir_length, rate)
     d_inear = _resonator_ir(
-        _perturbed(canal, inear_shifts, nyquist), canal_delay, params.receiver_ir_length, rate
+        _perturbed(canal, inear_shifts), canal_delay, params.receiver_ir_length, rate
     )
     d_model = _resonator_ir(
-        _perturbed(canal, model_shifts, nyquist), canal_delay, params.receiver_ir_length, rate
+        _perturbed(canal, model_shifts), canal_delay, params.receiver_ir_length, rate
     )
     h_m = _resonator_ir(mic, _MIC_DELAY, params.ear_ir_length, rate)
     open_coloring = _resonator_ir(coloring, _COLORING_DELAY, params.coloring_ir_length, rate)
@@ -391,6 +395,7 @@ def _band_from_json(band: Any) -> ResonanceBand:
 
 def params_from_json(data: dict) -> SynthCohortParams:
     """Generator parameters from their JSON form; a wrong type or unknown key is a ValueError."""
+    known_keys('"cohort.synth"', data, (f.name for f in fields(SynthCohortParams)))
     kwargs: dict[str, Any] = {}
     for f in fields(SynthCohortParams):
         if f.name not in data:
@@ -405,9 +410,6 @@ def params_from_json(data: dict) -> SynthCohortParams:
             kwargs[f.name] = json_typed(f.name, value, int, "an integer")
         else:
             kwargs[f.name] = json_typed(f.name, value, (int, float), "a number")
-    unknown = sorted(set(data) - set(kwargs))
-    if unknown:
-        raise ValueError(f"unknown synth parameter {unknown[0]!r}")
     return SynthCohortParams(**kwargs)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -47,20 +48,12 @@ class EqDesignConfig:
     weighting: WeightingSpec = field(default_factory=WeightingSpec)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.filter_length <= MAX_RTF_LENGTH:
-            raise ValueError(
-                f"filter_length must be in [1, {MAX_RTF_LENGTH}], got {self.filter_length}"
-            )
+        for name, low in (("filter_length", 1), ("acausal_lead", 0), ("device_delay", 0)):
+            if not low <= getattr(self, name) <= MAX_RTF_LENGTH:
+                raise ValueError(
+                    f"{name} must be in [{low}, {MAX_RTF_LENGTH}], got {getattr(self, name)}")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
-        if not 0 <= self.acausal_lead <= MAX_RTF_LENGTH:
-            raise ValueError(
-                f"acausal_lead must be in [0, {MAX_RTF_LENGTH}], got {self.acausal_lead}"
-            )
-        if not 0 <= self.device_delay <= MAX_RTF_LENGTH:
-            raise ValueError(
-                f"device_delay must be in [0, {MAX_RTF_LENGTH}], got {self.device_delay}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,34 +172,51 @@ def json_typed(key: str, value: Any, kind: type | tuple[type, ...], what: str) -
     return value
 
 
+def known_keys(where: str, data: dict[str, Any], keys: Iterable[str]) -> dict[str, Any]:
+    """`data` if it holds only `keys`: a misspelt key would silently leave its default."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+    return data
+
+
 def weighting_from_json(data: Any) -> WeightingSpec:
     json_typed("weighting", data, dict, "an object")
+    known_keys('"weighting"', data, ("mode", "fir_taps"))
     taps = json_typed("fir_taps", data.get("fir_taps", []), list, "a list of numbers")
     for tap in taps:
         json_typed("fir_taps", tap, (int, float), "a list of numbers")
-    return WeightingSpec(mode=json_typed("mode", data.get("mode", "identity"), str, "a string"),
-                         fir_taps=tuple(taps) or None)
+    mode = {"mode": json_typed("mode", data["mode"], str, "a string")} if "mode" in data else {}
+    return WeightingSpec(**mode, fir_taps=tuple(taps) or None)
+
+
+# Wire name: (EqDesignConfig field, JSON type, description of the type).
+_CONFIG_WIRE = {
+    "L_a": ("filter_length", int, "an integer"),
+    "lambda": ("lam", (int, float), "a number"),
+    "L_d": ("acausal_lead", int, "an integer"),
+    "d_G": ("device_delay", int, "an integer"),
+}
+_AUDIT_KEYS = ("coefficients", "residual_norm", "penalty_norm", "normal_eq_residual",
+               "normal_eq_scale")
 
 
 def config_to_json(config: EqDesignConfig) -> dict[str, Any]:
-    return {
-        "L_a": config.filter_length,
-        "lambda": config.lam,
-        "L_d": config.acausal_lead,
-        "d_G": config.device_delay,
-        "weighting": weighting_to_json(config.weighting),
-    }
+    out: dict[str, Any] = {key: getattr(config, name) for key, (name, *_) in _CONFIG_WIRE.items()}
+    out["weighting"] = weighting_to_json(config.weighting)
+    return out
 
 
 def config_from_json(data: dict[str, Any]) -> EqDesignConfig:
-    """Design config from its wire names; a value of the wrong JSON type is a ValueError."""
-    return EqDesignConfig(
-        filter_length=json_typed("L_a", data.get("L_a", 99), int, "an integer"),
-        lam=float(json_typed("lambda", data.get("lambda", 0.1), (int, float), "a number")),
-        acausal_lead=json_typed("L_d", data.get("L_d", 32), int, "an integer"),
-        device_delay=json_typed("d_G", data.get("d_G", 0), int, "an integer"),
-        weighting=weighting_from_json(data.get("weighting", {})),
-    )
+    """Design config from the wire keys present; an unknown key or wrong type is a ValueError."""
+    known_keys('"design"', data, (*_CONFIG_WIRE, "weighting"))
+    kwargs = {name: json_typed(key, data[key], kind, what)
+              for key, (name, kind, what) in _CONFIG_WIRE.items() if key in data}
+    if "lam" in kwargs:
+        kwargs["lam"] = float(kwargs["lam"])
+    if "weighting" in data:
+        kwargs["weighting"] = weighting_from_json(data["weighting"])
+    return EqDesignConfig(**kwargs)
 
 
 def filter_to_json(filt: EqFilter) -> dict[str, Any]:
@@ -220,9 +230,10 @@ def filter_to_json(filt: EqFilter) -> dict[str, Any]:
 
 
 def filter_from_json(data: dict[str, Any]) -> EqFilter:
+    known_keys("the filter", data, (*_CONFIG_WIRE, "weighting", *_AUDIT_KEYS))
     return EqFilter(
         coefficients=np.asarray(data["coefficients"], dtype=np.float64),
-        config=config_from_json(data),
+        config=config_from_json({k: v for k, v in data.items() if k not in _AUDIT_KEYS}),
         residual_norm=float(data["residual_norm"]),
         penalty_norm=float(data["penalty_norm"]),
         normal_eq_residual=float(data.get("normal_eq_residual", 0.0)),

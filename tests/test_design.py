@@ -89,6 +89,7 @@ def test_config_json_round_trip():
     assert data["L_a"] == 32 and data["lambda"] == 0.5
     assert data["L_d"] == 8 and data["d_G"] == 16
     assert config_from_json(data) == cfg
+    assert config_from_json({}) == EqDesignConfig()
 
 
 # --- weighting_taps -------------------------------------------------------------

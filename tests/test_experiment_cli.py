@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -38,10 +39,11 @@ def tree_digest(root):
 
 
 def write_params(tmp_path, **overrides):
+    """A config file whose `cohort.synth` is a 3-ear cohort at seed 11, updated by `overrides`."""
     data = {"n_subjects": 3, "seed": 11}
     data.update(overrides)
-    path = tmp_path / "params.json"
-    path.write_text(json.dumps(data))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"cohort": {"synth": data}}))
     return path
 
 
@@ -49,8 +51,8 @@ def write_params(tmp_path, **overrides):
 
 def test_synth_is_idempotent(tmp_path):
     params = write_params(tmp_path)
-    assert main(["synth", "--params", str(params), "--out", str(tmp_path / "a")]) == 0
-    assert main(["synth", "--params", str(params), "--out", str(tmp_path / "b")]) == 0
+    assert main(["synth", "--config", str(params), "--out", str(tmp_path / "a")]) == 0
+    assert main(["synth", "--config", str(params), "--out", str(tmp_path / "b")]) == 0
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
@@ -64,7 +66,7 @@ def test_synth_default_cohort_has_12_subjects(tmp_path):
 def test_synth_zero_model_error_duplicates_truth_files(tmp_path):
     params = write_params(tmp_path, model_error_db=0.0)
     out = tmp_path / "degen"
-    assert main(["synth", "--params", str(params), "--out", str(out)]) == 0
+    assert main(["synth", "--config", str(params), "--out", str(out)]) == 0
     for subject in json.loads((out / "manifest.json").read_text())["subjects"]:
         d_true = (out / subject["d_true"]).read_bytes()
         d_model = (out / subject["d_model"]).read_bytes()
@@ -73,8 +75,8 @@ def test_synth_zero_model_error_duplicates_truth_files(tmp_path):
 
 def test_synth_seed_flag_overrides_params(tmp_path):
     params = write_params(tmp_path)
-    main(["synth", "--params", str(params), "--out", str(tmp_path / "s11")])
-    main(["synth", "--params", str(params), "--seed", "12", "--out", str(tmp_path / "s12")])
+    main(["synth", "--config", str(params), "--out", str(tmp_path / "s11")])
+    main(["synth", "--config", str(params), "--seed", "12", "--out", str(tmp_path / "s12")])
     assert tree_digest(tmp_path / "s11") != tree_digest(tmp_path / "s12")
 
 
@@ -83,15 +85,33 @@ def test_synth_seed_flag_overrides_params(tmp_path):
     ({"n_subjects": 2.5}, '"n_subjects" must be an integer, got 2.5'),
     ({"ear_ir_length": 8.5}, '"ear_ir_length" must be an integer, got 8.5'),
     ({"sample_rate_hz": 1000}, "occlusion_cutoff_hz must lie in (0, 500), got 1100"),
-], ids=["negative-seed", "n_subjects-a-float", "ear_ir_length-a-float", "cutoff-above-nyquist"])
+    ({"n_subjects": 2, "occlusion_cutoff_hz": 1e-107},
+     "occlusion_cutoff_hz 1e-107 leaves the occluded leak no energy"),
+    ({"n_subjects": 1001}, "n_subjects must be in [2, 1000]"),
+    *[({name: 513}, f"{name} must be in [8, 512], got 513")
+      for name in ("ear_ir_length", "receiver_ir_length", "coloring_ir_length")],
+], ids=["negative-seed", "n_subjects-a-float", "ear_ir_length-a-float", "cutoff-above-nyquist",
+        "leak-without-energy", "n_subjects-too-many", "ear_ir_length-too-long",
+        "receiver_ir_length-too-long", "coloring_ir_length-too-long"])
 def test_bad_synth_parameters_print_one_error_line(tmp_path, capsys, args, message):
     if isinstance(args, dict):
-        args = ["--params", str(write_params(tmp_path, **args))]
+        args = ["--config", str(write_params(tmp_path, **args))]
     before = set(tmp_path.rglob("*"))
     assert main(["synth", *args, "--out", str(tmp_path / "never")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert set(tmp_path.rglob("*")) == before
+
+
+def test_resonance_centers_above_nyquist_are_capped(tmp_path):
+    # Without the cap on the drawn centers, this cohort overflowed in the biquad cascade.
+    band = {"center_hz": [15983.26, 29999.0], "quality": [0.1, 0.1], "gain_db": [-40, -10]}
+    config = write_params(tmp_path, n_subjects=4, seed=824, sample_rate_hz=44100,
+                          resonance_bands=[band])
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
+    data = load_manifest(tmp_path / "c" / "manifest.json")
+    for ear in [*data.ears, data.dummy]:
+        assert all(np.all(np.isfinite(r.samples)) for r in ear.responses().values())
 
 
 # --- design ----------------------------------------------------------------------
@@ -213,11 +233,9 @@ SYNTH_CAPS = {"n_subjects": 4, "ear_ir_length": 512, "receiver_ir_length": 512,
 
 
 @given(synth=st.fixed_dictionaries({"n_subjects": st.integers(1, 4)}, optional=SYNTH_VALUES),
-       junk=st.none() | st.tuples(st.sampled_from(["n_subjects", *SYNTH_VALUES, "typo"]), JSON),
-       via_params=st.booleans())
+       junk=st.none() | st.tuples(st.sampled_from(["n_subjects", *SYNTH_VALUES, "typo"]), JSON))
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_synth_section_fuzz_exits_0_or_prints_one_error_line(synth, junk, via_params,
-                                                            tmp_path_factory):
+def test_synth_section_fuzz_exits_0_or_prints_one_error_line(synth, junk, tmp_path_factory):
     # At most one key holds an arbitrary JSON value; bare JSON integers are
     # unbounded, so the cohort size and the lengths are capped to stay small.
     if junk is not None:
@@ -226,9 +244,8 @@ def test_synth_section_fuzz_exits_0_or_prints_one_error_line(synth, junk, via_pa
         synth[key] = min(value, SYNTH_CAPS[key]) if capped else value
     root = tmp_path_factory.getbasetemp()
     path = root / "fuzz_synth.json"
-    path.write_text(json.dumps(synth if via_params else {"cohort": {"synth": synth}}))
-    flag = "--params" if via_params else "--config"
-    _exits_0_or_prints_one_error_line(["synth", flag, str(path),
+    path.write_text(json.dumps({"cohort": {"synth": synth}}))
+    _exits_0_or_prints_one_error_line(["synth", "--config", str(path),
                                        "--out", str(root / "fuzz_cohort")])
 
 
@@ -375,7 +392,7 @@ def test_experiment_config_file_with_flag_override(tmp_path, small_manifest):
 
 def test_synth_rate_from_config(tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"rate": 8000, "cohort": {"synth": {"n_subjects": 2}}}))
+    config.write_text(json.dumps({"cohort": {"synth": {"n_subjects": 2, "sample_rate_hz": 8000}}}))
     out = tmp_path / "r8k"
     assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -458,7 +475,7 @@ def _config(data):
 
 @pytest.mark.parametrize("make_args, message", [
     (_malformed_config, "invalid config file"),
-    (_config({"rate": "abc"}), "\"rate\" must be an integer"),
+    (_config({"rate": 8000}), "unknown key 'rate' in the config"),
     (_config({"cohort": {"synth": "x"}}), "\"cohort.synth\" must be an object"),
     (_config({"cohort": {"synth": [1]}}), "\"cohort.synth\" must be an object"),
     (_config({"cohort": {"manifest": 5}}), "\"cohort.manifest\" must be a string"),
@@ -500,7 +517,13 @@ def _config(data):
     (_config({"design": {"weighting": {"mode": "fir", "taps": [1]}}}),
      "unknown key 'taps' in \"weighting\""),
     (_config({"workers": 2}), "unknown key 'workers' in the config"),
-], ids=["malformed-config", "rate-not-an-integer", "synth-a-string", "synth-a-list",
+    (lambda tmp_path, manifest: ["--seed", "3", "--manifest", str(tmp_path / "no-manifest.json")],
+     "--seed sets the seed of a synthesized cohort; it cannot go with a manifest"),
+    (lambda tmp_path, manifest: ["--seed", "3", *_config({"cohort": {"manifest": str(manifest)}})(
+        tmp_path, manifest)], "--seed sets the seed of a synthesized cohort"),
+    (_config({"cohort": {"manifest": "m.json", "synth": {"n_subjects": 2}}}),
+     '"cohort" holds both "manifest" and "synth"'),
+], ids=["malformed-config", "rate-key", "synth-a-string", "synth-a-list",
         "manifest-a-number", "cohort-a-string", "delay-a-bool", "conditions-a-string",
         "condition-a-list", "delays-a-number", "design-a-string",
         "weighting-a-string", "fir_taps-a-string", "L_a-a-float", "L_a-a-bool",
@@ -508,7 +531,8 @@ def _config(data):
         "duplicate-id", "id-of-dummy", "id-a-list", "id-escapes-out", "rate-a-float",
         "rate-a-bool", "rate-a-string", "unknown-condition", "negative-delay",
         "delay-too-long", "config-d_G-too-long", "unknown-design-key", "unknown-top-level-key",
-        "unknown-cohort-key", "unknown-weighting-key", "workers-key"])
+        "unknown-cohort-key", "unknown-weighting-key", "workers-key", "seed-with-manifest",
+        "seed-with-config-manifest", "manifest-and-synth"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
     out = tmp_path / "never"
@@ -520,6 +544,14 @@ def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, ca
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not out.exists()
     assert set(tmp_path.rglob("*")) == before
+
+
+def test_manifest_flag_overrides_a_config_synth_section(tmp_path, small_manifest):
+    # The synthesized cohort would have no ear02, so only the manifest's cohort can pass.
+    config = write_params(tmp_path, n_subjects=2)
+    assert main(["design", "--config", str(config), "--manifest", str(small_manifest),
+                 "--subject", "ear02", "--condition", "Optimal",
+                 "--out", str(tmp_path / "f.json")]) == 0
 
 
 def test_design_rejects_an_unknown_config_key_before_the_cohort_loads(tmp_path, capsys):
@@ -630,6 +662,17 @@ def test_evaluate_rejects_filter_values_of_the_wrong_type(tmp_path, small_manife
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: ") and f'"{key}" must be' in err[0]
+
+
+def test_evaluate_rejects_a_filter_with_an_unknown_key(tmp_path, small_manifest, capsys):
+    data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0))
+    filter_path = tmp_path / "extra.json"
+    filter_path.write_text(json.dumps({**data, "condition": "Optimal"}))
+    rc = main(["evaluate", "--manifest", str(small_manifest), "--subject", "ear00",
+               "--filter", str(filter_path), "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and not (tmp_path / "e").exists()
+    assert len(err) == 1 and "unknown key 'condition' in the filter" in err[0]
 
 
 def test_evaluate_missing_filter_fails_cleanly(tmp_path, degenerate_manifest, capsys):
@@ -843,11 +886,18 @@ def test_exclude_subject_is_checked_against_the_manifest_ids(tmp_path, small_man
     (["evaluate", "--subject", "ear00"], "the following arguments are required: --filter"),
     (["evaluate", "--subject", "ear00", "--filter", "f.json", "--condition", "Optimal"],
      "unrecognized arguments: --condition Optimal"),
+    (["synth", "--exclude-subject", "ear01"], "unrecognized arguments: --exclude-subject ear01"),
+    (["synth", "--params", "p.json"], "unrecognized arguments: --params p.json"),
+    (["evaluate", "--subject", "ear00", "--filter", "f.json", "--exclude-subject", "ear01"],
+     "unrecognized arguments: --exclude-subject ear01"),
+    (["design", "--manifest", "m.json", "--seed", "99", "--subject", "ear00",
+      "--condition", "Optimal"], "--seed sets the seed of a synthesized cohort"),
 ], ids=["no-command", "unknown-command", "synth-misspelt", "synth-missing-value",
         "synth-not-an-int", "design-misspelt", "design-missing-condition",
         "design-bad-condition", "experiment-misspelt", "experiment-missing-value",
         "experiment-bad-delays", "evaluate-misspelt", "evaluate-missing-filter",
-        "evaluate-no-condition-flag"])
+        "evaluate-no-condition-flag", "synth-exclude-subject", "synth-params",
+        "evaluate-exclude-subject", "design-seed-with-manifest"])
 def test_argument_errors_print_one_error_line(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "never")] if argv else argv) == 1
     captured = capsys.readouterr()
@@ -863,3 +913,17 @@ def test_help_exits_0(capsys, command):
         main([*command, "--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: eqforge")
+
+
+@pytest.mark.parametrize("command, options", [
+    ("synth", ["--config", "--out", "--seed"]),
+    ("design", ["--config", "--out", "--seed", "--manifest", "--exclude-subject", "--lambda",
+                "--filter-length", "--lead", "--subject", "--condition", "--delay"]),
+    ("experiment", ["--config", "--out", "--seed", "--manifest", "--exclude-subject",
+                    "--lambda", "--filter-length", "--lead", "--conditions", "--delays"]),
+    ("evaluate", ["--config", "--out", "--seed", "--manifest", "--subject", "--filter"]),
+])
+def test_each_command_lists_only_its_options(capsys, command, options):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert sorted(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)) == sorted(options)
