@@ -9,7 +9,6 @@ synthetic cohorts.
 from .cohort import (
     CohortData,
     EarDataset,
-    ResonanceBand,
     SynthCohortParams,
     load_manifest,
     save_cohort,

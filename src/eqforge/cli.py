@@ -84,7 +84,11 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
             if {"manifest", "synth"} <= config.get("cohort", {}).keys():
                 raise ValueError('"cohort" holds both "manifest" and "synth"; give one')
     # Parsed now, so that a bad design key fails before the cohort loads.
-    config["design"] = config_from_json(config.get("design", {}))
+    design = config.get("design", {})
+    config["design"] = config_from_json(design)
+    if "delays" in args and "d_G" in design:
+        raise CliError('"design.d_G" is for `design` only; an experiment takes its delays '
+                       'from "delays" or --delays')
     if args.seed is not None and "manifest" in args and _manifest(args, config) is not None:
         raise CliError("--seed sets the seed of a synthesized cohort; it cannot go with a manifest")
     return config
@@ -147,6 +151,9 @@ def _apply_exclusion(data: cohort_mod.CohortData, exclude: str | None) -> cohort
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    if "manifest" in config.get("cohort", {}):
+        raise CliError('`synth` synthesizes a cohort from "cohort.synth"; '
+                       'it cannot take "cohort.manifest"')
     params = _synth_params(args, config)
     out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     ears = cohort_mod.synth_cohort(params)

@@ -6,7 +6,11 @@ of real ear acoustics at desk scale: a mild outer path to the device
 microphone, an individual open-canal coloring on top of it, a strongly
 attenuated low-pass leak for the occluded path, and an individual
 receiver-to-eardrum response together with its in-ear and model-based
-estimates (perturbed copies of the truth).
+estimates (perturbed copies of the truth). Only the cohort size, the seed
+and the errors of the two estimates are parameters; the acoustics are fixed
+conventions: 16 kHz, four canal resonance bands, responses of 160 (microphone
+path), 128 (receiver paths) and 64 (coloring) samples, and an occluded leak
+34 +/- 2 dB below the open path, low-passed at 1.1 kHz.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from typing import Any
 import numpy as np
 
 from .design import json_typed, known_keys
-from .rtf import MAX_RTF_LENGTH, RelativeTransferEstimate, default_rtf_length, estimate_average
+from .rtf import RelativeTransferEstimate, default_rtf_length, estimate_average
 from .signals import (
+    DEFAULT_SAMPLE_RATE_HZ,
     ImpulseResponse,
     convolve,
     load_impulse,
@@ -36,64 +41,39 @@ RESPONSE_KEYS = ("h_m", "h_open", "h_occ", "d_true", "d_inear", "d_model")
 # microphone sits 6 samples from the source with a mild broad resonance, the
 # eardrum a further 2 samples behind it (constant across ears, so the
 # transfer-function ratios differ spectrally but stay time-aligned and
-# average cleanly), and the open-canal coloring reuses the cohort resonance
+# average cleanly), and the open-canal coloring reuses the canal resonance
 # bands at reduced gain so the ratios vary less across ears than the
-# receiver paths do.
+# receiver paths do. A band is the (low, high) draw range of its
+# (center_hz, quality, gain_db).
 _MIC_DELAY = 6
 _MIC_BAND = ((2500.0, 5000.0), (0.8, 1.6), (0.5, 3.0))
+_CANAL_BANDS = (
+    ((450.0, 1800.0), (1.0, 2.5), (6.0, 16.0)),
+    ((1300.0, 4800.0), (2.0, 5.0), (16.0, 30.0)),
+    ((2500.0, 5600.0), (2.0, 5.0), (8.0, 20.0)),
+    ((4400.0, 7000.0), (2.0, 5.0), (10.0, 24.0)),
+)
+_CANAL_DELAY_RANGE = (1, 4)
 _COLORING_DELAY = 2
 _COLORING_GAIN_SCALE = 0.4
+_OCCLUSION_DEPTH_DB = 34.0
 _OCCLUSION_JITTER_DB = 2.0
+_OCCLUSION_CUTOFF_HZ = 1100.0
+_EAR_IR_LENGTH = 160
+_RECEIVER_IR_LENGTH = 128
+_COLORING_IR_LENGTH = 64
 _ENERGY_BAND_HZ = (100.0, 8000.0)
 
 
 @dataclass(frozen=True)
-class ResonanceBand:
-    """Per-ear draw ranges for one resonance: (low, high) of each parameter."""
-
-    center_hz: tuple[float, float]
-    quality: tuple[float, float]
-    gain_db: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        for name, (lo, hi) in (
-            ("center_hz", self.center_hz),
-            ("quality", self.quality),
-            ("gain_db", self.gain_db),
-        ):
-            if not -math.inf < lo <= hi < math.inf:
-                raise ValueError(f"{name} range is inverted or not finite: ({lo}, {hi})")
-        if self.center_hz[0] <= 0 or self.quality[0] <= 0:
-            raise ValueError("center_hz and quality must be positive")
-
-
-DEFAULT_RESONANCE_BANDS = (
-    ResonanceBand(center_hz=(450.0, 1800.0), quality=(1.0, 2.5), gain_db=(6.0, 16.0)),
-    ResonanceBand(center_hz=(1300.0, 4800.0), quality=(2.0, 5.0), gain_db=(16.0, 30.0)),
-    ResonanceBand(center_hz=(2500.0, 5600.0), quality=(2.0, 5.0), gain_db=(8.0, 20.0)),
-    ResonanceBand(center_hz=(4400.0, 7000.0), quality=(2.0, 5.0), gain_db=(10.0, 24.0)),
-)
-
-
-@dataclass(frozen=True)
 class SynthCohortParams:
-    """Knobs of the synthetic cohort generator; defaults suit 16 kHz material.
-
-    A drawn resonance center above 0.9 times the Nyquist frequency is capped there.
-    """
+    """Knobs of the synthetic cohort generator: cohort size, seed, and the
+    errors (dB) of the in-ear and model-based estimates of d_true."""
 
     n_subjects: int = 12
     seed: int = 42
-    sample_rate_hz: int = 16000
-    resonance_bands: tuple[ResonanceBand, ...] = DEFAULT_RESONANCE_BANDS
-    canal_delay_range: tuple[int, int] = (1, 4)
     inear_mismatch_db: float = 6.0
     model_error_db: float = 1.0
-    occlusion_depth_db: float = 34.0
-    occlusion_cutoff_hz: float = 1100.0
-    ear_ir_length: int = 160
-    receiver_ir_length: int = 128
-    coloring_ir_length: int = 64
 
     def __post_init__(self) -> None:
         if not 2 <= self.n_subjects <= 1000:
@@ -101,26 +81,9 @@ class SynthCohortParams:
                              f"got {self.n_subjects}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if not 0 < self.occlusion_cutoff_hz < self.sample_rate_hz / 2:
-            raise ValueError(f"occlusion_cutoff_hz must lie in (0, {self.sample_rate_hz / 2:g}), "
-                             f"got {self.occlusion_cutoff_hz}")
-        if not self.resonance_bands:
-            raise ValueError("at least one resonance band is required")
-        lo, hi = self.canal_delay_range
-        if not 0 <= lo <= hi < self.receiver_ir_length:
-            raise ValueError(f"canal_delay_range is invalid: ({lo}, {hi})")
         if not 0 <= self.model_error_db < self.inear_mismatch_db < math.inf:
             raise ValueError("need 0 <= model_error_db < inear_mismatch_db < inf, got "
                              f"{self.model_error_db} and {self.inear_mismatch_db}")
-        if not 0 < self.occlusion_depth_db < math.inf:
-            raise ValueError("occlusion_depth_db must be positive and finite, "
-                             f"got {self.occlusion_depth_db}")
-        for name in ("ear_ir_length", "receiver_ir_length", "coloring_ir_length"):
-            if not 8 <= getattr(self, name) <= MAX_RTF_LENGTH:
-                raise ValueError(f"{name} must be in [8, {MAX_RTF_LENGTH}], "
-                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +146,10 @@ class _Draws:
         return int(self._rng.integers(lo, hi + 1))
 
 
-def _peaking_sos(center_hz: float, q: float, gain_db: float, rate: int) -> np.ndarray:
+def _peaking_sos(center_hz: float, q: float, gain_db: float) -> np.ndarray:
     """RBJ peaking-EQ biquad section, normalized to a0 = 1."""
     amp = 10.0 ** (gain_db / 40.0)
-    w0 = 2.0 * np.pi * center_hz / rate
+    w0 = 2.0 * np.pi * center_hz / DEFAULT_SAMPLE_RATE_HZ
     alpha = np.sin(w0) / (2.0 * q)
     cos_w0 = np.cos(w0)
     b = np.array([1.0 + alpha * amp, -2.0 * cos_w0, 1.0 - alpha * amp])
@@ -194,25 +157,18 @@ def _peaking_sos(center_hz: float, q: float, gain_db: float, rate: int) -> np.nd
     return np.concatenate([b, a]) / a[0]
 
 
-def _resonator_ir(
-    resonances: list[tuple[float, float, float]],
-    delay: int,
-    length: int,
-    rate: int,
-) -> ImpulseResponse:
+def _resonator_ir(resonances: list[tuple[float, float, float]], delay: int,
+                  length: int) -> ImpulseResponse:
     """Impulse response of a peaking-biquad cascade (centers capped) behind an integer delay."""
     from scipy.signal import sosfilt  # imported here: it is most of the package's import time
 
     impulse = np.zeros(length)
     impulse[0] = 1.0
-    if resonances:
-        cap_hz = 0.9 * (rate / 2.0)  # 0.9 times the Nyquist frequency
-        sos = np.stack([_peaking_sos(min(f, cap_hz), q, g, rate) for f, q, g in resonances])
-        shaped = sosfilt(sos, impulse)
-    else:
-        shaped = impulse
-    samples = np.concatenate([np.zeros(delay), shaped])[:length]
-    return ImpulseResponse(samples, rate)
+    # A large inear_mismatch_db can shift a center past Nyquist, where the cascade overflows.
+    cap_hz = 0.9 * (DEFAULT_SAMPLE_RATE_HZ / 2.0)  # 0.9 times the Nyquist frequency
+    sos = np.stack([_peaking_sos(min(f, cap_hz), q, g) for f, q, g in resonances])
+    samples = np.concatenate([np.zeros(delay), sosfilt(sos, impulse)])[:length]
+    return ImpulseResponse(samples, DEFAULT_SAMPLE_RATE_HZ)
 
 
 def _band_energy(h: ImpulseResponse) -> float:
@@ -224,20 +180,13 @@ def _band_energy(h: ImpulseResponse) -> float:
     return float(np.sum(linear * linear))
 
 
-def _occluded_leak(
-    h_open: ImpulseResponse, depth_db: float, cutoff_hz: float
-) -> ImpulseResponse:
+def _occluded_leak(h_open: ImpulseResponse, depth_db: float) -> ImpulseResponse:
     """Low-pass leak of the open path, scaled `depth_db` below it in band energy."""
     from scipy.signal import butter, sosfilt
 
-    sos = butter(2, cutoff_hz, fs=h_open.sample_rate_hz, btype="low", output="sos")
+    sos = butter(2, _OCCLUSION_CUTOFF_HZ, fs=h_open.sample_rate_hz, btype="low", output="sos")
     leak = ImpulseResponse(sosfilt(sos, h_open.samples), h_open.sample_rate_hz)
-    leak_energy = _band_energy(leak)
-    ratio = _band_energy(h_open) / leak_energy if leak_energy > 0 else math.inf
-    if not math.isfinite(ratio):
-        raise ValueError(f"occlusion_cutoff_hz {cutoff_hz:g} leaves the occluded leak no energy "
-                         f"in the {_ENERGY_BAND_HZ[0]:g}-{_ENERGY_BAND_HZ[1]:g} Hz band")
-    scale = 10.0 ** (-depth_db / 20.0) * np.sqrt(ratio)
+    scale = 10.0 ** (-depth_db / 20.0) * np.sqrt(_band_energy(h_open) / _band_energy(leak))
     return ImpulseResponse(leak.samples * scale, h_open.sample_rate_hz)
 
 
@@ -249,46 +198,36 @@ def _perturbed(resonances: list[tuple[float, float, float]],
 
 
 def _build_ear(subject_id: str, draws: _Draws, params: SynthCohortParams) -> EarDataset:
-    rate = params.sample_rate_hz
-
     # Draw order is fixed; reordering would silently reshuffle every cohort.
-    canal_delay = draws.integer(*params.canal_delay_range)
-    canal = [
-        (draws.uniform(*band.center_hz), draws.uniform(*band.quality), draws.uniform(*band.gain_db))
-        for band in params.resonance_bands
-    ]
+    canal_delay = draws.integer(*_CANAL_DELAY_RANGE)
+    canal = [tuple(draws.uniform(*r) for r in band) for band in _CANAL_BANDS]
     inear_shifts = [
         (draws.uniform(-params.inear_mismatch_db, params.inear_mismatch_db),
          draws.uniform(-params.inear_mismatch_db, params.inear_mismatch_db))
-        for _ in params.resonance_bands
+        for _ in _CANAL_BANDS
     ]
     model_shifts = [
         (draws.uniform(-params.model_error_db, params.model_error_db),
          draws.uniform(-params.model_error_db, params.model_error_db))
-        for _ in params.resonance_bands
+        for _ in _CANAL_BANDS
     ]
-    mic = [(draws.uniform(*_MIC_BAND[0]), draws.uniform(*_MIC_BAND[1]),
-            draws.uniform(*_MIC_BAND[2]))]
+    mic = [tuple(draws.uniform(*r) for r in _MIC_BAND)]
     coloring = [
-        (draws.uniform(*band.center_hz), draws.uniform(*band.quality),
-         _COLORING_GAIN_SCALE * draws.uniform(*band.gain_db))
-        for band in params.resonance_bands
+        (draws.uniform(*center), draws.uniform(*quality),
+         _COLORING_GAIN_SCALE * draws.uniform(*gain))
+        for center, quality, gain in _CANAL_BANDS
     ]
-    occlusion_depth = params.occlusion_depth_db + draws.uniform(
+    occlusion_depth = _OCCLUSION_DEPTH_DB + draws.uniform(
         -_OCCLUSION_JITTER_DB, _OCCLUSION_JITTER_DB
     )
 
-    d_true = _resonator_ir(canal, canal_delay, params.receiver_ir_length, rate)
-    d_inear = _resonator_ir(
-        _perturbed(canal, inear_shifts), canal_delay, params.receiver_ir_length, rate
-    )
-    d_model = _resonator_ir(
-        _perturbed(canal, model_shifts), canal_delay, params.receiver_ir_length, rate
-    )
-    h_m = _resonator_ir(mic, _MIC_DELAY, params.ear_ir_length, rate)
-    open_coloring = _resonator_ir(coloring, _COLORING_DELAY, params.coloring_ir_length, rate)
+    d_true = _resonator_ir(canal, canal_delay, _RECEIVER_IR_LENGTH)
+    d_inear = _resonator_ir(_perturbed(canal, inear_shifts), canal_delay, _RECEIVER_IR_LENGTH)
+    d_model = _resonator_ir(_perturbed(canal, model_shifts), canal_delay, _RECEIVER_IR_LENGTH)
+    h_m = _resonator_ir(mic, _MIC_DELAY, _EAR_IR_LENGTH)
+    open_coloring = _resonator_ir(coloring, _COLORING_DELAY, _COLORING_IR_LENGTH)
     h_open = convolve(h_m, open_coloring)
-    h_occ = _occluded_leak(h_open, occlusion_depth, params.occlusion_cutoff_hz)
+    h_occ = _occluded_leak(h_open, occlusion_depth)
 
     return EarDataset(
         subject_id=subject_id,
@@ -380,36 +319,15 @@ class CohortData:
         return self._rtfs[key]
 
 
-def _json_pair(key: str, value: Any, kind: type | tuple[type, ...], what: str) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f'"{key}" must be {what}, got {value!r}')
-    return tuple(json_typed(key, v, kind, what) for v in value)
-
-
-def _band_from_json(band: Any) -> ResonanceBand:
-    json_typed("resonance_bands", band, dict, "a list of objects")
-    return ResonanceBand(**{
-        name: _json_pair(name, band.get(name), (int, float), "a pair of numbers")
-        for name in ("center_hz", "quality", "gain_db")})
-
-
 def params_from_json(data: dict) -> SynthCohortParams:
     """Generator parameters from their JSON form; a wrong type or unknown key is a ValueError."""
     known_keys('"cohort.synth"', data, (f.name for f in fields(SynthCohortParams)))
     kwargs: dict[str, Any] = {}
     for f in fields(SynthCohortParams):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        if f.name == "resonance_bands":
-            bands = json_typed(f.name, value, (list, tuple), "a list of objects")
-            kwargs[f.name] = tuple(_band_from_json(band) for band in bands)
-        elif f.name == "canal_delay_range":
-            kwargs[f.name] = _json_pair(f.name, value, int, "a pair of integers")
-        elif isinstance(f.default, int):
-            kwargs[f.name] = json_typed(f.name, value, int, "an integer")
-        else:
-            kwargs[f.name] = json_typed(f.name, value, (int, float), "a number")
+        if f.name in data:
+            integer = isinstance(f.default, int)
+            kwargs[f.name] = json_typed(f.name, data[f.name], int if integer else (int, float),
+                                        "an integer" if integer else "a number")
     return SynthCohortParams(**kwargs)
 
 

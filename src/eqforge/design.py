@@ -29,6 +29,8 @@ class WeightingSpec:
             if not self.fir_taps:
                 raise ValueError("fir weighting requires nonempty fir_taps")
             object.__setattr__(self, "fir_taps", tuple(float(t) for t in self.fir_taps))
+        elif self.fir_taps is not None:
+            raise ValueError(f"fir_taps need mode 'fir', got mode {self.mode!r}")
 
 
 @dataclass(frozen=True)

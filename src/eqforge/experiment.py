@@ -14,7 +14,7 @@ import numpy as np
 from .cohort import CohortData
 from .conditions import condition_named, run_condition
 from .design import EqDesignConfig, filter_to_json
-from .metrics import ConditionReport, rank_conditions
+from .metrics import EVALUATION_BAND_HZ, ConditionReport, rank_conditions
 
 log = logging.getLogger("eqforge.experiment")
 
@@ -139,6 +139,11 @@ def run_experiment(
     specs = [condition_named(name) for name in conditions]
     # Every ear, the dummy's too, is read now: a bad file fails the run, not a cell.
     ears, _ = cohort.ears, cohort.dummy
+    for ear in ears:
+        if ear.sample_rate_hz / 2 < EVALUATION_BAND_HZ[1]:
+            raise ValueError(f"{ear.subject_id}: a cohort at {ear.sample_rate_hz} Hz cannot be "
+                             f"scored: the {EVALUATION_BAND_HZ[0]:g}-{EVALUATION_BAND_HZ[1]:g} Hz "
+                             f"evaluation band needs at least {2 * EVALUATION_BAND_HZ[1]:g} Hz")
     out_dir = Path(out_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)

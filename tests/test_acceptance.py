@@ -209,7 +209,7 @@ def test_criterion_7_muted_device_identity():
     cohort = synth_cohort(params)
     cfg = EqDesignConfig(device_delay=96)
     muted = EqFilter(np.zeros(cfg.filter_length), cfg, 0.0, 0.0)
-    g = device_gain(96, params.sample_rate_hz)
+    g = device_gain(96, cohort[0].sample_rate_hz)
     exact = all(
         np.array_equal(
             aided_response(ear, g, muted).samples,

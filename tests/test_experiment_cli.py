@@ -38,13 +38,15 @@ def tree_digest(root):
     return digest.hexdigest()
 
 
+def write_config(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
 def write_params(tmp_path, **overrides):
     """A config file whose `cohort.synth` is a 3-ear cohort at seed 11, updated by `overrides`."""
-    data = {"n_subjects": 3, "seed": 11}
-    data.update(overrides)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"cohort": {"synth": data}}))
-    return path
+    return write_config(tmp_path, {"cohort": {"synth": {"n_subjects": 3, "seed": 11, **overrides}}})
 
 
 # --- synth -----------------------------------------------------------------------
@@ -80,22 +82,25 @@ def test_synth_seed_flag_overrides_params(tmp_path):
     assert tree_digest(tmp_path / "s11") != tree_digest(tmp_path / "s12")
 
 
+REMOVED_SYNTH_KEYS = ("sample_rate_hz", "resonance_bands", "canal_delay_range",
+                      "occlusion_depth_db", "occlusion_cutoff_hz", "ear_ir_length",
+                      "receiver_ir_length", "coloring_ir_length")
+
+
 @pytest.mark.parametrize("args, message", [
     (["--seed", "-1"], "seed must be nonnegative, got -1"),
     ({"n_subjects": 2.5}, '"n_subjects" must be an integer, got 2.5'),
-    ({"ear_ir_length": 8.5}, '"ear_ir_length" must be an integer, got 8.5'),
-    ({"sample_rate_hz": 1000}, "occlusion_cutoff_hz must lie in (0, 500), got 1100"),
-    ({"n_subjects": 2, "occlusion_cutoff_hz": 1e-107},
-     "occlusion_cutoff_hz 1e-107 leaves the occluded leak no energy"),
     ({"n_subjects": 1001}, "n_subjects must be in [2, 1000]"),
-    *[({name: 513}, f"{name} must be in [8, 512], got 513")
-      for name in ("ear_ir_length", "receiver_ir_length", "coloring_ir_length")],
-], ids=["negative-seed", "n_subjects-a-float", "ear_ir_length-a-float", "cutoff-above-nyquist",
-        "leak-without-energy", "n_subjects-too-many", "ear_ir_length-too-long",
-        "receiver_ir_length-too-long", "coloring_ir_length-too-long"])
+    (lambda tmp_path: ["--config", str(write_config(tmp_path, {"cohort": {"manifest": "m.json"}}))],
+     '`synth` synthesizes a cohort from "cohort.synth"; it cannot take "cohort.manifest"'),
+    *[({key: 1}, f'unknown key {key!r} in "cohort.synth"') for key in REMOVED_SYNTH_KEYS],
+], ids=["negative-seed", "n_subjects-a-float", "n_subjects-too-many", "synth-with-manifest",
+        *[f"removed-{key}" for key in REMOVED_SYNTH_KEYS]])
 def test_bad_synth_parameters_print_one_error_line(tmp_path, capsys, args, message):
     if isinstance(args, dict):
         args = ["--config", str(write_params(tmp_path, **args))]
+    elif callable(args):
+        args = args(tmp_path)
     before = set(tmp_path.rglob("*"))
     assert main(["synth", *args, "--out", str(tmp_path / "never")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -103,15 +108,11 @@ def test_bad_synth_parameters_print_one_error_line(tmp_path, capsys, args, messa
     assert set(tmp_path.rglob("*")) == before
 
 
-def test_resonance_centers_above_nyquist_are_capped(tmp_path):
-    # Without the cap on the drawn centers, this cohort overflowed in the biquad cascade.
-    band = {"center_hz": [15983.26, 29999.0], "quality": [0.1, 0.1], "gain_db": [-40, -10]}
-    config = write_params(tmp_path, n_subjects=4, seed=824, sample_rate_hz=44100,
-                          resonance_bands=[band])
-    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
-    data = load_manifest(tmp_path / "c" / "manifest.json")
-    for ear in [*data.ears, data.dummy]:
-        assert all(np.all(np.isfinite(r.samples)) for r in ear.responses().values())
+def test_resonance_centers_above_nyquist_are_capped():
+    # A large inear_mismatch_db shifts centers past Nyquist, where the uncapped cascade overflows.
+    above = cohort_mod._resonator_ir([(20000.0, 0.5, 12.0)], 2, 128)
+    at_cap = cohort_mod._resonator_ir([(7200.0, 0.5, 12.0)], 2, 128)
+    assert np.array_equal(above.samples, at_cap.samples)
 
 
 # --- design ----------------------------------------------------------------------
@@ -208,28 +209,15 @@ def test_design_section_fuzz_exits_0_or_prints_one_error_line(
     assert (rc, err) == (0, []) or (rc == 1 and len(err) == 1 and err[0].startswith("error: "))
 
 
-def _pair(low, high):
-    return st.lists(st.floats(low, high), min_size=2, max_size=2).map(sorted)
-
-
 # Values in or near each synth parameter's range. The cohort size is always
 # given, since its default of 12 ears would make the fuzz slow.
 SYNTH_VALUES = {
     "seed": st.integers(-2, 2**64),
-    "sample_rate_hz": st.sampled_from([0, 1000, 8000, 16000, 44100]),
-    "resonance_bands": st.lists(st.fixed_dictionaries({
-        "center_hz": _pair(1.0, 30000.0), "quality": _pair(0.1, 10.0),
-        "gain_db": _pair(-40.0, 60.0)}), max_size=3),
-    "canal_delay_range": st.lists(st.integers(-2, 140), min_size=2, max_size=2).map(sorted),
     "inear_mismatch_db": st.floats(-1.0, 12.0),
     "model_error_db": st.floats(-1.0, 12.0),
-    "occlusion_depth_db": st.floats(-1.0, 400.0),
-    "occlusion_cutoff_hz": st.floats(-1.0, 25000.0),
-    **{f"{name}_ir_length": st.integers(-2, 512) for name in ("ear", "receiver", "coloring")},
 }
 
-SYNTH_CAPS = {"n_subjects": 4, "ear_ir_length": 512, "receiver_ir_length": 512,
-              "coloring_ir_length": 512}
+SYNTH_CAPS = {"n_subjects": 4}
 
 
 @given(synth=st.fixed_dictionaries({"n_subjects": st.integers(1, 4)}, optional=SYNTH_VALUES),
@@ -237,7 +225,7 @@ SYNTH_CAPS = {"n_subjects": 4, "ear_ir_length": 512, "receiver_ir_length": 512,
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_synth_section_fuzz_exits_0_or_prints_one_error_line(synth, junk, tmp_path_factory):
     # At most one key holds an arbitrary JSON value; bare JSON integers are
-    # unbounded, so the cohort size and the lengths are capped to stay small.
+    # unbounded, so the cohort size is capped to stay small.
     if junk is not None:
         key, value = junk
         capped = key in SYNTH_CAPS and type(value) is int
@@ -390,15 +378,6 @@ def test_experiment_config_file_with_flag_override(tmp_path, small_manifest):
     assert run["filter"]["L_a"] == 40  # config beat the default
 
 
-def test_synth_rate_from_config(tmp_path):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"cohort": {"synth": {"n_subjects": 2, "sample_rate_hz": 8000}}}))
-    out = tmp_path / "r8k"
-    assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["sample_rate_hz"] == 8000
-
-
 def test_experiment_exclude_subject(tmp_path, small_manifest):
     out = tmp_path / "excl"
     assert main([
@@ -488,6 +467,8 @@ def _config(data):
     (_config({"design": {"weighting": "x"}}), "\"weighting\" must be an object"),
     (_config({"design": {"weighting": {"mode": "fir", "fir_taps": "12"}}}),
      "\"fir_taps\" must be a list of numbers"),
+    (_config({"design": {"weighting": {"fir_taps": [1, -1]}}}),
+     "fir_taps need mode 'fir', got mode 'identity'"),
     (_config({"design": {"L_a": 99.7}}), "\"L_a\" must be an integer, got 99.7"),
     (_config({"design": {"L_a": True}}), "\"L_a\" must be an integer, got True"),
     (_config({"design": {"L_a": 10**9}}), "filter_length must be in [1, 512]"),
@@ -511,6 +492,10 @@ def _config(data):
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "16,513"],
      "device_delay must be in [0, 512], got 513"),
     (_config({"design": {"d_G": 513}}), "device_delay must be in [0, 512], got 513"),
+    (_config({"design": {"d_G": 5}}), 'takes its delays from "delays" or --delays'),
+    (lambda tmp_path, manifest: _manifest_variant(
+        tmp_path, manifest, lambda d: d.update(sample_rate_hz=8000)),
+     "a cohort at 8000 Hz cannot be scored: the 100-7000 Hz evaluation band"),
     (_config({"design": {"lamda": 50}}), "unknown key 'lamda' in \"design\""),
     (_config({"desing": {"L_a": 40}, "delays": [3]}), "unknown key 'desing' in the config"),
     (_config({"cohort": {"manifets": "m.json"}}), "unknown key 'manifets' in \"cohort\""),
@@ -526,13 +511,14 @@ def _config(data):
 ], ids=["malformed-config", "rate-key", "synth-a-string", "synth-a-list",
         "manifest-a-number", "cohort-a-string", "delay-a-bool", "conditions-a-string",
         "condition-a-list", "delays-a-number", "design-a-string",
-        "weighting-a-string", "fir_taps-a-string", "L_a-a-float", "L_a-a-bool",
-        "L_a-too-long", "lambda-a-string", "lambda-infinite", "entry-without-h_m",
+        "weighting-a-string", "fir_taps-a-string", "fir_taps-without-fir-mode", "L_a-a-float",
+        "L_a-a-bool", "L_a-too-long", "lambda-a-string", "lambda-infinite", "entry-without-h_m",
         "duplicate-id", "id-of-dummy", "id-a-list", "id-escapes-out", "rate-a-float",
         "rate-a-bool", "rate-a-string", "unknown-condition", "negative-delay",
-        "delay-too-long", "config-d_G-too-long", "unknown-design-key", "unknown-top-level-key",
-        "unknown-cohort-key", "unknown-weighting-key", "workers-key", "seed-with-manifest",
-        "seed-with-config-manifest", "manifest-and-synth"])
+        "delay-too-long", "config-d_G-too-long", "config-d_G", "rate-below-14-khz",
+        "unknown-design-key", "unknown-top-level-key", "unknown-cohort-key",
+        "unknown-weighting-key", "workers-key", "seed-with-manifest", "seed-with-config-manifest",
+        "manifest-and-synth"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
     out = tmp_path / "never"
