@@ -52,7 +52,6 @@ from .rtf import (
 from .signals import (
     ImpulseResponse,
     MagnitudeResponse,
-    SampleRateMismatch,
     convolution_matrix,
     convolve,
     magnitude_response,

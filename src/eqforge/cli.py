@@ -41,10 +41,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _setup_logging() -> None:
-    level_name = os.environ.get("EQFORGE_LOG", "warning").lower()
-    level = {"debug": logging.DEBUG, "info": logging.INFO,
-             "warning": logging.WARNING, "error": logging.ERROR}.get(level_name, logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("EQFORGE_LOG", "warning")
+    if level.lower() not in ("debug", "info", "warning", "error"):
+        raise CliError(f"EQFORGE_LOG must be one of debug, info, warning, error, got {level!r}")
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
 
 
 @contextlib.contextmanager
@@ -269,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     try:
+        _setup_logging()
         args = build_parser().parse_args(argv)
         # Overflow and invalid arithmetic (from absurd input values) raise
         # FloatingPointError instead of warning and writing non-finite reports.

@@ -10,7 +10,9 @@ estimates (perturbed copies of the truth). Only the cohort size, the seed
 and the errors of the two estimates are parameters; the acoustics are fixed
 conventions: 16 kHz, four canal resonance bands, responses of 160 (microphone
 path), 128 (receiver paths) and 64 (coloring) samples, and an occluded leak
-34 +/- 2 dB below the open path, low-passed at 1.1 kHz.
+34 +/- 2 dB below the open path, low-passed at 1.1 kHz. The generator needs
+numpy only: every cascade runs in `_sos_filter`, which reproduces scipy's
+`sosfilt` bit for bit, and the leak's Butterworth section is a constant.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ _COLORING_GAIN_SCALE = 0.4
 _OCCLUSION_DEPTH_DB = 34.0
 _OCCLUSION_JITTER_DB = 2.0
 _OCCLUSION_CUTOFF_HZ = 1100.0
+# The second-order Butterworth low-pass at the cutoff, exactly as scipy's `butter(2,
+# _OCCLUSION_CUTOFF_HZ, fs=DEFAULT_SAMPLE_RATE_HZ, output="sos")` returns it: both inputs
+# are fixed, and the closed-form bilinear section differs from it by a few ulps.
+_OCCLUSION_SOS = np.array([[0.035437574812034106, 0.07087514962406821, 0.035437574812034106,
+                            1.0, -1.4014153548558694, 0.5431656541040057]])
 _EAR_IR_LENGTH = 160
 _RECEIVER_IR_LENGTH = 128
 _COLORING_IR_LENGTH = 64
@@ -146,6 +153,22 @@ class _Draws:
         return int(self._rng.integers(lo, hi + 1))
 
 
+def _sos_filter(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cascade of second-order sections (a0 = 1) from rest, in transposed direct form II.
+
+    Each section runs over the whole signal with the operations in the order of
+    scipy's `sosfilt`, so the output matches it bit for bit.
+    """
+    y = x.tolist()
+    for b0, b1, b2, _, a1, a2 in sos.tolist():
+        z0 = z1 = 0.0
+        for n, xn in enumerate(y):
+            y[n] = yn = b0 * xn + z0
+            z0 = b1 * xn - a1 * yn + z1
+            z1 = b2 * xn - a2 * yn
+    return np.array(y)
+
+
 def _peaking_sos(center_hz: float, q: float, gain_db: float) -> np.ndarray:
     """RBJ peaking-EQ biquad section, normalized to a0 = 1."""
     amp = 10.0 ** (gain_db / 40.0)
@@ -160,14 +183,12 @@ def _peaking_sos(center_hz: float, q: float, gain_db: float) -> np.ndarray:
 def _resonator_ir(resonances: list[tuple[float, float, float]], delay: int,
                   length: int) -> ImpulseResponse:
     """Impulse response of a peaking-biquad cascade (centers capped) behind an integer delay."""
-    from scipy.signal import sosfilt  # imported here: it is most of the package's import time
-
     impulse = np.zeros(length)
     impulse[0] = 1.0
     # A large inear_mismatch_db can shift a center past Nyquist, where the cascade overflows.
     cap_hz = 0.9 * (DEFAULT_SAMPLE_RATE_HZ / 2.0)  # 0.9 times the Nyquist frequency
     sos = np.stack([_peaking_sos(min(f, cap_hz), q, g) for f, q, g in resonances])
-    samples = np.concatenate([np.zeros(delay), sosfilt(sos, impulse)])[:length]
+    samples = np.concatenate([np.zeros(delay), _sos_filter(sos, impulse)])[:length]
     return ImpulseResponse(samples, DEFAULT_SAMPLE_RATE_HZ)
 
 
@@ -182,10 +203,7 @@ def _band_energy(h: ImpulseResponse) -> float:
 
 def _occluded_leak(h_open: ImpulseResponse, depth_db: float) -> ImpulseResponse:
     """Low-pass leak of the open path, scaled `depth_db` below it in band energy."""
-    from scipy.signal import butter, sosfilt
-
-    sos = butter(2, _OCCLUSION_CUTOFF_HZ, fs=h_open.sample_rate_hz, btype="low", output="sos")
-    leak = ImpulseResponse(sosfilt(sos, h_open.samples), h_open.sample_rate_hz)
+    leak = ImpulseResponse(_sos_filter(_OCCLUSION_SOS, h_open.samples), h_open.sample_rate_hz)
     scale = 10.0 ** (-depth_db / 20.0) * np.sqrt(_band_energy(h_open) / _band_energy(leak))
     return ImpulseResponse(leak.samples * scale, h_open.sample_rate_hz)
 

@@ -7,15 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-from scipy.io import wavfile
 
 DEFAULT_SAMPLE_RATE_HZ = 16000
 DEFAULT_N_FFT = 4096
 DB_FLOOR = -200.0
-
-
-class SampleRateMismatch(ValueError):
-    """Raised when responses with different sample rates are combined."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +72,7 @@ def zero_extend(values: np.ndarray, length: int) -> np.ndarray:
 def convolve(a: ImpulseResponse, b: ImpulseResponse) -> ImpulseResponse:
     """Full linear convolution of two responses at a common sample rate."""
     if a.sample_rate_hz != b.sample_rate_hz:
-        raise SampleRateMismatch(
+        raise ValueError(
             f"cannot convolve responses at {a.sample_rate_hz} Hz and {b.sample_rate_hz} Hz"
         )
     return ImpulseResponse(np.convolve(a.samples, b.samples), a.sample_rate_hz)
@@ -135,8 +130,8 @@ def magnitude_response(h: ImpulseResponse, n_fft: int = DEFAULT_N_FFT) -> Magnit
 
 
 # ---------------------------------------------------------------------------
-# File I/O: one-column CSV (17 significant digits, bit-exact round trip) and
-# single-channel WAV at the configured rate.
+# File I/O: one-column CSV (17 significant digits, bit-exact round trip), and
+# reading single-channel WAV at the configured rate.
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "sample"
@@ -160,16 +155,14 @@ def read_impulse_csv(path: str | Path, sample_rate_hz: int) -> ImpulseResponse:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def write_impulse_wav(h: ImpulseResponse, path: str | Path) -> None:
-    wavfile.write(str(path), h.sample_rate_hz, h.samples.astype(np.float64))
-
-
 def read_impulse_wav(path: str | Path, expected_rate_hz: int | None = None) -> ImpulseResponse:
+    from scipy.io import wavfile  # imported here, so that reading CSVs never loads scipy.io
+
     rate, data = wavfile.read(str(path))
     if data.ndim != 1:
         raise ValueError(f"{path}: expected a single-channel file, got {data.shape[1]} channels")
     if expected_rate_hz is not None and rate != expected_rate_hz:
-        raise SampleRateMismatch(f"{path}: file rate {rate} Hz, expected {expected_rate_hz} Hz")
+        raise ValueError(f"{path}: file rate {rate} Hz, expected {expected_rate_hz} Hz")
     if np.issubdtype(data.dtype, np.integer):
         data = data / float(np.iinfo(data.dtype).max)
     return ImpulseResponse(np.asarray(data, dtype=np.float64), int(rate))

@@ -106,6 +106,26 @@ def test_all_responses_are_nonzero_and_uniform_rate():
             assert np.any(resp.samples)
 
 
+@pytest.mark.parametrize("kind", ["impulse", "noise"])
+def test_sos_filter_matches_scipy_sosfilt_bit_for_bit(kind):
+    from scipy.signal import sosfilt
+
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        sos = np.stack([cohort_mod._peaking_sos(rng.uniform(50.0, 7200.0), rng.uniform(0.5, 6.0),
+                                                rng.uniform(-30.0, 30.0)) for _ in range(4)])
+        x = rng.standard_normal(160) if kind == "noise" else np.eye(1, 160)[0]
+        assert np.array_equal(cohort_mod._sos_filter(sos, x), sosfilt(sos, x))
+
+
+def test_occlusion_section_is_scipys_butterworth_low_pass():
+    from scipy.signal import butter
+
+    want = butter(2, cohort_mod._OCCLUSION_CUTOFF_HZ, fs=cohort_mod.DEFAULT_SAMPLE_RATE_HZ,
+                  btype="low", output="sos")
+    assert np.array_equal(cohort_mod._OCCLUSION_SOS, want)
+
+
 # --- EarDataset -------------------------------------------------------------------
 
 def test_ear_dataset_rejects_mixed_rates():
@@ -203,10 +223,25 @@ def test_manifest_ears_are_read_once_on_first_use(tmp_path, monkeypatch):
         data.ear("ghost")
 
 
-def test_importing_the_cli_leaves_scipy_signal_unloaded():
-    # scipy.signal is most of the package's import time, and only the synthesizer uses it.
+def test_a_csv_cli_session_leaves_scipy_signal_stats_and_io_unloaded(tmp_path):
+    # scipy.signal (with scipy.stats) was most of the package's import time, and scipy.io
+    # serves only WAV reads: synth, design and evaluate on a CSV manifest load none of them.
     src = str(Path(cohort_mod.__file__).resolve().parents[1])
-    code = "import sys, eqforge.cli; print('scipy.signal' in sys.modules)"
+    code = f"""
+import json, sys
+from pathlib import Path
+from eqforge.cli import main
+out = Path({str(tmp_path)!r})
+Path(out / "c.json").write_text(json.dumps({{"cohort": {{"synth": {{"n_subjects": 3}}}}}}))
+m = str(out / "cohort" / "manifest.json")
+assert main(["synth", "--config", str(out / "c.json"), "--out", str(out / "cohort")]) == 0
+assert main(["design", "--manifest", m, "--subject", "ear01", "--condition", "PracticalOptimal",
+             "--out", str(out / "f.json")]) == 0
+assert main(["evaluate", "--manifest", m, "--subject", "ear01", "--filter", str(out / "f.json"),
+             "--out", str(out / "eval")]) == 0
+print([name for name in ("scipy.signal", "scipy.stats", "scipy.io") if name in sys.modules])
+"""
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert len(list((tmp_path / "eval").glob("eval_ear01__dG*.json"))) == 1

@@ -58,6 +58,13 @@ def test_synth_is_idempotent(tmp_path):
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
+def test_synth_seed_42_ears_are_pinned(tmp_path):
+    # Digest of the seed-42 ear CSVs, recorded while scipy's sosfilt and butter built them.
+    assert main(["synth", "--seed", "42", "--out", str(tmp_path)]) == 0
+    assert tree_digest(tmp_path / "ears") == (
+        "128de75bdd8b44c937cc0111c14562a93df6458510a349c736970b57eadc327c")
+
+
 def test_synth_default_cohort_has_12_subjects(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "c")]) == 0
     manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
@@ -891,6 +898,18 @@ def test_argument_errors_print_one_error_line(tmp_path, capsys, argv, message):
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unknown_eqforge_log_value_is_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EQFORGE_LOG", "verbose")
+    assert main(["synth", "--seed", "3", "--out", str(tmp_path / "d")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: EQFORGE_LOG must be one of debug, info, warning, error, got 'verbose'"]
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    monkeypatch.setenv("EQFORGE_LOG", "INFO")
+    params = write_params(tmp_path)
+    assert main(["synth", "--config", str(params), "--out", str(tmp_path / "d")]) == 0
 
 
 @pytest.mark.parametrize("command", [[], ["synth"], ["design"], ["experiment"], ["evaluate"]])

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from scipy.io import wavfile
 
 from eqforge.signals import (
     DB_FLOOR,
     ImpulseResponse,
-    SampleRateMismatch,
     convolution_matrix,
     convolve,
     load_impulse,
@@ -15,7 +15,6 @@ from eqforge.signals import (
     read_impulse_wav,
     unit_delay,
     write_impulse_csv,
-    write_impulse_wav,
     zero_pad_leading,
 )
 from conftest import RATE, make_ir
@@ -80,7 +79,7 @@ def test_convolve_matches_bruteforce(rng):
 
 
 def test_convolve_rejects_rate_mismatch():
-    with pytest.raises(SampleRateMismatch):
+    with pytest.raises(ValueError, match="cannot convolve responses at 16000 Hz and 48000 Hz"):
         convolve(make_ir([1.0], 16000), make_ir([1.0], 48000))
 
 
@@ -263,16 +262,16 @@ def test_csv_reads_one_value_per_line(tmp_path):
 def test_wav_round_trip(tmp_path, rng):
     h = make_ir(rng.standard_normal(64))
     path = tmp_path / "h.wav"
-    write_impulse_wav(h, path)
+    wavfile.write(path, RATE, h.samples)
     back = read_impulse_wav(path, expected_rate_hz=RATE)
     assert np.array_equal(back.samples, h.samples)
-    with pytest.raises(SampleRateMismatch):
+    with pytest.raises(ValueError, match=f"file rate {RATE} Hz, expected 8000 Hz"):
         read_impulse_wav(path, expected_rate_hz=8000)
 
 
 def test_load_impulse_dispatches_on_suffix(tmp_path, rng):
     h = make_ir(rng.standard_normal(16))
     write_impulse_csv(h, tmp_path / "h.csv")
-    write_impulse_wav(h, tmp_path / "h.wav")
+    wavfile.write(tmp_path / "h.wav", RATE, h.samples)
     assert np.array_equal(load_impulse(tmp_path / "h.csv", RATE).samples, h.samples)
     assert np.array_equal(load_impulse(tmp_path / "h.wav", RATE).samples, h.samples)
