@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from typing import Any, NoReturn
 
@@ -187,8 +188,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = _design_config(args, config)
     conditions = list(_pick(args.conditions, config.get("conditions"), CONDITION_NAMES))
     delays = list(_pick(args.delays, config.get("delays"), DEFAULT_DELAYS))
-    if not conditions or not delays:
-        raise CliError("need at least one condition and one delay")
     for name in conditions:
         condition_named(json_typed("conditions", name, str, "a list of names"))
     for delay in delays:
@@ -199,6 +198,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         result = run_experiment(data, conditions, delays, cfg, out_dir)
     except OSError as exc:
         raise CliError(f"cannot write reports under {out_dir}: {exc}") from exc
+    except BrokenExecutor as exc:  # a grid process was killed, by the OOM killer say
+        raise CliError(f"the grid under {out_dir} stopped: {exc}") from exc
     print(f"{len(result.runs)} runs ok, {len(result.failures)} failed -> {out_dir}")
     return 0 if result.ok else 1
 

@@ -403,7 +403,10 @@ def load_manifest(path: str | Path) -> CohortData:
     rate = json_typed("sample_rate_hz", data["sample_rate_hz"], int, "an integer")
     if rate <= 0:
         raise ValueError(f'"sample_rate_hz" must be positive, got {rate}')
-    entries = data["subjects"] + ([data["dummy"]] if "dummy" in data else [])
+    subjects = json_typed("subjects", data["subjects"], list, "a nonempty list")
+    if not subjects:
+        raise ValueError('"subjects" must be a nonempty list, got []')
+    entries = subjects + ([data["dummy"]] if "dummy" in data else [])
     ids = [_checked_entry(entry, path.parent) for entry in entries]
     by_id = dict(zip(ids, entries))
 
@@ -412,5 +415,5 @@ def load_manifest(path: str | Path) -> CohortData:
                      for k, v in by_id[sid].items() if k in RESPONSE_KEYS}
         return EarDataset(sid, **responses)
 
-    return CohortData(tuple(ids[:len(data["subjects"])]),
+    return CohortData(tuple(ids[:len(subjects)]),
                       ids[-1] if "dummy" in data else None, read_ear)

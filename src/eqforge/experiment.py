@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,6 +119,18 @@ def _write_summaries(result: ExperimentResult, delays: list[int], out_dir: Path)
         "\n".join(["d_G,rank,condition,mean_lsd_db,sd_lsd_db", *ranking]) + "\n")
 
 
+_adopted_share = None  # in a pool child: the parent's `run_share`, inherited, not pickled
+
+
+def _adopt(run_share) -> None:
+    global _adopted_share
+    _adopted_share = run_share
+
+
+def _run_adopted(subject_ids: list[str]) -> dict[str, ExperimentResult]:
+    return _adopted_share(subject_ids)
+
+
 def run_experiment(
     cohort: CohortData,
     conditions: list[str],
@@ -127,15 +140,22 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every (subject, condition, delay) cell and write all report files.
 
-    Each cell's run files are written as soon as it is scored, and only its
-    `RunRecord` is kept for the summaries. Individual cell failures are
-    recorded and do not abort the grid. Output is a pure function of the
-    inputs: rerunning overwrites every file with identical bytes, and run
+    The ears are dealt round-robin to one process per usable CPU (one with a
+    single CPU or ear, or without `fork`), and each process writes a cell's
+    run files as soon as it is scored, keeping only its `RunRecord` for the
+    summaries. Individual cell failures are recorded and do not abort the
+    grid. Output is a pure function of the inputs, whatever the process
+    count: rerunning overwrites every file with identical bytes, and run
     files under ``runs/`` that this grid did not write (left by an earlier,
     larger grid) are deleted.
     """
-    if not conditions or not delays:
-        raise ValueError("need at least one condition and one delay")
+    for what, values in (("condition", conditions), ("delay", delays),
+                         ("subject", cohort.subject_ids)):
+        if not values:
+            raise ValueError(f"need at least one {what}")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{what} {repeated[0]!r} is given more than once")
     specs = [condition_named(name) for name in conditions]
     # Every ear, the dummy's too, is read now: a bad file fails the run, not a cell.
     ears, _ = cohort.ears, cohort.dummy
@@ -148,27 +168,46 @@ def run_experiment(
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
-    result = ExperimentResult()
-    written = set()
-    for ear in ears:
-        memo: dict = {}  # the grid is ear-major, so an ear's columns are not needed again
-        for spec in specs:
-            for delay in delays:
-                cfg = dataclasses.replace(design, device_delay=delay)
-                try:
-                    report = run_condition(cohort, ear.subject_id, spec, cfg)
-                except Exception as exc:
-                    failure = RunFailure(ear.subject_id, spec.name, delay,
-                                         f"{type(exc).__name__}: {exc}")
-                    log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
-                    result.failures.append(failure)
-                    continue
-                name = f"{ear.subject_id}__{spec.name}__dG{delay}"
-                write_report(report, runs_dir, name, f"runs/{name}.csv", memo)
-                written.add(name)
-                result.runs.append(RunRecord(ear.subject_id, spec.name, delay, report.lsd_db))
+    def run_share(subject_ids: list[str]) -> dict[str, ExperimentResult]:
+        by_ear = {}
+        for sid in subject_ids:
+            memo: dict = {}  # the grid is ear-major, so an ear's columns are not needed again
+            by_ear[sid] = result = ExperimentResult()
+            for spec in specs:
+                for delay in delays:
+                    cfg = dataclasses.replace(design, device_delay=delay)
+                    try:
+                        report = run_condition(cohort, sid, spec, cfg)
+                    except Exception as exc:
+                        failure = RunFailure(sid, spec.name, delay, f"{type(exc).__name__}: {exc}")
+                        log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
+                        result.failures.append(failure)
+                        continue
+                    name = f"{sid}__{spec.name}__dG{delay}"
+                    write_report(report, runs_dir, name, f"runs/{name}.csv", memo)
+                    result.runs.append(RunRecord(sid, spec.name, delay, report.lsd_db))
+        return by_ear
 
-    _prune_stale_runs(runs_dir, written)
+    ids = [ear.subject_id for ear in ears]
+    w = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(ids))
+    if w > 1:
+        import multiprocessing  # here, so that a command that never forks does not import it
+        from concurrent.futures import ProcessPoolExecutor
+    if w > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # A killed child breaks the executor, where multiprocessing.Pool would wait forever.
+        # The parent runs share 0 itself, so what it records (a trace, say) covers those ears.
+        with ProcessPoolExecutor(w - 1, multiprocessing.get_context("fork"), _adopt,
+                                 (run_share,)) as pool:
+            pending = [pool.submit(_run_adopted, ids[i::w]) for i in range(1, w)]
+            by_ear = run_share(ids[::w])
+            for share in pending:
+                by_ear.update(share.result())
+    else:
+        by_ear = run_share(ids)
+    result = ExperimentResult([r for sid in ids for r in by_ear[sid].runs],
+                              [f for sid in ids for f in by_ear[sid].failures])
+    _prune_stale_runs(runs_dir, {f"{r.subject_id}__{r.condition}__dG{r.device_delay}"
+                                 for r in result.runs})
     _write_summaries(result, list(delays), out_dir)
     log.info("experiment finished: %d runs, %d failures", len(result.runs), len(result.failures))
     return result

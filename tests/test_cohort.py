@@ -224,8 +224,9 @@ def test_manifest_ears_are_read_once_on_first_use(tmp_path, monkeypatch):
 
 
 def test_a_csv_cli_session_leaves_scipy_signal_stats_and_io_unloaded(tmp_path):
-    # scipy.signal (with scipy.stats) was most of the package's import time, and scipy.io
-    # serves only WAV reads: synth, design and evaluate on a CSV manifest load none of them.
+    # scipy.signal (with scipy.stats) was most of the package's import time, scipy.io
+    # serves only WAV reads and multiprocessing only a grid that forks: synth, design and
+    # evaluate on a CSV manifest load none of them.
     src = str(Path(cohort_mod.__file__).resolve().parents[1])
     code = f"""
 import json, sys
@@ -239,7 +240,8 @@ assert main(["design", "--manifest", m, "--subject", "ear01", "--condition", "Pr
              "--out", str(out / "f.json")]) == 0
 assert main(["evaluate", "--manifest", m, "--subject", "ear01", "--filter", str(out / "f.json"),
              "--out", str(out / "eval")]) == 0
-print([name for name in ("scipy.signal", "scipy.stats", "scipy.io") if name in sys.modules])
+print([name for name in ("scipy.signal", "scipy.stats", "scipy.io", "multiprocessing")
+       if name in sys.modules])
 """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})

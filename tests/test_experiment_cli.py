@@ -1,9 +1,12 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import signal
 import warnings
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from eqforge import cohort as cohort_mod
+from eqforge import experiment
 from eqforge.cli import main
 from eqforge.cohort import (
     RESPONSE_KEYS,
@@ -24,6 +28,7 @@ from eqforge.cohort import (
     synth_dummy_ear,
 )
 from eqforge.conditions import CONDITION_NAMES, condition_named, design_for_condition
+from eqforge.conditions import run_condition
 from eqforge.design import EqDesignConfig, EqFilter, filter_from_json, filter_to_json
 from eqforge.experiment import run_experiment
 from eqforge.signals import ImpulseResponse, write_impulse_csv
@@ -451,6 +456,14 @@ def _subject_named_dummy(tmp_path, manifest):
         tmp_path, manifest, lambda d: d["subjects"][2].update(id=d["dummy"]["id"]))
 
 
+def _subjects(value):
+    def make_args(tmp_path, manifest):
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps({**json.loads(manifest.read_text()), "subjects": value}))
+        return ["--manifest", str(path)]
+    return make_args
+
+
 def _config(data):
     def make_args(tmp_path, manifest):
         config = tmp_path / "c.json"
@@ -515,6 +528,18 @@ def _config(data):
         tmp_path, manifest)], "--seed sets the seed of a synthesized cohort"),
     (_config({"cohort": {"manifest": "m.json", "synth": {"n_subjects": 2}}}),
      '"cohort" holds both "manifest" and "synth"'),
+    (lambda tmp_path, manifest: ["--manifest", str(manifest), "--conditions", "Optimal,Optimal",
+                                 "--delays", "0,0"], "condition 'Optimal' is given more than once"),
+    (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "0,16,0"],
+     "delay 0 is given more than once"),
+    (_config({"conditions": ["GenericDH", "Optimal", "GenericDH"]}),
+     "condition 'GenericDH' is given more than once"),
+    (_config({"conditions": []}), "need at least one condition"),
+    (lambda tmp_path, manifest: [*_manifest_variant(
+        tmp_path, manifest, lambda d: d.update(subjects=d["subjects"][:1])),
+        "--exclude-subject", "ear00"], "need at least one subject"),
+    (_subjects([]), '"subjects" must be a nonempty list, got []'),
+    (_subjects({}), '"subjects" must be a nonempty list, got {}'),
 ], ids=["malformed-config", "rate-key", "synth-a-string", "synth-a-list",
         "manifest-a-number", "cohort-a-string", "delay-a-bool", "conditions-a-string",
         "condition-a-list", "delays-a-number", "design-a-string",
@@ -525,7 +550,8 @@ def _config(data):
         "delay-too-long", "config-d_G-too-long", "config-d_G", "rate-below-14-khz",
         "unknown-design-key", "unknown-top-level-key", "unknown-cohort-key",
         "unknown-weighting-key", "workers-key", "seed-with-manifest", "seed-with-config-manifest",
-        "manifest-and-synth"])
+        "manifest-and-synth", "repeated-condition", "repeated-delay", "config-repeated-condition",
+        "config-no-condition", "no-subject-left", "subjects-empty", "subjects-an-object"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
     out = tmp_path / "never"
@@ -582,6 +608,61 @@ def test_run_experiment_rejects_empty_requests(small_manifest, tmp_path):
         run_experiment(data, [], [0], EqDesignConfig(), tmp_path / "x")
     with pytest.raises(ValueError):
         run_experiment(data, ["Optimal"], [], EqDesignConfig(), tmp_path / "y")
+
+
+@pytest.mark.parametrize("cpus, n_subjects", [(1, 3), (4, 1)], ids=["one-cpu", "one-ear"])
+def test_a_one_process_grid_creates_no_pool(tmp_path, small_manifest, monkeypatch, cpus,
+                                            n_subjects):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    manifest = _manifest_variant(tmp_path, small_manifest,
+                                 lambda d: d.update(subjects=d["subjects"][:n_subjects]))
+    out = tmp_path / "exp"
+    assert main(["experiment", *manifest, "--conditions", "Optimal,NaiveInEar", "--delays", "0",
+                 "--out", str(out)]) == 0
+    assert len(list((out / "runs").glob("*.csv"))) == 2 * n_subjects
+
+
+def test_a_write_error_in_a_forked_share_is_one_error_line(tmp_path, small_manifest, capsys,
+                                                           monkeypatch):
+    write = experiment.write_report
+
+    def write_or_fail(report, out_dir, name, csv_ref, memo):
+        if report.subject_id == "ear01":  # the second share's ear with two processes
+            raise PermissionError(13, "Permission denied", str(out_dir / f"{name}.csv"))
+        write(report, out_dir, name, csv_ref, memo)
+
+    monkeypatch.setattr(experiment, "write_report", write_or_fail)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "exp"
+    rc = main(["experiment", "--manifest", str(small_manifest), "--conditions", "Optimal",
+               "--delays", "0", "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1
+    assert err[0].startswith(f"error: cannot write reports under {out}: [Errno 13]")
+    assert "ear01__Optimal__dG0.csv" in err[0]
+    assert not (out / "summary.json").exists()
+
+
+def test_a_killed_grid_process_is_one_error_line(tmp_path, small_manifest, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def killed(cohort, subject_id, cond, config):
+        if subject_id == "ear01" and os.getpid() != parent:  # the child's share
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_condition(cohort, subject_id, cond, config)
+
+    monkeypatch.setattr(experiment, "run_condition", killed)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "exp"
+    rc = main(["experiment", "--manifest", str(small_manifest), "--conditions", "Optimal",
+               "--delays", "0", "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1
+    assert err[0].startswith(f"error: the grid under {out} stopped: A process in the process pool")
 
 
 # --- evaluate ----------------------------------------------------------------------

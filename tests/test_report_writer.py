@@ -1,5 +1,6 @@
 """The run-report writer: byte-identical to a row-at-a-time formatter, streamed per cell."""
 
+import concurrent.futures
 import dataclasses
 import json
 
@@ -103,3 +104,66 @@ def test_one_failing_cell_leaves_every_other_cell_written(floor_cohort, tmp_path
                       for ext in ("csv", "json") if (e.subject_id, c, d) != failing)
     assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == expected
     assert len(result.runs) == len(expected) // 2
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Force the usable CPU count; the returned list records each pool's process count."""
+    pools = []
+    make_pool = concurrent.futures.ProcessPoolExecutor
+
+    def counted(max_workers, *args, **kwargs):
+        pools.append(max_workers)
+        return make_pool(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+
+    def force(n):
+        monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(n)))
+        return pools
+    return force
+
+
+def tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_the_grid_tree_is_byte_identical_at_every_process_count(floor_cohort, tmp_path, cpus):
+    trees = []
+    for n in (1, 2, 3):
+        pools = cpus(n)
+        result = run_experiment(CohortData.of(floor_cohort), CONDITIONS, DELAYS, EqDesignConfig(),
+                                tmp_path / f"cpus{n}")
+        assert result.ok and pools == ([n - 1] if n > 1 else [])
+        pools.clear()
+        trees.append(tree(tmp_path / f"cpus{n}"))
+    assert len(trees[0]) == 3 + 2 * len(floor_cohort) * len(CONDITIONS) * len(DELAYS)
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+
+
+def test_failures_in_a_forked_share_are_reported_in_ear_order(floor_cohort, tmp_path,
+                                                              monkeypatch, cpus):
+    # With two processes the parent runs f0 and f2, the child f1.
+    failing = [("f1", "NaiveInEar", 16), ("f2", "Optimal", 0)]
+
+    def run_or_fail(cohort, subject_id, cond, config):
+        if (subject_id, cond.name, config.device_delay) in failing:
+            raise RuntimeError("planted failure")
+        return run_condition(cohort, subject_id, cond, config)
+
+    monkeypatch.setattr(experiment, "run_condition", run_or_fail)
+    pools = cpus(2)
+    result = run_experiment(CohortData.of(floor_cohort), CONDITIONS, DELAYS, EqDesignConfig(),
+                            tmp_path)
+    assert pools == [1]
+    assert [(f.subject_id, f.condition, f.device_delay) for f in result.failures] == failing
+    cells = [(e.subject_id, c, d) for e in floor_cohort for c in CONDITIONS for d in DELAYS]
+    assert [(r.subject_id, r.condition, r.device_delay) for r in result.runs] == [
+        cell for cell in cells if cell not in failing]
+    expected = sorted(f"{s}__{c}__dG{d}.{ext}" for s, c, d in cells if (s, c, d) not in failing
+                      for ext in ("csv", "json"))
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == expected
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [(f["subject_id"], f["condition"], f["device_delay"])
+            for f in summary["failures"]] == failing
