@@ -201,7 +201,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     except BrokenExecutor as exc:  # a grid process was killed, by the OOM killer say
         raise CliError(f"the grid under {out_dir} stopped: {exc}") from exc
     print(f"{len(result.runs)} runs ok, {len(result.failures)} failed -> {out_dir}")
-    return 0 if result.ok else 1
+    return 1 if result.failures else 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -281,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
         # A path or value quoted in the message may hold a line break.
         print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -72,9 +72,8 @@ class EqFilter:
     def __post_init__(self) -> None:
         coeffs = np.array(self.coefficients, dtype=np.float64, copy=True)
         if coeffs.ndim != 1 or coeffs.size != self.config.filter_length:
-            raise ValueError(
-                f"expected {self.config.filter_length} coefficients, got shape {coeffs.shape}"
-            )
+            raise ValueError(f"expected {self.config.filter_length} coefficients, "
+                             f"got shape {coeffs.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must all be finite")
         coeffs.flags.writeable = False
@@ -89,11 +88,8 @@ def weighting_taps(spec: WeightingSpec) -> np.ndarray:
     return np.asarray(spec.fir_taps if spec.mode == "fir" else (1.0,), dtype=np.float64)
 
 
-def build_target(
-    r_open: RelativeTransferEstimate,
-    r_occ: RelativeTransferEstimate,
-    device_delay: int,
-) -> np.ndarray:
+def build_target(r_open: RelativeTransferEstimate, r_occ: RelativeTransferEstimate,
+                 device_delay: int) -> np.ndarray:
     """Equalization target: open-ear RTF minus the device-inverted occluded RTF.
 
     The device processing is a pure delay of `device_delay` samples, so
@@ -101,9 +97,8 @@ def build_target(
     samples and zero-fills the tail.
     """
     if r_open.acausal_lead != r_occ.acausal_lead:
-        raise ValueError(
-            f"incompatible acausal leads: {r_open.acausal_lead} vs {r_occ.acausal_lead}"
-        )
+        raise ValueError(f"incompatible acausal leads: {r_open.acausal_lead} vs "
+                         f"{r_occ.acausal_lead}")
     if device_delay < 0:
         raise ValueError(f"device_delay must be nonnegative, got {device_delay}")
     occ = r_occ.coefficients
@@ -113,46 +108,28 @@ def build_target(
     return zero_extend(r_open.coefficients, n) - zero_extend(inverted, n)
 
 
-def design_filter(
-    d_hat: ImpulseResponse, target: np.ndarray, config: EqDesignConfig
-) -> EqFilter:
-    """Solve the regularized least-squares equalizer design.
-
-    Minimizes ``|D a - t|^2 + lam * |W a|^2`` with D the full convolution
-    matrix of the receiver-to-eardrum estimate `d_hat`, over the common
-    support of D's rows and the target (shorter side zero-extended).
-
-    Raises SingularSystemError (naming the condition estimate) when lam = 0
-    and the normal matrix is numerically singular.
-    """
+def design_filter(d_hat: ImpulseResponse, target: np.ndarray, config: EqDesignConfig) -> EqFilter:
+    """The design of `design_filter_pooled` over one ear."""
     return design_filter_pooled([d_hat], [target], config)
 
 
-def design_filter_pooled(
-    d_hats: list[ImpulseResponse],
-    targets: list[np.ndarray],
-    config: EqDesignConfig,
-) -> EqFilter:
-    """One filter minimizing the summed design costs over several ears.
+def design_filter_pooled(d_hats: list[ImpulseResponse], targets: list[np.ndarray],
+                         config: EqDesignConfig, *, memo: dict | None = None) -> EqFilter:
+    """One filter minimizing the summed regularized least-squares costs over several ears.
 
-    Each ear contributes its own plant/target residual and one copy of the
-    regularization penalty, so the pooled normal matrix carries the penalty
-    scaled by the number of pooled ears.
+    Ear k costs ``|D_k a - t_k|^2 + lam * |W a|^2``, with D_k the full
+    convolution matrix of its receiver-to-eardrum estimate, over the common
+    support of D_k's rows and its target (shorter side zero-extended). Raises
+    SingularSystemError, naming the condition estimate, when the pooled
+    normal matrix is numerically singular. A `memo` dict keeps the Gram
+    factors for later designs that pass the same dict.
     """
-    solution = solve_pooled(
-        d_hats, targets, config.filter_length,
-        lam=config.lam,
-        weight_taps=weighting_taps(config.weighting),
-        context="equalizer design",
-    )
-    return EqFilter(
-        coefficients=solution.coefficients,
-        config=config,
-        residual_norm=solution.residual_norm,
-        penalty_norm=solution.penalty_norm,
-        normal_eq_residual=solution.normal_eq_residual,
-        normal_eq_scale=solution.normal_eq_scale,
-    )
+    factors = None if memo is None else memo.setdefault("design factors", {})
+    solution = solve_pooled(d_hats, targets, config.filter_length, lam=config.lam,
+                            weight_taps=weighting_taps(config.weighting),
+                            context="equalizer design", factors=factors)
+    return EqFilter(solution.coefficients, config, solution.residual_norm, solution.penalty_norm,
+                    solution.normal_eq_residual, solution.normal_eq_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ log = logging.getLogger("eqforge.experiment")
 
 DEFAULT_DELAYS = (0, 1, 16, 96)
 _RUN_FILE = re.compile(r".+__.+__dG\d+\.(csv|json)")
+_SUMMARIES = ("summary.csv", "summary.json", "ranking.csv")
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,10 @@ class ExperimentResult:
     runs: list[RunRecord] = field(default_factory=list)
     failures: list[RunFailure] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
-
-def _formatted(values: np.ndarray, memo: dict | None = None) -> list[str]:
-    """`values` at 17 significant digits, taken from `memo` (keyed by bytes) once formatted."""
-    if memo is None:
-        return [format(x, ".17g") for x in values.tolist()]
-    key = values.tobytes()
-    if key not in memo:
-        memo[key] = _formatted(values)
-    return memo[key]
+def _formatted(values: np.ndarray) -> list[str]:
+    """`values` at 17 significant digits, as `format(x, ".17g")` writes each."""
+    return ("%.17g\n" * values.size % tuple(values.tolist())).split("\n")[:-1]
 
 
 def write_report(report: ConditionReport, out_dir: Path, name: str, csv_ref: str,
@@ -68,14 +60,15 @@ def write_report(report: ConditionReport, out_dir: Path, name: str, csv_ref: str
     `<name>.csv` holds the spectra, one row per frequency bin at 17 significant
     digits; `<name>.json` holds the scores and the filter, and names the CSV
     as `csv_ref`. The frequency, desired and occluded columns repeat across
-    reports, so their text is kept in the caller's `memo`.
+    reports, so the CSV around the aided column is kept in the caller's `memo`.
     """
-    columns = (_formatted(report.desired.frequencies_hz, memo),
-               _formatted(report.desired.magnitude_db, memo),
-               _formatted(report.aided.magnitude_db),
-               _formatted(report.occluded.magnitude_db, memo))
-    rows = "\n".join(map(",".join, zip(*columns)))
-    (out_dir / f"{name}.csv").write_text(f"frequency_hz,desired_db,aided_db,occluded_db\n{rows}\n")
+    spectra = (report.desired.frequencies_hz, report.desired.magnitude_db,
+               report.occluded.magnitude_db)
+    key = ("csv template", *(v.tobytes() for v in spectra))
+    if key not in memo:
+        rows = "".join(f"{f},{d},%.17g,{o}\n" for f, d, o in zip(*map(_formatted, spectra)))
+        memo[key] = f"frequency_hz,desired_db,aided_db,occluded_db\n{rows}".encode()
+    (out_dir / f"{name}.csv").write_bytes(memo[key] % tuple(report.aided.magnitude_db.tolist()))
     payload = {
         "subject": report.subject_id,
         "condition": report.condition,
@@ -143,11 +136,13 @@ def run_experiment(
     The ears are dealt round-robin to one process per usable CPU (one with a
     single CPU or ear, or without `fork`), and each process writes a cell's
     run files as soon as it is scored, keeping only its `RunRecord` for the
-    summaries. Individual cell failures are recorded and do not abort the
-    grid. Output is a pure function of the inputs, whatever the process
+    summaries. An ear's cells share one `run_condition` memo, dropped when
+    the ear is done. Individual cell failures are recorded and do not abort
+    the grid. Output is a pure function of the inputs, whatever the process
     count: rerunning overwrites every file with identical bytes, and run
     files under ``runs/`` that this grid did not write (left by an earlier,
-    larger grid) are deleted.
+    larger grid) are deleted. Earlier summaries are deleted before the first
+    cell, so a tree without them holds an unfinished grid.
     """
     for what, values in (("condition", conditions), ("delay", delays),
                          ("subject", cohort.subject_ids)):
@@ -167,17 +162,19 @@ def run_experiment(
     out_dir = Path(out_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
+    for name in _SUMMARIES:  # until the grid finishes, no summary disagrees with its runs
+        (out_dir / name).unlink(missing_ok=True)
 
     def run_share(subject_ids: list[str]) -> dict[str, ExperimentResult]:
         by_ear = {}
         for sid in subject_ids:
-            memo: dict = {}  # the grid is ear-major, so an ear's columns are not needed again
+            memo: dict = {}  # the ear's spectra, design factors and CSV text, dropped after it
             by_ear[sid] = result = ExperimentResult()
             for spec in specs:
                 for delay in delays:
                     cfg = dataclasses.replace(design, device_delay=delay)
                     try:
-                        report = run_condition(cohort, sid, spec, cfg)
+                        report = run_condition(cohort, sid, spec, cfg, memo=memo)
                     except Exception as exc:
                         failure = RunFailure(sid, spec.name, delay, f"{type(exc).__name__}: {exc}")
                         log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))

@@ -17,6 +17,7 @@ THIRD_OCTAVE_CENTERS_HZ = (
     1000.0, 1250.0, 1600.0, 2000.0, 2500.0, 3150.0, 4000.0, 5000.0,
     6300.0, 8000.0,
 )
+_CENTERS = np.array(THIRD_OCTAVE_CENTERS_HZ)
 _EDGE = 2.0 ** (1.0 / 6.0)
 
 
@@ -54,41 +55,35 @@ def _require_same_grid(a: MagnitudeResponse, b: MagnitudeResponse) -> None:
         raise ValueError("magnitude responses live on different frequency grids")
 
 
-def log_spectral_distance(
-    a: MagnitudeResponse,
-    b: MagnitudeResponse,
-    band: tuple[float, float] = EVALUATION_BAND_HZ,
-) -> float:
+def log_spectral_distance(a: MagnitudeResponse, b: MagnitudeResponse,
+                          band: tuple[float, float] = EVALUATION_BAND_HZ) -> float:
     """RMS dB difference between two magnitude responses inside a band."""
     _require_same_grid(a, b)
     f_lo, f_hi = band
     nyquist = float(a.frequencies_hz[-1])
     if not 0.0 < f_lo < f_hi <= nyquist:
         raise ValueError(f"band {band} must satisfy 0 < f_lo < f_hi <= {nyquist}")
-    mask = (a.frequencies_hz >= f_lo) & (a.frequencies_hz <= f_hi)
-    if not np.any(mask):
+    # The grid ascends, so the points in [f_lo, f_hi] are one index range.
+    i = np.searchsorted(a.frequencies_hz, f_lo, "left")
+    j = np.searchsorted(a.frequencies_hz, f_hi, "right")
+    if i >= j:
         raise ValueError(f"band {band} contains no grid points")
-    diff = a.magnitude_db[mask] - b.magnitude_db[mask]
+    diff = a.magnitude_db[i:j] - b.magnitude_db[i:j]
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def band_error_profile(
-    a: MagnitudeResponse, b: MagnitudeResponse
-) -> dict[float, float]:
+def band_error_profile(a: MagnitudeResponse, b: MagnitudeResponse) -> dict[float, float]:
     """Mean absolute dB difference per third-octave band (125 Hz .. 8 kHz).
 
     Bands without grid points are omitted.
     """
     _require_same_grid(a, b)
-    freqs = a.frequencies_hz
     diff = np.abs(a.magnitude_db - b.magnitude_db)
-    profile: dict[float, float] = {}
-    for center in THIRD_OCTAVE_CENTERS_HZ:
-        lo, hi = center / _EDGE, center * _EDGE
-        mask = (freqs >= lo) & (freqs < hi)
-        if np.any(mask):
-            profile[center] = float(np.mean(diff[mask]))
-    return profile
+    # The grid ascends, so the points in [lo, hi) of each band are one index range.
+    starts = np.searchsorted(a.frequencies_hz, _CENTERS / _EDGE).tolist()
+    stops = np.searchsorted(a.frequencies_hz, _CENTERS * _EDGE).tolist()
+    return {center: float(np.mean(diff[i:j]))
+            for center, i, j in zip(THIRD_OCTAVE_CENTERS_HZ, starts, stops) if i < j}
 
 
 def rank_conditions(reports: list) -> list[ConditionSummary]:

@@ -17,41 +17,47 @@ class SingularSystemError(RuntimeError):
     """A least-squares system is too ill-conditioned to solve as requested."""
 
 
-def solve_normal_equations(
-    gram: np.ndarray, rhs: np.ndarray, *, context: str = "normal equations"
-) -> np.ndarray:
+def solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, *,
+                           context: str = "normal equations") -> np.ndarray:
     """Solve ``gram @ x = rhs`` for a symmetric PSD Gram matrix by Cholesky.
 
-    Only the upper triangle is read. It is factored in packed storage
-    (``dpptrf``, ``dppcon``, ``dpptrs``), which runs on one thread at every
-    order, so the factors do not depend on the BLAS thread count as those of
-    the blocked ``dpotrf`` do from order 128 up.
-
-    The guard is LAPACK's estimate of the 1-norm condition number from the
-    Cholesky factor (``dppcon``), within a factor of n of the 2-norm value;
-    the largest on the default seed-42 grid is 1.1e5. Raises
-    SingularSystemError, naming the condition estimate, when the Gram matrix
-    or right-hand side is not finite, the Gram matrix is zero or not positive
-    definite, or the estimate exceeds CONDITION_LIMIT; raises ValueError when
-    the shapes do not match.
+    Only the upper triangle is read. Raises SingularSystemError, naming the
+    condition estimate, when the Gram matrix or right-hand side is not
+    finite, or when `cholesky_factor` refuses the Gram matrix; raises
+    ValueError when the shapes do not match.
     """
     gram = np.asarray(gram, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     n = gram.shape[0] if gram.ndim == 2 else -1
     if gram.shape != (n, n) or rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-        raise ValueError(
-            f"{context}: need a square Gram matrix and a right-hand side of as many "
-            f"rows, got shapes {gram.shape} and {rhs.shape}"
-        )
-    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
-        raise SingularSystemError(
-            f"{context}: normal equations are not finite (condition estimate nan)"
-        )
-    if not np.any(gram):
-        raise SingularSystemError(
-            f"{context}: normal matrix is identically zero (condition estimate inf)"
-        )
+        raise ValueError(f"{context}: need a square Gram matrix and a right-hand side of as "
+                         f"many rows, got shapes {gram.shape} and {rhs.shape}")
+    _require_finite(gram, rhs, context)
+    return cholesky_solve(cholesky_factor(gram, context=context), rhs)
 
+
+def _require_finite(gram: np.ndarray, rhs: np.ndarray, context: str) -> None:
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise SingularSystemError(f"{context}: normal equations are not finite "
+                                  "(condition estimate nan)")
+
+
+def cholesky_factor(gram: np.ndarray, *, context: str) -> np.ndarray:
+    """The packed upper Cholesky factor of a finite symmetric PSD Gram matrix.
+
+    It is factored in packed storage (``dpptrf``, ``dppcon``), which runs on
+    one thread at every order, so the factor does not depend on the BLAS
+    thread count as that of the blocked ``dpotrf`` does from order 128 up.
+    The guard is LAPACK's estimate of the 1-norm condition number from the
+    factor (``dppcon``), within a factor of n of the 2-norm value; the
+    largest on the default seed-42 grid is 1.1e5. Raises SingularSystemError,
+    naming the condition estimate, when the Gram matrix is zero or not
+    positive definite, or the estimate exceeds CONDITION_LIMIT.
+    """
+    if not np.any(gram):
+        raise SingularSystemError(f"{context}: normal matrix is identically zero "
+                                  "(condition estimate inf)")
+    n = gram.shape[0]
     # The upper triangle in packed column-major storage: column j of the
     # upper triangle is row j of the transpose's lower triangle.
     packed = gram.T[np.tri(n, dtype=bool)]
@@ -64,9 +70,14 @@ def solve_normal_equations(
     rcond, _ = scipy.linalg.lapack.dppcon(n, factor, np.abs(gram).sum(axis=0).max())
     cond = 1.0 / rcond if rcond > 0.0 else np.inf
     if not cond <= CONDITION_LIMIT:
-        raise SingularSystemError(
-            f"{context}: condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
+        raise SingularSystemError(f"{context}: condition estimate {cond:.3e} exceeds "
+                                  f"{CONDITION_LIMIT:.0e}")
+    return factor
+
+
+def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a `cholesky_factor` result (``dpptrs``); `rhs` holds one or more columns."""
+    n = rhs.shape[0]
     x, _ = scipy.linalg.lapack.dpptrs(n, factor, rhs.reshape(n, -1))
     return x.reshape(rhs.shape)
 
@@ -104,15 +115,9 @@ def autocorrelation(taps: np.ndarray, n: int) -> np.ndarray:
     return zero_extend(full[:n], n)
 
 
-def solve_pooled(
-    plants: Sequence[ImpulseResponse],
-    targets: Sequence[np.ndarray],
-    n_cols: int,
-    *,
-    lam: float = 0.0,
-    weight_taps: Sequence[float] = (1.0,),
-    context: str = "least squares",
-) -> PooledSolution:
+def solve_pooled(plants: Sequence[ImpulseResponse], targets: Sequence[np.ndarray], n_cols: int,
+                 *, lam: float = 0.0, weight_taps: Sequence[float] = (1.0,),
+                 context: str = "least squares", factors: dict | None = None) -> PooledSolution:
     """Minimize ``sum_k |h_k * x - t_k|^2 + lam * K * |w * x|^2`` over x of length n_cols.
 
     ``h_k * x`` is the full convolution of ``plants[k]`` with x, compared with
@@ -125,7 +130,9 @@ def solve_pooled(
     sides are cross-correlations, accumulated in list order.
 
     Normal equations that Cholesky refuses raise SingularSystemError, which
-    names the condition estimate; no other solver is tried.
+    names the condition estimate; no other solver is tried. A `factors` dict
+    keeps each accepted Gram matrix's factor, keyed by its first row, for
+    later calls that pass the same dict.
     """
     if not plants or len(plants) != len(targets):
         raise ValueError("plants and targets must be equally long and nonempty")
@@ -145,8 +152,14 @@ def solve_pooled(
     if lam_pooled > 0.0:
         first_row = first_row + lam_pooled * autocorrelation(weight_taps, n_cols)
     gram = scipy.linalg.toeplitz(first_row)
-
-    x = solve_normal_equations(gram, rhs, context=context)
+    if factors is None:
+        x = solve_normal_equations(gram, rhs, context=context)
+    else:
+        _require_finite(gram, rhs, context)
+        key = first_row.tobytes()
+        if key not in factors:  # a refused Gram matrix raises here, so it is never kept
+            factors[key] = cholesky_factor(gram, context=context)
+        x = cholesky_solve(factors[key], rhs)
 
     residual_sq = tail_sq
     gradient = np.zeros(n_cols)

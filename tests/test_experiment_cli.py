@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from eqforge import cohort as cohort_mod
-from eqforge import experiment
+from eqforge import experiment, solvers
 from eqforge.cli import main
 from eqforge.cohort import (
     RESPONSE_KEYS,
@@ -650,10 +650,10 @@ def test_a_write_error_in_a_forked_share_is_one_error_line(tmp_path, small_manif
 def test_a_killed_grid_process_is_one_error_line(tmp_path, small_manifest, capsys, monkeypatch):
     parent = os.getpid()
 
-    def killed(cohort, subject_id, cond, config):
+    def killed(cohort, subject_id, cond, config, memo):
         if subject_id == "ear01" and os.getpid() != parent:  # the child's share
             os.kill(os.getpid(), signal.SIGKILL)
-        return run_condition(cohort, subject_id, cond, config)
+        return run_condition(cohort, subject_id, cond, config, memo=memo)
 
     monkeypatch.setattr(experiment, "run_condition", killed)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -664,6 +664,59 @@ def test_a_killed_grid_process_is_one_error_line(tmp_path, small_manifest, capsy
     assert rc == 1 and len(err) == 1
     assert err[0].startswith(f"error: the grid under {out} stopped: A process in the process pool")
 
+
+
+SUMMARIES = ("summary.csv", "summary.json", "ranking.csv")
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+@pytest.mark.parametrize("planted, rc, message", [
+    (KeyboardInterrupt(), 130, "error: interrupted"),
+    (PermissionError(13, "Permission denied"), 1, "error: cannot write reports under"),
+], ids=["interrupt", "write-error"])
+def test_an_unfinished_rerun_leaves_no_summary(tmp_path, small_manifest, capsys, monkeypatch,
+                                                cpus, planted, rc, message):
+    out = tmp_path / "exp"
+    args = ["experiment", "--manifest", str(small_manifest), "--conditions", "Optimal,GenericAV",
+            "--delays", "0,16", "--out", str(out)]
+    assert main(args) == 0
+    assert all((out / name).exists() for name in SUMMARIES)
+    capsys.readouterr()
+    write = experiment.write_report
+    written = []
+
+    def fail_on_the_third(report, out_dir, name, csv_ref, memo):
+        if report.subject_id == "ear01":  # the second share's ear with two processes
+            written.append(name)
+            if len(written) == 3:
+                raise planted
+        write(report, out_dir, name, csv_ref, memo)
+
+    monkeypatch.setattr(experiment, "write_report", fail_on_the_third)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert main(args) == rc
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert not any((out / name).exists() for name in SUMMARIES)
+
+
+def test_a_grid_factors_each_design_gram_once_per_ear(small_manifest, tmp_path, monkeypatch):
+    factor = solvers.cholesky_factor
+    contexts = []
+
+    def counted(gram, *, context):
+        contexts.append(context)
+        return factor(gram, context=context)
+
+    monkeypatch.setattr(solvers, "cholesky_factor", counted)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0})
+    data = load_manifest(small_manifest)
+    result = run_experiment(data, list(CONDITION_NAMES), list(experiment.DEFAULT_DELAYS),
+                            EqDesignConfig(), tmp_path)
+    assert len(result.runs) == len(data.subject_ids) * 7 * 4 and not result.failures
+    # Per ear: d_true (Optimal, PracticalOptimal), d_inear, d_model (ModelBased,
+    # PracticalModelBased), the pooled peers and the dummy, each at every delay.
+    assert contexts.count("equalizer design") == 5 * len(data.subject_ids)
 
 # --- evaluate ----------------------------------------------------------------------
 

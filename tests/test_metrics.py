@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from eqforge.metrics import (
     THIRD_OCTAVE_CENTERS_HZ,
@@ -169,3 +171,61 @@ def test_report_rejects_negative_lsd():
     mag = flat(0.0)
     with pytest.raises(ValueError):
         ConditionReport("s", "Optimal", 0, -1.0, {}, mag, mag, mag)
+
+
+# --- band index ranges against the boolean-mask formulas -------------------------
+
+def masked_band_errors(a, b):
+    """The per-band means as one boolean mask per band selects them."""
+    freqs, diff = a.frequencies_hz, np.abs(a.magnitude_db - b.magnitude_db)
+    profile = {}
+    for center in THIRD_OCTAVE_CENTERS_HZ:
+        mask = (freqs >= center / 2.0 ** (1.0 / 6.0)) & (freqs < center * 2.0 ** (1.0 / 6.0))
+        if np.any(mask):
+            profile[center] = float(np.mean(diff[mask]))
+    return profile
+
+
+def masked_lsd(a, b, band):
+    mask = (a.frequencies_hz >= band[0]) & (a.frequencies_hz <= band[1])
+    if not np.any(mask):
+        raise ValueError("empty band")
+    diff = a.magnitude_db[mask] - b.magnitude_db[mask]
+    return float(np.sqrt(np.mean(diff * diff)))
+
+
+# Every third-octave band edge, so that drawn grids put points exactly on them.
+BAND_EDGES = sorted(c * 2.0 ** (s / 6.0) for c in THIRD_OCTAVE_CENTERS_HZ for s in (-1, 1))
+
+
+@st.composite
+def spectra_pair(draw):
+    """Two responses on one ascending grid, some band edges on it and some bands empty."""
+    edges = draw(st.lists(st.sampled_from(BAND_EDGES), max_size=12))
+    others = draw(st.lists(st.floats(1.0, 12000.0), max_size=40))
+    freqs = np.unique(np.array([0.0, *edges, *others]))
+    n = freqs.size
+    values = st.floats(-200.0, 60.0, allow_nan=False)
+    a = draw(st.lists(values, min_size=n, max_size=n))
+    b = draw(st.lists(values, min_size=n, max_size=n))
+    return MagnitudeResponse(freqs, a, 2 * n), MagnitudeResponse(freqs, b, 2 * n)
+
+
+@given(spectra_pair(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_band_ranges_match_the_boolean_masks_bit_for_bit(pair, data):
+    a, b = pair
+    assert band_error_profile(a, b) == masked_band_errors(a, b)
+    freqs = a.frequencies_hz
+    if freqs[-1] <= 0.0:
+        return
+    # Band limits on grid points hit the inclusive ends of log_spectral_distance.
+    limits = st.one_of(st.sampled_from(freqs[1:].tolist()), st.floats(0.5, float(freqs[-1])))
+    band = tuple(sorted(data.draw(st.lists(limits, min_size=2, max_size=2, unique=True))))
+    try:
+        expected = masked_lsd(a, b, band)
+    except ValueError:
+        with pytest.raises(ValueError, match="contains no grid points"):
+            log_spectral_distance(a, b, band)
+    else:
+        assert log_spectral_distance(a, b, band) == expected

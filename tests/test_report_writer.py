@@ -48,7 +48,8 @@ def floor_cohort():
 def test_grid_csvs_match_the_row_formatter_including_floor_bins(floor_cohort, tmp_path):
     result = run_experiment(CohortData.of(floor_cohort), CONDITIONS, DELAYS, EqDesignConfig(),
                             tmp_path)
-    assert result.ok and len(result.runs) == len(floor_cohort) * len(CONDITIONS) * len(DELAYS)
+    assert not result.failures and len(result.runs) == (
+        len(floor_cohort) * len(CONDITIONS) * len(DELAYS))
     fresh = CohortData.of(floor_cohort)
     for run in result.runs:
         cfg = EqDesignConfig(device_delay=run.device_delay)
@@ -90,10 +91,10 @@ def test_experiment_result_keeps_only_the_summary_fields(floor_cohort, tmp_path)
 def test_one_failing_cell_leaves_every_other_cell_written(floor_cohort, tmp_path, monkeypatch):
     failing = ("f1", "NaiveInEar", 16)
 
-    def run_or_fail(cohort, subject_id, cond, config):
+    def run_or_fail(cohort, subject_id, cond, config, memo):
         if (subject_id, cond.name, config.device_delay) == failing:
             raise RuntimeError("planted failure")
-        return run_condition(cohort, subject_id, cond, config)
+        return run_condition(cohort, subject_id, cond, config, memo=memo)
 
     monkeypatch.setattr(experiment, "run_condition", run_or_fail)
     result = run_experiment(CohortData.of(floor_cohort), CONDITIONS, DELAYS, EqDesignConfig(),
@@ -135,7 +136,7 @@ def test_the_grid_tree_is_byte_identical_at_every_process_count(floor_cohort, tm
         pools = cpus(n)
         result = run_experiment(CohortData.of(floor_cohort), CONDITIONS, DELAYS, EqDesignConfig(),
                                 tmp_path / f"cpus{n}")
-        assert result.ok and pools == ([n - 1] if n > 1 else [])
+        assert not result.failures and pools == ([n - 1] if n > 1 else [])
         pools.clear()
         trees.append(tree(tmp_path / f"cpus{n}"))
     assert len(trees[0]) == 3 + 2 * len(floor_cohort) * len(CONDITIONS) * len(DELAYS)
@@ -147,10 +148,10 @@ def test_failures_in_a_forked_share_are_reported_in_ear_order(floor_cohort, tmp_
     # With two processes the parent runs f0 and f2, the child f1.
     failing = [("f1", "NaiveInEar", 16), ("f2", "Optimal", 0)]
 
-    def run_or_fail(cohort, subject_id, cond, config):
+    def run_or_fail(cohort, subject_id, cond, config, memo):
         if (subject_id, cond.name, config.device_delay) in failing:
             raise RuntimeError("planted failure")
-        return run_condition(cohort, subject_id, cond, config)
+        return run_condition(cohort, subject_id, cond, config, memo=memo)
 
     monkeypatch.setattr(experiment, "run_condition", run_or_fail)
     pools = cpus(2)

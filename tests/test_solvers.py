@@ -123,6 +123,50 @@ def test_solution_bytes_do_not_depend_on_the_blas_thread_count():
     assert outputs[0] and outputs[0] == outputs[1]
 
 
+# --- kept factors: one factorization per Gram matrix -------------------------------
+
+def audit(solution):
+    return (solution.coefficients.tobytes(), solution.residual_norm, solution.penalty_norm,
+            solution.normal_eq_residual, solution.normal_eq_scale)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_kept_factors_give_the_same_solution_and_norms_bit_for_bit(rng, lam):
+    plants = [make_ir(rng.standard_normal(n)) for n in (30, 12, 45)]
+    kwargs = dict(lam=lam, weight_taps=(1.0, -0.5), context="equalizer design")
+    factors = {}
+    for _ in range(3):  # one Gram matrix, a new right-hand side each time
+        targets = [rng.standard_normal(rng.integers(20, 120)) for _ in plants]
+        kept = solvers.solve_pooled(plants, targets, 40, factors=factors, **kwargs)
+        assert audit(kept) == audit(solvers.solve_pooled(plants, targets, 40, **kwargs))
+    assert len(factors) == 1
+
+
+@pytest.mark.parametrize("plant, message", [
+    ([0.0, 0.0], "normal matrix is identically zero"),
+    ([1e200, -3e200, 2e200], "normal equations are not finite"),
+])
+def test_a_refused_gram_is_never_kept_and_raises_the_same_message_every_time(plant, message):
+    factors = {}
+    messages = []
+    for _ in range(2):
+        with pytest.raises(SingularSystemError, match=message) as err:
+            solvers.solve_pooled([make_ir(plant)], [np.ones(8)], 4, factors=factors)
+        messages.append(str(err.value))
+    with pytest.raises(SingularSystemError) as err:
+        solvers.solve_pooled([make_ir(plant)], [np.ones(8)], 4)
+    assert messages == [str(err.value)] * 2
+    assert factors == {}
+
+
+def test_a_kept_factor_still_refuses_a_non_finite_right_hand_side(rng):
+    plant = make_ir(rng.standard_normal(10))
+    factors = {}
+    solvers.solve_pooled([plant], [np.ones(20)], 5, factors=factors)
+    with pytest.raises(SingularSystemError, match="normal equations are not finite"):
+        solvers.solve_pooled([plant], [np.full(20, np.inf)], 5, factors=factors)
+
+
 # --- the hot path stays in scipy's LAPACK -------------------------------------------
 
 def test_estimates_and_designs_call_no_numpy_linalg_factorization(monkeypatch):
