@@ -30,11 +30,9 @@ from .conditions import (
 from .design import (
     EqDesignConfig,
     EqFilter,
-    WeightingSpec,
     build_target,
     design_filter,
     design_filter_pooled,
-    weighting_taps,
 )
 from .metrics import (
     ConditionReport,

@@ -118,12 +118,8 @@ class EarDataset:
                 raise ValueError(f"{self.subject_id}: response {name} is identically zero")
 
     def responses(self) -> dict[str, ImpulseResponse]:
-        present = {"h_m": self.h_m, "h_open": self.h_open, "h_occ": self.h_occ}
-        for name in ("d_true", "d_inear", "d_model"):
-            value = getattr(self, name)
-            if value is not None:
-                present[name] = value
-        return present
+        present = {name: getattr(self, name) for name in RESPONSE_KEYS}
+        return {name: value for name, value in present.items() if value is not None}
 
     def require(self, name: str) -> ImpulseResponse:
         value = getattr(self, name)
@@ -381,17 +377,17 @@ def save_cohort(
     return manifest_path
 
 
-def _checked_entry(entry: dict, base_dir: Path) -> str:
-    """The entry's ID, once its ID, required keys and listed files are valid."""
-    sid = json_typed("id", entry["id"], str, "a string")
+def _checked_entry(key: str, entry: Any, base_dir: Path) -> str:
+    """The ID of manifest entry `key`, once it is an object with valid ID, keys and files."""
+    sid = json_typed("id", json_typed(key, entry, dict, "an object")["id"], str, "a string")
     # IDs become output file names: nothing that names or climbs a directory.
     if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
         raise ValueError(f'"id" must be a plain file name, got {sid!r}')
     missing = [k for k in ("h_m", "h_open", "h_occ") if k not in entry]
     if missing:
         raise ValueError(f"{sid}: manifest entry lacks required responses {missing}")
-    for name in RESPONSE_KEYS:
-        if name in entry and not (base_dir / entry[name]).is_file():
+    for name in [k for k in RESPONSE_KEYS if k in entry]:
+        if not (base_dir / json_typed(f"{key}.{name}", entry[name], str, "a path")).is_file():
             raise FileNotFoundError(f"{sid}: response {name} file not found: {entry[name]}")
     return sid
 
@@ -399,7 +395,7 @@ def _checked_entry(entry: dict, base_dir: Path) -> str:
 def load_manifest(path: str | Path) -> CohortData:
     """Check the whole manifest now; read each ear's responses when it is first used."""
     path = Path(path)
-    data = json.loads(path.read_text())
+    data = json_typed("manifest", json.loads(path.read_text()), dict, "an object")
     rate = json_typed("sample_rate_hz", data["sample_rate_hz"], int, "an integer")
     if rate <= 0:
         raise ValueError(f'"sample_rate_hz" must be positive, got {rate}')
@@ -407,7 +403,8 @@ def load_manifest(path: str | Path) -> CohortData:
     if not subjects:
         raise ValueError('"subjects" must be a nonempty list, got []')
     entries = subjects + ([data["dummy"]] if "dummy" in data else [])
-    ids = [_checked_entry(entry, path.parent) for entry in entries]
+    keys = [*(f"subjects[{i}]" for i in range(len(subjects))), "dummy"]
+    ids = [_checked_entry(key, entry, path.parent) for key, entry in zip(keys, entries)]
     by_id = dict(zip(ids, entries))
 
     def read_ear(sid: str) -> EarDataset:

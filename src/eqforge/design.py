@@ -3,34 +3,14 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .rtf import MAX_RTF_LENGTH, RelativeTransferEstimate
-from .signals import ImpulseResponse, zero_extend
+from .signals import ImpulseResponse, frozen_vector, zero_extend
 from .solvers import solve_pooled
-
-WEIGHTING_MODES = ("identity", "fir")
-
-
-@dataclass(frozen=True)
-class WeightingSpec:
-    """Penalty weighting: identity, or convolution with FIR taps."""
-
-    mode: str = "identity"
-    fir_taps: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in WEIGHTING_MODES:
-            raise ValueError(f"mode must be one of {WEIGHTING_MODES}, got {self.mode!r}")
-        if self.mode == "fir":
-            if not self.fir_taps:
-                raise ValueError("fir weighting requires nonempty fir_taps")
-            object.__setattr__(self, "fir_taps", tuple(float(t) for t in self.fir_taps))
-        elif self.fir_taps is not None:
-            raise ValueError(f"fir_taps need mode 'fir', got mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -41,13 +21,14 @@ class EqDesignConfig:
     lam:            regularization trade-off (lambda), finite
     acausal_lead:   leading zeros in the estimation targets (L_d, samples), at most 512
     device_delay:   hearing-device processing delay (d_G, samples), at most 512
+    weighting:      FIR taps W of the penalty, nonempty; None is the identity
     """
 
     filter_length: int = 99
     lam: float = 0.1
     acausal_lead: int = 32
     device_delay: int = 0
-    weighting: WeightingSpec = field(default_factory=WeightingSpec)
+    weighting: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         for name, low in (("filter_length", 1), ("acausal_lead", 0), ("device_delay", 0)):
@@ -56,6 +37,13 @@ class EqDesignConfig:
                     f"{name} must be in [{low}, {MAX_RTF_LENGTH}], got {getattr(self, name)}")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        if self.weighting is not None:
+            taps = frozen_vector(self.weighting, "weighting").tolist()
+            object.__setattr__(self, "weighting", tuple(taps))
+
+
+_AUDIT_KEYS = ("coefficients", "residual_norm", "penalty_norm", "normal_eq_residual",
+               "normal_eq_scale")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,22 +58,15 @@ class EqFilter:
     normal_eq_scale: float = 0.0
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coefficients, dtype=np.float64, copy=True)
-        if coeffs.ndim != 1 or coeffs.size != self.config.filter_length:
-            raise ValueError(f"expected {self.config.filter_length} coefficients, "
-                             f"got shape {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must all be finite")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", frozen_vector(self.coefficients, "coefficients"))
+        if self.coefficients.size != self.config.filter_length:
+            raise ValueError(f"expected {self.config.filter_length} coefficients, got {len(self)}")
+        for k in _AUDIT_KEYS[1:]:
+            if not 0.0 <= getattr(self, k) < np.inf:
+                raise ValueError(f'"{k}" must be finite and nonnegative, got {getattr(self, k)}')
 
     def __len__(self) -> int:
         return int(self.coefficients.size)
-
-
-def weighting_taps(spec: WeightingSpec) -> np.ndarray:
-    """FIR taps of the penalty weighting; the identity is a unit impulse."""
-    return np.asarray(spec.fir_taps if spec.mode == "fir" else (1.0,), dtype=np.float64)
 
 
 def build_target(r_open: RelativeTransferEstimate, r_occ: RelativeTransferEstimate,
@@ -126,7 +107,7 @@ def design_filter_pooled(d_hats: list[ImpulseResponse], targets: list[np.ndarray
     """
     factors = None if memo is None else memo.setdefault("design factors", {})
     solution = solve_pooled(d_hats, targets, config.filter_length, lam=config.lam,
-                            weight_taps=weighting_taps(config.weighting),
+                            weight_taps=config.weighting or (1.0,),
                             context="equalizer design", factors=factors)
     return EqFilter(solution.coefficients, config, solution.residual_norm, solution.penalty_norm,
                     solution.normal_eq_residual, solution.normal_eq_scale)
@@ -137,11 +118,8 @@ def design_filter_pooled(d_hats: list[ImpulseResponse], targets: list[np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def weighting_to_json(spec: WeightingSpec) -> dict[str, Any]:
-    out: dict[str, Any] = {"mode": spec.mode}
-    if spec.fir_taps is not None:
-        out["fir_taps"] = list(spec.fir_taps)
-    return out
+def weighting_to_json(taps: tuple[float, ...] | None) -> dict[str, Any]:
+    return {"mode": "identity"} if taps is None else {"mode": "fir", "fir_taps": list(taps)}
 
 
 def json_typed(key: str, value: Any, kind: type | tuple[type, ...], what: str) -> Any:
@@ -159,14 +137,18 @@ def known_keys(where: str, data: dict[str, Any], keys: Iterable[str]) -> dict[st
     return data
 
 
-def weighting_from_json(data: Any) -> WeightingSpec:
+def weighting_from_json(data: Any) -> tuple[float, ...] | None:
     json_typed("weighting", data, dict, "an object")
     known_keys('"weighting"', data, ("mode", "fir_taps"))
     taps = json_typed("fir_taps", data.get("fir_taps", []), list, "a list of numbers")
-    for tap in taps:
-        json_typed("fir_taps", tap, (int, float), "a list of numbers")
-    mode = {"mode": json_typed("mode", data["mode"], str, "a string")} if "mode" in data else {}
-    return WeightingSpec(**mode, fir_taps=tuple(taps) or None)
+    taps = tuple(json_typed("fir_taps", tap, (int, float), "a list of numbers") for tap in taps)
+    mode = json_typed("mode", data.get("mode", "identity"), str, "a string")
+    if mode not in ("identity", "fir"):
+        raise ValueError(f"mode must be one of ('identity', 'fir'), got {mode!r}")
+    if (mode == "fir") != bool(taps):
+        raise ValueError("fir_taps need mode 'fir', got mode 'identity'" if taps
+                         else "fir weighting requires nonempty fir_taps")
+    return taps or None
 
 
 # Wire name: (EqDesignConfig field, JSON type, description of the type).
@@ -176,8 +158,6 @@ _CONFIG_WIRE = {
     "L_d": ("acausal_lead", int, "an integer"),
     "d_G": ("device_delay", int, "an integer"),
 }
-_AUDIT_KEYS = ("coefficients", "residual_norm", "penalty_norm", "normal_eq_residual",
-               "normal_eq_scale")
 
 
 def config_to_json(config: EqDesignConfig) -> dict[str, Any]:
@@ -200,21 +180,18 @@ def config_from_json(data: dict[str, Any]) -> EqDesignConfig:
 
 def filter_to_json(filt: EqFilter) -> dict[str, Any]:
     out = config_to_json(filt.config)
-    out["coefficients"] = [float(c) for c in filt.coefficients]
-    out["residual_norm"] = filt.residual_norm
-    out["penalty_norm"] = filt.penalty_norm
-    out["normal_eq_residual"] = filt.normal_eq_residual
-    out["normal_eq_scale"] = filt.normal_eq_scale
+    out["coefficients"] = filt.coefficients.tolist()
+    out.update((key, getattr(filt, key)) for key in _AUDIT_KEYS[1:])
     return out
 
 
-def filter_from_json(data: dict[str, Any]) -> EqFilter:
+def filter_from_json(data: Any) -> EqFilter:
+    json_typed("filter", data, dict, "an object")
     known_keys("the filter", data, (*_CONFIG_WIRE, "weighting", *_AUDIT_KEYS))
-    return EqFilter(
-        coefficients=np.asarray(data["coefficients"], dtype=np.float64),
-        config=config_from_json({k: v for k, v in data.items() if k not in _AUDIT_KEYS}),
-        residual_norm=float(data["residual_norm"]),
-        penalty_norm=float(data["penalty_norm"]),
-        normal_eq_residual=float(data.get("normal_eq_residual", 0.0)),
-        normal_eq_scale=float(data.get("normal_eq_scale", 0.0)),
-    )
+    coefficients = json_typed("coefficients", data["coefficients"], list, "a list of numbers")
+    for c in coefficients:
+        json_typed("coefficients", c, (int, float), "a list of numbers")
+    audit = {"normal_eq_residual": 0.0, "normal_eq_scale": 0.0, **data}  # older files lack both
+    norms = {k: json_typed(k, audit[k], (int, float), "a number") for k in _AUDIT_KEYS[1:]}
+    config = config_from_json({k: v for k, v in data.items() if k not in _AUDIT_KEYS})
+    return EqFilter(coefficients, config, **norms)

@@ -49,9 +49,7 @@ class ConditionSummary:
 
 
 def _require_same_grid(a: MagnitudeResponse, b: MagnitudeResponse) -> None:
-    if a.frequencies_hz.size != b.frequencies_hz.size or not np.array_equal(
-        a.frequencies_hz, b.frequencies_hz
-    ):
+    if not np.array_equal(a.frequencies_hz, b.frequencies_hz):
         raise ValueError("magnitude responses live on different frequency grids")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ImpulseResponse, zero_pad_leading
+from .signals import ImpulseResponse, frozen_vector, zero_pad_leading
 from .solvers import solve_pooled
 
 MAX_RTF_LENGTH = 512
@@ -26,15 +26,9 @@ class RelativeTransferEstimate:
     acausal_lead: int
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coefficients, dtype=np.float64, copy=True)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValueError("coefficients must form a nonempty 1-D vector")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must all be finite")
+        object.__setattr__(self, "coefficients", frozen_vector(self.coefficients, "coefficients"))
         if self.acausal_lead < 0:
             raise ValueError(f"acausal_lead must be nonnegative, got {self.acausal_lead}")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
 
     def __len__(self) -> int:
         return int(self.coefficients.size)

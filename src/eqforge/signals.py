@@ -13,6 +13,15 @@ DEFAULT_N_FFT = 4096
 DB_FLOOR = -200.0
 
 
+def frozen_vector(values: object, what: str) -> np.ndarray:
+    """A read-only float64 copy of `values`, which must form a nonempty, finite 1-D vector."""
+    out = np.array(values, dtype=np.float64, copy=True)
+    if out.ndim != 1 or out.size == 0 or not np.all(np.isfinite(out)):
+        raise ValueError(f"{what} must form a nonempty, finite 1-D vector")
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ImpulseResponse:
     """Finite real-valued FIR realization of a transfer function."""
@@ -21,16 +30,10 @@ class ImpulseResponse:
     sample_rate_hz: int
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=np.float64, copy=True)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must form a nonempty 1-D sequence")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must all be finite")
+        object.__setattr__(self, "samples", frozen_vector(self.samples, "samples"))
         rate = int(self.sample_rate_hz)
         if rate <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", rate)
 
     def __len__(self) -> int:
@@ -46,16 +49,12 @@ class MagnitudeResponse:
     n_fft: int
 
     def __post_init__(self) -> None:
-        freqs = np.asarray(self.frequencies_hz, dtype=np.float64).copy()
-        mags = np.asarray(self.magnitude_db, dtype=np.float64).copy()
-        if freqs.ndim != 1 or mags.ndim != 1 or freqs.size != mags.size:
-            raise ValueError("frequency and magnitude grids must be 1-D and equally long")
-        if freqs.size > 1 and np.any(np.diff(freqs) <= 0):
+        for name in ("frequencies_hz", "magnitude_db"):
+            object.__setattr__(self, name, frozen_vector(getattr(self, name), name))
+        if self.frequencies_hz.size != self.magnitude_db.size:
+            raise ValueError("frequency and magnitude grids must be equally long")
+        if np.any(np.diff(self.frequencies_hz) <= 0):
             raise ValueError("frequency grid must be strictly ascending")
-        freqs.flags.writeable = False
-        mags.flags.writeable = False
-        object.__setattr__(self, "frequencies_hz", freqs)
-        object.__setattr__(self, "magnitude_db", mags)
         object.__setattr__(self, "n_fft", int(self.n_fft))
 
 

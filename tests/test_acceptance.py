@@ -13,7 +13,7 @@ import pytest
 from eqforge.cli import main
 from eqforge.cohort import SynthCohortParams, synth_cohort, synth_dummy_ear
 from eqforge.conditions import aided_response, device_gain
-from eqforge.design import EqDesignConfig, EqFilter, WeightingSpec, design_filter, weighting_taps
+from eqforge.design import EqDesignConfig, EqFilter, design_filter
 from eqforge.rtf import estimate_average, estimate_individual
 from eqforge.signals import ImpulseResponse, convolve, zero_extend
 from conftest import RATE, make_ir
@@ -112,7 +112,7 @@ def test_criterion_2_normal_equation_residual(grid_run):
         aligned = np.zeros(matrix.shape[0])
         keep = min(matrix.shape[0], target.size)
         aligned[:keep] = target[:keep]
-        weights = loop_built_design_matrix(weighting_taps(cfg.weighting), filter_length)
+        weights = loop_built_design_matrix(np.asarray(cfg.weighting or (1.0,)), filter_length)
         gradient = matrix.T @ (matrix @ filt.coefficients - aligned)
         gradient += cfg.lam * (weights.T @ (weights @ filt.coefficients))
         bound = 1e-8 * (np.max(np.abs(matrix.T @ aligned)) + 1.0)

@@ -4,7 +4,6 @@ import pytest
 from eqforge.design import (
     EqDesignConfig,
     EqFilter,
-    WeightingSpec,
     build_target,
     config_from_json,
     config_to_json,
@@ -12,7 +11,7 @@ from eqforge.design import (
     design_filter_pooled,
     filter_from_json,
     filter_to_json,
-    weighting_taps,
+    weighting_from_json,
 )
 from eqforge.rtf import RelativeTransferEstimate
 from eqforge.signals import unit_delay
@@ -32,7 +31,7 @@ def cost(a, d_hat, target, config):
     estimate = np.convolve(d_hat.samples, a)
     aligned, tail_sq = align_target(target, estimate.size)
     residual = estimate - aligned
-    penalty = np.convolve(weighting_taps(config.weighting), a)
+    penalty = np.convolve(np.asarray(config.weighting or (1.0,)), a)
     return float(residual @ residual + tail_sq + config.lam * (penalty @ penalty))
 
 
@@ -52,7 +51,7 @@ def dense_oracle(d_hat, target, config):
     t = np.zeros(D.shape[0])
     keep = min(t.size, len(target))
     t[:keep] = target[:keep]
-    W = loop_built(weighting_taps(config.weighting), L)
+    W = loop_built(config.weighting or (1.0,), L)
     if config.lam > 0:
         D = np.vstack([D, np.sqrt(config.lam) * W])
         t = np.concatenate([t, np.zeros(W.shape[0])])
@@ -60,8 +59,7 @@ def dense_oracle(d_hat, target, config):
     return a
 
 
-WEIGHTINGS = [WeightingSpec(), WeightingSpec("fir", (1.0, -1.0)),
-              WeightingSpec("fir", (0.5, -1.0, 0.25))]
+WEIGHTINGS = [None, (1.0, -1.0), (0.5, -1.0, 0.25)]
 
 
 # --- configuration types ------------------------------------------------------
@@ -76,15 +74,19 @@ def test_config_validation():
         with pytest.raises(ValueError):
             EqDesignConfig(**bad)
     assert EqDesignConfig(filter_length=512, acausal_lead=512).filter_length == 512
-    with pytest.raises(ValueError):
-        WeightingSpec(mode="fir")
-    with pytest.raises(ValueError):
-        WeightingSpec(mode="diagonal")
+    with pytest.raises(ValueError, match="weighting must form a nonempty, finite 1-D vector"):
+        EqDesignConfig(weighting=())
+    assert EqDesignConfig(weighting=[1, -1]).weighting == (1.0, -1.0)
+    with pytest.raises(ValueError, match="fir weighting requires nonempty fir_taps"):
+        weighting_from_json({"mode": "fir"})
+    with pytest.raises(ValueError) as info:
+        weighting_from_json({"mode": "diagonal"})
+    assert str(info.value) == "mode must be one of ('identity', 'fir'), got 'diagonal'"
 
 
 def test_config_json_round_trip():
     cfg = EqDesignConfig(filter_length=32, lam=0.5, acausal_lead=8, device_delay=16,
-                         weighting=WeightingSpec("fir", (1.0, -1.0)))
+                         weighting=(1.0, -1.0))
     data = config_to_json(cfg)
     assert data["L_a"] == 32 and data["lambda"] == 0.5
     assert data["L_d"] == 8 and data["d_G"] == 16
@@ -92,20 +94,16 @@ def test_config_json_round_trip():
     assert config_from_json({}) == EqDesignConfig()
 
 
-# --- weighting_taps -------------------------------------------------------------
+# --- weighting -------------------------------------------------------------------
 
-def test_weighting_identity():
-    assert np.array_equal(weighting_taps(WeightingSpec()), [1.0])
-
-
-def test_weighting_single_tap_fir_is_identity():
-    spec = WeightingSpec("fir", (1.0,))
-    assert np.array_equal(weighting_taps(spec), weighting_taps(WeightingSpec()))
-
-
-def test_weighting_difference_fir():
-    spec = WeightingSpec("fir", (1.0, -1.0))
-    assert np.array_equal(weighting_taps(spec), [1.0, -1.0])
+def test_identity_weighting_is_a_single_unit_tap(rng):
+    d = make_ir(rng.standard_normal(10))
+    t = rng.standard_normal(25)
+    identity = design_filter(d, t, EqDesignConfig(filter_length=8, weighting=None))
+    unit_tap = design_filter(d, t, EqDesignConfig(filter_length=8, weighting=(1.0,)))
+    assert identity.coefficients.tobytes() == unit_tap.coefficients.tobytes()
+    for key in ("residual_norm", "penalty_norm", "normal_eq_residual", "normal_eq_scale"):
+        assert getattr(identity, key) == getattr(unit_tap, key)
 
 
 # --- build_target ----------------------------------------------------------------
@@ -294,7 +292,7 @@ def test_pooled_design_matches_stacked_oracle(rng):
                 keep = min(D.shape[0], len(t))
                 blocks.append(D)
                 targets.append(np.concatenate([t[:keep], np.zeros(D.shape[0] - keep)]))
-            W = loop_built(weighting_taps(weighting), filter_length)
+            W = loop_built(weighting or (1.0,), filter_length)
             blocks.append(np.sqrt(cfg.lam * len(ds)) * W)
             targets.append(np.zeros(W.shape[0]))
             want, *_ = np.linalg.lstsq(np.vstack(blocks), np.concatenate(targets), rcond=None)

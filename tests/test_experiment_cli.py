@@ -432,13 +432,19 @@ def _malformed_config(tmp_path, manifest):
 
 def _manifest_variant(tmp_path, manifest, edit):
     data = json.loads(manifest.read_text())
-    edit(data)
     for entry in data["subjects"] + [data["dummy"]]:
         for key, value in entry.items():
             if key != "id":
                 entry[key] = str(manifest.parent / value)
+    edit(data)
     path = tmp_path / "variant.json"
     path.write_text(json.dumps(data))
+    return ["--manifest", str(path)]
+
+
+def _manifest_text(tmp_path, text):
+    path = tmp_path / "variant.json"
+    path.write_text(text)
     return ["--manifest", str(path)]
 
 
@@ -540,6 +546,17 @@ def _config(data):
         "--exclude-subject", "ear00"], "need at least one subject"),
     (_subjects([]), '"subjects" must be a nonempty list, got []'),
     (_subjects({}), '"subjects" must be a nonempty list, got {}'),
+    (lambda tmp_path, manifest: _manifest_variant(
+        tmp_path, manifest, lambda d: d.update(dummy=None)),
+     '"dummy" must be an object, got None'),
+    (lambda tmp_path, manifest: _manifest_variant(
+        tmp_path, manifest, lambda d: d["subjects"].append("ear03")),
+     '"subjects[3]" must be an object, got \'ear03\''),
+    (lambda tmp_path, manifest: _manifest_variant(
+        tmp_path, manifest, lambda d: d["subjects"][1].update(h_occ=5)),
+     '"subjects[1].h_occ" must be a path, got 5'),
+    (lambda tmp_path, manifest: _manifest_text(tmp_path, "[1, 2]"),
+     '"manifest" must be an object, got [1, 2]'),
 ], ids=["malformed-config", "rate-key", "synth-a-string", "synth-a-list",
         "manifest-a-number", "cohort-a-string", "delay-a-bool", "conditions-a-string",
         "condition-a-list", "delays-a-number", "design-a-string",
@@ -551,7 +568,8 @@ def _config(data):
         "unknown-design-key", "unknown-top-level-key", "unknown-cohort-key",
         "unknown-weighting-key", "workers-key", "seed-with-manifest", "seed-with-config-manifest",
         "manifest-and-synth", "repeated-condition", "repeated-delay", "config-repeated-condition",
-        "config-no-condition", "no-subject-left", "subjects-empty", "subjects-an-object"])
+        "config-no-condition", "no-subject-left", "subjects-empty", "subjects-an-object",
+        "dummy-null", "subject-a-string", "path-a-number", "manifest-a-list"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
     out = tmp_path / "never"
@@ -777,7 +795,13 @@ def test_evaluate_on_an_ear_without_d_true_fails_cleanly(tmp_path, small_manifes
     assert len(err) == 1 and err[0].startswith("error: ") and "d_true" in err[0]
 
 
-@pytest.mark.parametrize("key, value", [("lambda", "0.1"), ("L_a", 99.0), ("weighting", None)])
+@pytest.mark.parametrize("key, value", [
+    ("lambda", "0.1"), ("L_a", 99.0), ("weighting", None),
+    ("residual_norm", True), ("penalty_norm", "0"), ("normal_eq_residual", None),
+    ("residual_norm", float("nan")), ("normal_eq_scale", float("inf")),
+    ("penalty_norm", float("-inf")), ("normal_eq_residual", -1.0),
+    ("coefficients", [True] * 99), ("coefficients", "zeros"), ("coefficients", None),
+])
 def test_evaluate_rejects_filter_values_of_the_wrong_type(tmp_path, small_manifest, capsys,
                                                           key, value):
     data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0))
@@ -789,6 +813,23 @@ def test_evaluate_rejects_filter_values_of_the_wrong_type(tmp_path, small_manife
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: ") and f'"{key}" must be' in err[0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: "[1, 2]", '"filter" must be an object, got [1, 2]'),
+    (lambda text: text.replace('"residual_norm": 0.0', '"residual_norm": 1e400'),
+     '"residual_norm" must be finite and nonnegative, got inf'),
+], ids=["a-list", "1e400"])
+def test_evaluate_rejects_a_filter_file_that_no_design_writes(tmp_path, small_manifest, capsys,
+                                                              edit, message):
+    text = json.dumps(filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0)))
+    filter_path = tmp_path / "odd.json"
+    filter_path.write_text(edit(text))
+    rc = main(["evaluate", "--manifest", str(small_manifest), "--subject", "ear00",
+               "--filter", str(filter_path), "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and not (tmp_path / "e").exists()
+    assert len(err) == 1 and err[0].startswith("error: invalid filter file") and message in err[0]
 
 
 def test_evaluate_rejects_a_filter_with_an_unknown_key(tmp_path, small_manifest, capsys):

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.io import wavfile
 
+from eqforge.design import EqDesignConfig, EqFilter
+from eqforge.rtf import RelativeTransferEstimate
 from eqforge.signals import (
     DB_FLOOR,
     ImpulseResponse,
+    MagnitudeResponse,
     convolution_matrix,
     convolve,
     load_impulse,
@@ -51,6 +54,27 @@ def test_impulse_response_is_immutable():
     h = make_ir([1.0, 2.0])
     with pytest.raises(ValueError):
         h.samples[0] = 5.0
+
+
+# Each container, built around one bad vector, and the field that vector fills.
+CONTAINERS = {
+    "ImpulseResponse": (lambda v: ImpulseResponse(v, RATE), "samples"),
+    "MagnitudeResponse": (lambda v: MagnitudeResponse([0.0, 1.0, 2.0], v, 4), "magnitude_db"),
+    "RelativeTransferEstimate": (lambda v: RelativeTransferEstimate(v, 0), "coefficients"),
+    "EqFilter": (lambda v: EqFilter(v, EqDesignConfig(filter_length=3), 0.0, 0.0),
+                 "coefficients"),
+}
+
+
+@pytest.mark.parametrize("container", CONTAINERS)
+@pytest.mark.parametrize("values", [
+    [], [[1.0, 2.0, 3.0]], [1.0, np.nan, 3.0],
+], ids=["empty", "2-D", "NaN"])
+def test_containers_reject_a_vector_that_is_not_nonempty_1d_and_finite(container, values):
+    make, field = CONTAINERS[container]
+    with pytest.raises(ValueError) as info:
+        make(values)
+    assert str(info.value) == f"{field} must form a nonempty, finite 1-D vector"
 
 
 # --- convolve ---------------------------------------------------------------
