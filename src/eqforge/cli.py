@@ -155,8 +155,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if "manifest" in config.get("cohort", {}):
         raise CliError('`synth` synthesizes a cohort from "cohort.synth"; '
                        'it cannot take "cohort.manifest"')
+    out_dir = _out(args, config)
     params = _synth_params(args, config)
-    out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     ears = cohort_mod.synth_cohort(params)
     dummy = cohort_mod.synth_dummy_ear(params)
     with _reported(f"cannot write cohort under {out_dir}"):
@@ -165,17 +165,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fail_out() -> str:
-    raise CliError("--out is required (or set \"out\" in the config file)")
+def _out(args: argparse.Namespace, config: dict[str, Any]) -> Path:  # before any ear is read
+    if not (out := _pick(args.out, config.get("out"), None)):
+        raise CliError("--out is required (or set \"out\" in the config file)")
+    return Path(out)
 
 
 def cmd_design(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    out = _out(args, config)
     cfg = _design_config(args, config)
     cfg = dataclasses.replace(cfg, device_delay=_pick(args.delay, None, cfg.device_delay))
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
     filt = design_for_condition(data, args.subject, condition_named(args.condition), cfg)
-    out = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     with _reported(f"cannot write {out}"):
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(filter_to_json(filt), indent=2) + "\n")
@@ -185,6 +187,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    out_dir = _out(args, config)
     cfg = _design_config(args, config)
     conditions = list(_pick(args.conditions, config.get("conditions"), CONDITION_NAMES))
     delays = list(_pick(args.delays, config.get("delays"), DEFAULT_DELAYS))
@@ -193,7 +196,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     for delay in delays:
         dataclasses.replace(cfg, device_delay=json_typed("delays", delay, int, "integers"))
     data = _apply_exclusion(_load_cohort(args, config), args.exclude_subject)
-    out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     try:
         result = run_experiment(data, conditions, delays, cfg, out_dir)
     except OSError as exc:
@@ -206,17 +208,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    out_dir = _out(args, config)
     filter_path = Path(args.filter)
     if not filter_path.exists():
         raise CliError(f"filter file not found: {filter_path}")
     with _reported(f"invalid filter file {filter_path}"):
         filt = filter_from_json(json.loads(filter_path.read_text()))
     report = evaluate(_load_cohort(args, config).ear(args.subject), filt)
-    out_dir = Path(_pick(args.out, config.get("out"), None) or _fail_out())
     name = f"eval_{args.subject}__dG{filt.config.device_delay}"
     with _reported(f"cannot write reports under {out_dir}"):
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_report(report, out_dir, name, f"{name}.csv", {})
+        write_report(report, out_dir, name, f"{name}.csv")
     print(out_dir / f"{name}.json")
     return 0
 

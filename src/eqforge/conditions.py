@@ -15,6 +15,7 @@ from .cohort import CohortData, EarDataset, RtfPair
 from .design import EqDesignConfig, EqFilter, build_target, design_filter_pooled
 from .metrics import ConditionReport, band_error_profile, log_spectral_distance
 from .signals import ImpulseResponse, convolve, magnitude_response, unit_delay, zero_extend
+from .solvers import shared
 
 # Where the design ears and their RTFs come from:
 #   own    the subject, with its own RTFs
@@ -101,11 +102,10 @@ def average_rtfs(cohort: CohortData, exclude_subject: str, acausal_lead: int) ->
 
 
 def design_for_condition(cohort: CohortData, subject_id: str, cond: ConditionSpec,
-                         config: EqDesignConfig, *, memo: dict | None = None) -> EqFilter:
+                         config: EqDesignConfig) -> EqFilter:
     """Design the equalizer exactly as the condition's data prescribes.
 
     The subject and every ear the design uses are read before any solve.
-    `memo` is passed on to `design_filter_pooled`.
     """
     if subject_id not in cohort.subject_ids:
         raise ValueError(f"subject {subject_id!r} is not in the cohort")
@@ -127,26 +127,21 @@ def design_for_condition(cohort: CohortData, subject_id: str, cond: ConditionSpe
             rtfs = individual_rtfs(cohort, ear.subject_id, config.acausal_lead)
         targets.append(build_target(*rtfs, config.device_delay))
         plants.append(ear.require(D_SOURCES[cond.d_source]))
-    return design_filter_pooled(plants, targets, config, memo=memo)
+    return design_filter_pooled(plants, targets, config)
 
 
-def evaluate(ear: EarDataset, filt: EqFilter, condition: str | None = None, *,
-             memo: dict | None = None) -> ConditionReport:
+def evaluate(ear: EarDataset, filt: EqFilter, condition: str | None = None) -> ConditionReport:
     """Score `filt` on the ear's true acoustics: aided against desired (open) spectra.
 
-    A `memo` dict keeps the ear's desired spectrum per delay and its occluded
-    spectrum for later calls on the same ear that pass the same dict.
+    In a `solvers.sharing()` block, the desired and occluded spectra are computed once.
     """
-    delay = filt.config.device_delay
-    g = device_gain(delay, ear.sample_rate_hz)
+    rate, delay = ear.sample_rate_hz, filt.config.device_delay
+    g = device_gain(delay, rate)
     aided = magnitude_response(aided_response(ear, g, filt))
-    memo = {} if memo is None else memo
-    desired_key, occluded_key = ("desired", ear.subject_id, delay), ("occluded", ear.subject_id)
-    if desired_key not in memo:
-        memo[desired_key] = magnitude_response(desired_response(ear, g))
-    if occluded_key not in memo:
-        memo[occluded_key] = magnitude_response(ear.h_occ)
-    desired = memo[desired_key]
+    desired = shared(("desired", rate, ear.h_open.samples.tobytes(), g.samples.tobytes()),
+                     lambda: magnitude_response(desired_response(ear, g)))
+    occluded = shared(("occluded", rate, ear.h_occ.samples.tobytes()),
+                      lambda: magnitude_response(ear.h_occ))
     return ConditionReport(
         subject_id=ear.subject_id,
         condition=condition,
@@ -155,17 +150,13 @@ def evaluate(ear: EarDataset, filt: EqFilter, condition: str | None = None, *,
         band_errors_db=band_error_profile(aided, desired),
         aided=aided,
         desired=desired,
-        occluded=memo[occluded_key],
+        occluded=occluded,
         eq_filter=filt,
     )
 
 
 def run_condition(cohort: CohortData, subject_id: str, cond: ConditionSpec,
-                  config: EqDesignConfig, *, memo: dict | None = None) -> ConditionReport:
-    """Design per the condition, evaluate on the subject's true acoustics.
-
-    `memo` is one dict for the cells of one subject: they share spectra and
-    design factors through it. None shares nothing.
-    """
-    filt = design_for_condition(cohort, subject_id, cond, config, memo=memo)
-    return evaluate(cohort.ear(subject_id), filt, cond.name, memo=memo)
+                  config: EqDesignConfig) -> ConditionReport:
+    """Design per the condition, evaluate on the subject's true acoustics."""
+    filt = design_for_condition(cohort, subject_id, cond, config)
+    return evaluate(cohort.ear(subject_id), filt, cond.name)

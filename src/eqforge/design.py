@@ -95,20 +95,17 @@ def design_filter(d_hat: ImpulseResponse, target: np.ndarray, config: EqDesignCo
 
 
 def design_filter_pooled(d_hats: list[ImpulseResponse], targets: list[np.ndarray],
-                         config: EqDesignConfig, *, memo: dict | None = None) -> EqFilter:
+                         config: EqDesignConfig) -> EqFilter:
     """One filter minimizing the summed regularized least-squares costs over several ears.
 
     Ear k costs ``|D_k a - t_k|^2 + lam * |W a|^2``, with D_k the full
     convolution matrix of its receiver-to-eardrum estimate, over the common
     support of D_k's rows and its target (shorter side zero-extended). Raises
     SingularSystemError, naming the condition estimate, when the pooled
-    normal matrix is numerically singular. A `memo` dict keeps the Gram
-    factors for later designs that pass the same dict.
+    normal matrix is numerically singular.
     """
-    factors = None if memo is None else memo.setdefault("design factors", {})
     solution = solve_pooled(d_hats, targets, config.filter_length, lam=config.lam,
-                            weight_taps=config.weighting or (1.0,),
-                            context="equalizer design", factors=factors)
+                            weight_taps=config.weighting or (1.0,), context="equalizer design")
     return EqFilter(solution.coefficients, config, solution.residual_norm, solution.penalty_norm,
                     solution.normal_eq_residual, solution.normal_eq_scale)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -16,6 +17,7 @@ from .cohort import CohortData
 from .conditions import condition_named, run_condition
 from .design import EqDesignConfig, filter_to_json
 from .metrics import EVALUATION_BAND_HZ, ConditionReport, rank_conditions
+from .solvers import shared, sharing
 
 log = logging.getLogger("eqforge.experiment")
 
@@ -48,27 +50,20 @@ class ExperimentResult:
     failures: list[RunFailure] = field(default_factory=list)
 
 
-def _formatted(values: np.ndarray) -> list[str]:
-    """`values` at 17 significant digits, as `format(x, ".17g")` writes each."""
-    return ("%.17g\n" * values.size % tuple(values.tolist())).split("\n")[:-1]
-
-
-def write_report(report: ConditionReport, out_dir: Path, name: str, csv_ref: str,
-                 memo: dict) -> None:
+def write_report(report: ConditionReport, out_dir: Path, name: str, csv_ref: str) -> None:
     """Write one scored filter's report files under `out_dir`.
 
     `<name>.csv` holds the spectra, one row per frequency bin at 17 significant
     digits; `<name>.json` holds the scores and the filter, and names the CSV
     as `csv_ref`. The frequency, desired and occluded columns repeat across
-    reports, so the CSV around the aided column is kept in the caller's `memo`.
+    reports, so in a `sharing()` block the CSV around the aided column is formatted once.
     """
-    spectra = (report.desired.frequencies_hz, report.desired.magnitude_db,
-               report.occluded.magnitude_db)
-    key = ("csv template", *(v.tobytes() for v in spectra))
-    if key not in memo:
-        rows = "".join(f"{f},{d},%.17g,{o}\n" for f, d, o in zip(*map(_formatted, spectra)))
-        memo[key] = f"frequency_hz,desired_db,aided_db,occluded_db\n{rows}".encode()
-    (out_dir / f"{name}.csv").write_bytes(memo[key] % tuple(report.aided.magnitude_db.tolist()))
+    spectra = np.column_stack([report.desired.frequencies_hz, report.desired.magnitude_db,
+                               report.occluded.magnitude_db])
+    template = shared(("csv template", spectra.tobytes()), lambda: (
+        "frequency_hz,desired_db,aided_db,occluded_db\n"  # the aided column stays a field
+        + "%.17g,%.17g,%%.17g,%.17g\n" * len(spectra) % tuple(spectra.ravel().tolist())).encode())
+    (out_dir / f"{name}.csv").write_bytes(template % tuple(report.aided.magnitude_db.tolist()))
     payload = {
         "subject": report.subject_id,
         "condition": report.condition,
@@ -136,8 +131,9 @@ def run_experiment(
     The ears are dealt round-robin to one process per usable CPU (one with a
     single CPU or ear, or without `fork`), and each process writes a cell's
     run files as soon as it is scored, keeping only its `RunRecord` for the
-    summaries. An ear's cells share one `run_condition` memo, dropped when
-    the ear is done. Individual cell failures are recorded and do not abort
+    summaries. An ear's cells run in one `solvers.sharing()` block, so they
+    compute the ear's spectra and CSV text once; the block closes when the
+    ear is done. Individual cell failures are recorded and do not abort
     the grid. Output is a pure function of the inputs, whatever the process
     count: rerunning overwrites every file with identical bytes, and run
     files under ``runs/`` that this grid did not write (left by an earlier,
@@ -168,20 +164,19 @@ def run_experiment(
     def run_share(subject_ids: list[str]) -> dict[str, ExperimentResult]:
         by_ear = {}
         for sid in subject_ids:
-            memo: dict = {}  # the ear's spectra, design factors and CSV text, dropped after it
             by_ear[sid] = result = ExperimentResult()
-            for spec in specs:
-                for delay in delays:
+            with sharing():
+                for spec, delay in itertools.product(specs, delays):
                     cfg = dataclasses.replace(design, device_delay=delay)
                     try:
-                        report = run_condition(cohort, sid, spec, cfg, memo=memo)
+                        report = run_condition(cohort, sid, spec, cfg)
                     except Exception as exc:
                         failure = RunFailure(sid, spec.name, delay, f"{type(exc).__name__}: {exc}")
                         log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
                         result.failures.append(failure)
                         continue
                     name = f"{sid}__{spec.name}__dG{delay}"
-                    write_report(report, runs_dir, name, f"runs/{name}.csv", memo)
+                    write_report(report, runs_dir, name, f"runs/{name}.csv")
                     result.runs.append(RunRecord(sid, spec.name, delay, report.lsd_db))
         return by_ear
 

@@ -46,7 +46,6 @@ class MagnitudeResponse:
 
     frequencies_hz: np.ndarray
     magnitude_db: np.ndarray
-    n_fft: int
 
     def __post_init__(self) -> None:
         for name in ("frequencies_hz", "magnitude_db"):
@@ -55,7 +54,6 @@ class MagnitudeResponse:
             raise ValueError("frequency and magnitude grids must be equally long")
         if np.any(np.diff(self.frequencies_hz) <= 0):
             raise ValueError("frequency grid must be strictly ascending")
-        object.__setattr__(self, "n_fft", int(self.n_fft))
 
 
 def zero_extend(values: np.ndarray, length: int) -> np.ndarray:
@@ -125,7 +123,7 @@ def magnitude_response(h: ImpulseResponse, n_fft: int = DEFAULT_N_FFT) -> Magnit
     nonzero = spectrum > 0.0
     db[nonzero] = 20.0 * np.log10(spectrum[nonzero])
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / h.sample_rate_hz)
-    return MagnitudeResponse(freqs, db, n_fft)
+    return MagnitudeResponse(freqs, db)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any
 
 import numpy as np
 import scipy.linalg
@@ -21,7 +24,8 @@ def solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, *,
                            context: str = "normal equations") -> np.ndarray:
     """Solve ``gram @ x = rhs`` for a symmetric PSD Gram matrix by Cholesky.
 
-    Only the upper triangle is read. Raises SingularSystemError, naming the
+    Only the upper triangle is read, and a Gram matrix with the bytes of the
+    previous solve's reuses its factor. Raises SingularSystemError, naming the
     condition estimate, when the Gram matrix or right-hand side is not
     finite, or when `cholesky_factor` refuses the Gram matrix; raises
     ValueError when the shapes do not match.
@@ -32,14 +36,19 @@ def solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, *,
     if gram.shape != (n, n) or rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise ValueError(f"{context}: need a square Gram matrix and a right-hand side of as "
                          f"many rows, got shapes {gram.shape} and {rhs.shape}")
-    _require_finite(gram, rhs, context)
-    return cholesky_solve(cholesky_factor(gram, context=context), rhs)
-
-
-def _require_finite(gram: np.ndarray, rhs: np.ndarray, context: str) -> None:
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise SingularSystemError(f"{context}: normal equations are not finite "
                                   "(condition estimate nan)")
+    factor = _factor(gram.tobytes(), n, context, CONDITION_LIMIT)
+    x, _ = scipy.linalg.lapack.dpptrs(n, factor, rhs.reshape(n, -1))  # one or more columns
+    return x.reshape(rhs.shape)
+
+
+@functools.lru_cache(maxsize=1)  # solves that share a Gram matrix come one after another
+def _factor(gram: bytes, n: int, context: str, limit: float) -> np.ndarray:
+    """`cholesky_factor` of these bytes; the key also holds the guard's `limit`, so a kept
+    factor is the one a fresh call would give. A refused Gram matrix raises: none is kept."""
+    return cholesky_factor(np.frombuffer(gram).reshape(n, n), context=context)
 
 
 def cholesky_factor(gram: np.ndarray, *, context: str) -> np.ndarray:
@@ -72,14 +81,8 @@ def cholesky_factor(gram: np.ndarray, *, context: str) -> np.ndarray:
     if not cond <= CONDITION_LIMIT:
         raise SingularSystemError(f"{context}: condition estimate {cond:.3e} exceeds "
                                   f"{CONDITION_LIMIT:.0e}")
+    factor.flags.writeable = False  # a kept factor is shared by later solves
     return factor
-
-
-def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a `cholesky_factor` result (``dpptrs``); `rhs` holds one or more columns."""
-    n = rhs.shape[0]
-    x, _ = scipy.linalg.lapack.dpptrs(n, factor, rhs.reshape(n, -1))
-    return x.reshape(rhs.shape)
 
 
 def align_target(target: np.ndarray, rows: int) -> tuple[np.ndarray, float]:
@@ -117,7 +120,7 @@ def autocorrelation(taps: np.ndarray, n: int) -> np.ndarray:
 
 def solve_pooled(plants: Sequence[ImpulseResponse], targets: Sequence[np.ndarray], n_cols: int,
                  *, lam: float = 0.0, weight_taps: Sequence[float] = (1.0,),
-                 context: str = "least squares", factors: dict | None = None) -> PooledSolution:
+                 context: str = "least squares") -> PooledSolution:
     """Minimize ``sum_k |h_k * x - t_k|^2 + lam * K * |w * x|^2`` over x of length n_cols.
 
     ``h_k * x`` is the full convolution of ``plants[k]`` with x, compared with
@@ -130,9 +133,8 @@ def solve_pooled(plants: Sequence[ImpulseResponse], targets: Sequence[np.ndarray
     sides are cross-correlations, accumulated in list order.
 
     Normal equations that Cholesky refuses raise SingularSystemError, which
-    names the condition estimate; no other solver is tried. A `factors` dict
-    keeps each accepted Gram matrix's factor, keyed by its first row, for
-    later calls that pass the same dict.
+    names the condition estimate; no other solver is tried. A call with the
+    same Gram matrix as the solve before it reuses that solve's factor.
     """
     if not plants or len(plants) != len(targets):
         raise ValueError("plants and targets must be equally long and nonempty")
@@ -151,15 +153,7 @@ def solve_pooled(plants: Sequence[ImpulseResponse], targets: Sequence[np.ndarray
     lam_pooled = lam * len(plants)
     if lam_pooled > 0.0:
         first_row = first_row + lam_pooled * autocorrelation(weight_taps, n_cols)
-    gram = scipy.linalg.toeplitz(first_row)
-    if factors is None:
-        x = solve_normal_equations(gram, rhs, context=context)
-    else:
-        _require_finite(gram, rhs, context)
-        key = first_row.tobytes()
-        if key not in factors:  # a refused Gram matrix raises here, so it is never kept
-            factors[key] = cholesky_factor(gram, context=context)
-        x = cholesky_solve(factors[key], rhs)
+    x = solve_normal_equations(scipy.linalg.toeplitz(first_row), rhs, context=context)
 
     residual_sq = tail_sq
     gradient = np.zeros(n_cols)
@@ -177,3 +171,25 @@ def solve_pooled(plants: Sequence[ImpulseResponse], targets: Sequence[np.ndarray
         normal_eq_residual=float(np.max(np.abs(gradient))),
         normal_eq_scale=float(np.max(np.abs(rhs))),
     )
+
+
+_shared: list[dict] = []  # the values of each open `sharing()` block, innermost last
+
+
+@contextlib.contextmanager
+def sharing() -> Iterator[None]:
+    """A scope in which `shared` computes each key's value once; the values go with it."""
+    _shared.append({})
+    try:
+        yield
+    finally:
+        _shared.pop()
+
+
+def shared(key: tuple, compute: Callable[[], Any]) -> Any:
+    """`compute()`, or in a `sharing()` block the value it gave there for an equal `key`,
+    which must hold the bytes of every input of `compute`, so that sharing never changes a value."""
+    values = _shared[-1] if _shared else {}
+    if key not in values:
+        values[key] = compute()
+    return values[key]

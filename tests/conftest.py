@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eqforge import solvers
 from eqforge.signals import ImpulseResponse
 
 RATE = 16000
@@ -13,3 +14,18 @@ def make_ir(samples, rate=RATE) -> ImpulseResponse:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(2024)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The contexts of the `cholesky_factor` calls from here on, none kept from before."""
+    factor = solvers.cholesky_factor
+    contexts = []
+
+    def counted(gram, *, context):
+        contexts.append(context)
+        return factor(gram, context=context)
+
+    monkeypatch.setattr(solvers, "cholesky_factor", counted)
+    solvers._factor.cache_clear()
+    return contexts

@@ -20,6 +20,7 @@ from eqforge import experiment, solvers
 from eqforge.cli import main
 from eqforge.cohort import (
     RESPONSE_KEYS,
+    CohortData,
     EarDataset,
     SynthCohortParams,
     load_manifest,
@@ -648,10 +649,10 @@ def test_a_write_error_in_a_forked_share_is_one_error_line(tmp_path, small_manif
                                                            monkeypatch):
     write = experiment.write_report
 
-    def write_or_fail(report, out_dir, name, csv_ref, memo):
+    def write_or_fail(report, out_dir, name, csv_ref):
         if report.subject_id == "ear01":  # the second share's ear with two processes
             raise PermissionError(13, "Permission denied", str(out_dir / f"{name}.csv"))
-        write(report, out_dir, name, csv_ref, memo)
+        write(report, out_dir, name, csv_ref)
 
     monkeypatch.setattr(experiment, "write_report", write_or_fail)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -668,10 +669,10 @@ def test_a_write_error_in_a_forked_share_is_one_error_line(tmp_path, small_manif
 def test_a_killed_grid_process_is_one_error_line(tmp_path, small_manifest, capsys, monkeypatch):
     parent = os.getpid()
 
-    def killed(cohort, subject_id, cond, config, memo):
+    def killed(cohort, subject_id, cond, config):
         if subject_id == "ear01" and os.getpid() != parent:  # the child's share
             os.kill(os.getpid(), signal.SIGKILL)
-        return run_condition(cohort, subject_id, cond, config, memo=memo)
+        return run_condition(cohort, subject_id, cond, config)
 
     monkeypatch.setattr(experiment, "run_condition", killed)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -703,12 +704,12 @@ def test_an_unfinished_rerun_leaves_no_summary(tmp_path, small_manifest, capsys,
     write = experiment.write_report
     written = []
 
-    def fail_on_the_third(report, out_dir, name, csv_ref, memo):
+    def fail_on_the_third(report, out_dir, name, csv_ref):
         if report.subject_id == "ear01":  # the second share's ear with two processes
             written.append(name)
             if len(written) == 3:
                 raise planted
-        write(report, out_dir, name, csv_ref, memo)
+        write(report, out_dir, name, csv_ref)
 
     monkeypatch.setattr(experiment, "write_report", fail_on_the_third)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -718,23 +719,68 @@ def test_an_unfinished_rerun_leaves_no_summary(tmp_path, small_manifest, capsys,
     assert not any((out / name).exists() for name in SUMMARIES)
 
 
-def test_a_grid_factors_each_design_gram_once_per_ear(small_manifest, tmp_path, monkeypatch):
-    factor = solvers.cholesky_factor
-    contexts = []
+@pytest.mark.parametrize("delays", [[16], list(experiment.DEFAULT_DELAYS)],
+                         ids=["one-delay", "four-delays"])
+def test_a_grid_factors_each_design_gram_once_per_ear_and_condition(small_manifest, tmp_path,
+                                                                    monkeypatch, delays,
+                                                                    factorizations):
+    estimate, estimates = cohort_mod.estimate_average, []
 
-    def counted(gram, *, context):
-        contexts.append(context)
-        return factor(gram, context=context)
+    def counted_estimate(*args):
+        estimates.append(args)
+        return estimate(*args)
 
-    monkeypatch.setattr(solvers, "cholesky_factor", counted)
+    monkeypatch.setattr(cohort_mod, "estimate_average", counted_estimate)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0})
     data = load_manifest(small_manifest)
-    result = run_experiment(data, list(CONDITION_NAMES), list(experiment.DEFAULT_DELAYS),
-                            EqDesignConfig(), tmp_path)
-    assert len(result.runs) == len(data.subject_ids) * 7 * 4 and not result.failures
-    # Per ear: d_true (Optimal, PracticalOptimal), d_inear, d_model (ModelBased,
-    # PracticalModelBased), the pooled peers and the dummy, each at every delay.
-    assert contexts.count("equalizer design") == 5 * len(data.subject_ids)
+    n = len(data.subject_ids)
+    result = run_experiment(data, list(CONDITION_NAMES), delays, EqDesignConfig(), tmp_path)
+    assert len(result.runs) == n * 7 * len(delays) and not result.failures
+    # A design Gram matrix does not depend on the delay: one per (ear, condition).
+    assert factorizations.count("equalizer design") == 7 * n
+    # Each ear's own pair, its leave-one-out pair and the dummy's pair; the open and
+    # occluded estimates of a pair share the Gram matrix of the ears' h_m.
+    assert len(estimates) == 2 * (2 * n + 1)
+    assert 2 * factorizations.count("RTF estimate") == len(estimates)
+    # When each ear kept its five design factors (d_true, d_inear, d_model, the pooled
+    # peers, the dummy) and every RTF estimate factored its own, a grid made 5 n + 2 (2 n + 1).
+    assert len(factorizations) <= 5 * n + len(estimates)
+
+
+def _synth(seed):
+    params = SynthCohortParams(seed=seed)
+    return synth_cohort(params), synth_dummy_ear(params)
+
+
+def test_cohorts_with_the_same_ids_give_the_reports_each_gives_alone(tmp_path, monkeypatch):
+    # Both cohorts name their ears ear00..ear11: what one shares must never reach the other.
+    cohorts = {seed: CohortData.of(*_synth(seed)) for seed in (42, 7)}
+    cfg = EqDesignConfig(device_delay=16)
+
+    def scored(seed):
+        report = run_condition(cohorts[seed], "ear03", condition_named("Optimal"), cfg)
+        return report.lsd_db, *(r.magnitude_db.tobytes()
+                                for r in (report.aided, report.desired, report.occluded))
+
+    fresh = {}
+    for seed in (42, 7):
+        solvers._factor.cache_clear()
+        fresh[seed] = scored(seed)
+    assert fresh[42] != fresh[7]
+    with solvers.sharing():
+        assert {seed: scored(seed) for seed in (42, 7)} == fresh
+
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0})
+    grid = (["Optimal", "PracticalOptimal"], [0, 16], EqDesignConfig())
+    alone = {}
+    for seed in (42, 7):
+        solvers._factor.cache_clear()
+        run_experiment(CohortData.of(*_synth(seed)), *grid, tmp_path / f"alone{seed}")
+        alone[seed] = tree_digest(tmp_path / f"alone{seed}")
+    for seed in (42, 7):  # back to back, in one process
+        run_experiment(CohortData.of(*_synth(seed)), *grid, tmp_path / f"after{seed}")
+        assert tree_digest(tmp_path / f"after{seed}") == alone[seed]
+
 
 # --- evaluate ----------------------------------------------------------------------
 
@@ -1016,6 +1062,25 @@ def test_a_bad_file_fails_the_requests_that_use_its_ear(tmp_path, small_manifest
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "ear02" in err[0]
     assert "d_model file not found" in err[0] and reads == []
+
+
+@pytest.mark.parametrize("command", [
+    ["design", "--subject", "ear02", "--condition", "Optimal"],
+    ["experiment"],
+    ["evaluate", "--subject", "ear02", "--filter", "f.json"],
+], ids=["design", "experiment", "evaluate"])
+def test_a_missing_out_fails_before_any_ear_is_read(tmp_path, small_manifest, reads, capsys,
+                                                     monkeypatch, command):
+    corrupt = tmp_path / "ear02" / "h_occ.csv"
+    corrupt.parent.mkdir()
+    corrupt.write_text("sample\n1 2\n")
+    bad_csv = _manifest_variant(tmp_path, small_manifest,
+                                lambda d: d["subjects"][2].update(h_occ=str(corrupt)))
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], *bad_csv, *command[1:]]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ['error: --out is required (or set "out" in the config file)']
+    assert reads == []
 
 
 def test_exclude_subject_is_checked_against_the_manifest_ids(tmp_path, small_manifest, reads,

@@ -16,12 +16,12 @@ from conftest import RATE, make_ir
 
 def flat(db, n_fft=4096):
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / RATE)
-    return MagnitudeResponse(freqs, np.full(freqs.size, float(db)), n_fft)
+    return MagnitudeResponse(freqs, np.full(freqs.size, float(db)))
 
 
 def random_mag(rng, n_fft=4096):
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / RATE)
-    return MagnitudeResponse(freqs, rng.uniform(-30, 10, freqs.size), n_fft)
+    return MagnitudeResponse(freqs, rng.uniform(-30, 10, freqs.size))
 
 
 def report(condition, lsd, subject="s0", delay=96):
@@ -114,8 +114,8 @@ def test_band_profile_localizes_resonance_mismatch(rng):
     bumped = base.copy()
     sel = (freqs >= 2000.0) & (freqs <= 4000.0)
     bumped[sel] += 8.0
-    a = MagnitudeResponse(freqs, base, 4096)
-    b = MagnitudeResponse(freqs, bumped, 4096)
+    a = MagnitudeResponse(freqs, base)
+    b = MagnitudeResponse(freqs, bumped)
     profile = band_error_profile(a, b)
     hot = {c for c, v in profile.items() if v > 4.0}
     assert hot and all(1600.0 <= c <= 4000.0 for c in hot)
@@ -208,7 +208,7 @@ def spectra_pair(draw):
     values = st.floats(-200.0, 60.0, allow_nan=False)
     a = draw(st.lists(values, min_size=n, max_size=n))
     b = draw(st.lists(values, min_size=n, max_size=n))
-    return MagnitudeResponse(freqs, a, 2 * n), MagnitudeResponse(freqs, b, 2 * n)
+    return MagnitudeResponse(freqs, a), MagnitudeResponse(freqs, b)
 
 
 @given(spectra_pair(), st.data())

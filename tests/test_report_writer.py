@@ -91,10 +91,10 @@ def test_experiment_result_keeps_only_the_summary_fields(floor_cohort, tmp_path)
 def test_one_failing_cell_leaves_every_other_cell_written(floor_cohort, tmp_path, monkeypatch):
     failing = ("f1", "NaiveInEar", 16)
 
-    def run_or_fail(cohort, subject_id, cond, config, memo):
+    def run_or_fail(cohort, subject_id, cond, config):
         if (subject_id, cond.name, config.device_delay) == failing:
             raise RuntimeError("planted failure")
-        return run_condition(cohort, subject_id, cond, config, memo=memo)
+        return run_condition(cohort, subject_id, cond, config)
 
     monkeypatch.setattr(experiment, "run_condition", run_or_fail)
     result = run_experiment(CohortData.of(floor_cohort), CONDITIONS, DELAYS, EqDesignConfig(),
@@ -148,10 +148,10 @@ def test_failures_in_a_forked_share_are_reported_in_ear_order(floor_cohort, tmp_
     # With two processes the parent runs f0 and f2, the child f1.
     failing = [("f1", "NaiveInEar", 16), ("f2", "Optimal", 0)]
 
-    def run_or_fail(cohort, subject_id, cond, config, memo):
+    def run_or_fail(cohort, subject_id, cond, config):
         if (subject_id, cond.name, config.device_delay) in failing:
             raise RuntimeError("planted failure")
-        return run_condition(cohort, subject_id, cond, config, memo=memo)
+        return run_condition(cohort, subject_id, cond, config)
 
     monkeypatch.setattr(experiment, "run_condition", run_or_fail)
     pools = cpus(2)

@@ -59,7 +59,7 @@ def test_impulse_response_is_immutable():
 # Each container, built around one bad vector, and the field that vector fills.
 CONTAINERS = {
     "ImpulseResponse": (lambda v: ImpulseResponse(v, RATE), "samples"),
-    "MagnitudeResponse": (lambda v: MagnitudeResponse([0.0, 1.0, 2.0], v, 4), "magnitude_db"),
+    "MagnitudeResponse": (lambda v: MagnitudeResponse([0.0, 1.0, 2.0], v), "magnitude_db"),
     "RelativeTransferEstimate": (lambda v: RelativeTransferEstimate(v, 0), "coefficients"),
     "EqFilter": (lambda v: EqFilter(v, EqDesignConfig(filter_length=3), 0.0, 0.0),
                  "coefficients"),

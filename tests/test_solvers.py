@@ -131,15 +131,19 @@ def audit(solution):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
-def test_kept_factors_give_the_same_solution_and_norms_bit_for_bit(rng, lam):
+def test_kept_factors_give_the_same_solution_and_norms_bit_for_bit(rng, lam, factorizations):
     plants = [make_ir(rng.standard_normal(n)) for n in (30, 12, 45)]
     kwargs = dict(lam=lam, weight_taps=(1.0, -0.5), context="equalizer design")
-    factors = {}
-    for _ in range(3):  # one Gram matrix, a new right-hand side each time
+    fresh = []
+    for _ in range(3):  # one Gram matrix, a new right-hand side each time, factored afresh
         targets = [rng.standard_normal(rng.integers(20, 120)) for _ in plants]
-        kept = solvers.solve_pooled(plants, targets, 40, factors=factors, **kwargs)
-        assert audit(kept) == audit(solvers.solve_pooled(plants, targets, 40, **kwargs))
-    assert len(factors) == 1
+        solvers._factor.cache_clear()
+        fresh.append((targets, audit(solvers.solve_pooled(plants, targets, 40, **kwargs))))
+    factorizations.clear()
+    solvers._factor.cache_clear()
+    for targets, want in fresh:  # the first factors, the others reuse its factor
+        assert audit(solvers.solve_pooled(plants, targets, 40, **kwargs)) == want
+    assert factorizations == ["equalizer design"]
 
 
 @pytest.mark.parametrize("plant, message", [
@@ -147,24 +151,29 @@ def test_kept_factors_give_the_same_solution_and_norms_bit_for_bit(rng, lam):
     ([1e200, -3e200, 2e200], "normal equations are not finite"),
 ])
 def test_a_refused_gram_is_never_kept_and_raises_the_same_message_every_time(plant, message):
-    factors = {}
+    solvers._factor.cache_clear()
     messages = []
-    for _ in range(2):
+    for _ in range(3):
         with pytest.raises(SingularSystemError, match=message) as err:
-            solvers.solve_pooled([make_ir(plant)], [np.ones(8)], 4, factors=factors)
+            solvers.solve_pooled([make_ir(plant)], [np.ones(8)], 4)
         messages.append(str(err.value))
-    with pytest.raises(SingularSystemError) as err:
-        solvers.solve_pooled([make_ir(plant)], [np.ones(8)], 4)
-    assert messages == [str(err.value)] * 2
-    assert factors == {}
+    assert messages == [messages[0]] * 3
+    assert solvers._factor.cache_info().currsize == 0
 
 
 def test_a_kept_factor_still_refuses_a_non_finite_right_hand_side(rng):
     plant = make_ir(rng.standard_normal(10))
-    factors = {}
-    solvers.solve_pooled([plant], [np.ones(20)], 5, factors=factors)
+    solvers.solve_pooled([plant], [np.ones(20)], 5)
     with pytest.raises(SingularSystemError, match="normal equations are not finite"):
-        solvers.solve_pooled([plant], [np.full(20, np.inf)], 5, factors=factors)
+        solvers.solve_pooled([plant], [np.full(20, np.inf)], 5)
+
+
+def test_a_kept_factor_is_only_reused_for_the_same_bytes(rng, factorizations):
+    plant = make_ir(rng.standard_normal(10))
+    nudged = make_ir(np.nextafter(plant.samples, np.inf))
+    for h in (plant, plant, nudged, plant):
+        solvers.solve_pooled([h], [np.ones(20)], 5)
+    assert len(factorizations) == 3
 
 
 # --- the hot path stays in scipy's LAPACK -------------------------------------------
