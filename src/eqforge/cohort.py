@@ -300,7 +300,7 @@ class CohortData:
                    by_id.__getitem__)
 
     def ear(self, subject_id: str) -> EarDataset:
-        if subject_id not in (*self.subject_ids, self.dummy_id):
+        if subject_id is None or subject_id not in (*self.subject_ids, self.dummy_id):
             raise ValueError(f"subject {subject_id!r} is not in the cohort")
         if subject_id not in self._ears:
             try:

@@ -160,8 +160,9 @@ def read_impulse_wav(path: str | Path, expected_rate_hz: int | None = None) -> I
         raise ValueError(f"{path}: expected a single-channel file, got {data.shape[1]} channels")
     if expected_rate_hz is not None and rate != expected_rate_hz:
         raise ValueError(f"{path}: file rate {rate} Hz, expected {expected_rate_hz} Hz")
-    if np.issubdtype(data.dtype, np.integer):
-        data = data / float(np.iinfo(data.dtype).max)
+    if np.issubdtype(data.dtype, np.integer):  # 8-bit PCM is unsigned, centred on 128
+        offset = 128.0 if data.dtype == np.uint8 else 0.0
+        data = (data - offset) / (np.iinfo(data.dtype).max - offset)
     return ImpulseResponse(np.asarray(data, dtype=np.float64), int(rate))
 
 

@@ -20,39 +20,39 @@ class SingularSystemError(RuntimeError):
     """A least-squares system is too ill-conditioned to solve as requested."""
 
 
-def solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, *,
+def solve_normal_equations(first_row: np.ndarray, rhs: np.ndarray, *,
                            context: str = "normal equations") -> np.ndarray:
-    """Solve ``gram @ x = rhs`` for a symmetric PSD Gram matrix by Cholesky.
+    """Solve ``T @ x = rhs`` by Cholesky for the symmetric Toeplitz T with this first row.
 
-    Only the upper triangle is read, and a Gram matrix with the bytes of the
-    previous solve's reuses its factor. Raises SingularSystemError, naming the
-    condition estimate, when the Gram matrix or right-hand side is not
-    finite, or when `cholesky_factor` refuses the Gram matrix; raises
-    ValueError when the shapes do not match.
+    No n×n matrix is formed, and a first row with the bytes of the previous
+    solve's reuses its factor. Raises SingularSystemError, naming the
+    condition estimate, when the first row or right-hand side is not finite,
+    or when `cholesky_factor` refuses the system; raises ValueError when the
+    shapes do not match.
     """
-    gram = np.asarray(gram, dtype=np.float64)
+    first_row = np.asarray(first_row, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
-    n = gram.shape[0] if gram.ndim == 2 else -1
-    if gram.shape != (n, n) or rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-        raise ValueError(f"{context}: need a square Gram matrix and a right-hand side of as "
-                         f"many rows, got shapes {gram.shape} and {rhs.shape}")
-    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+    n = first_row.size
+    if first_row.shape != (n,) or rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ValueError(f"{context}: need a 1-D first row and a right-hand side of as many "
+                         f"rows, got shapes {first_row.shape} and {rhs.shape}")
+    if not (np.isfinite(first_row).all() and np.isfinite(rhs).all()):
         raise SingularSystemError(f"{context}: normal equations are not finite "
                                   "(condition estimate nan)")
-    factor = _factor(gram.tobytes(), n, context, CONDITION_LIMIT)
+    factor = _factor(first_row.tobytes(), context, CONDITION_LIMIT)
     x, _ = scipy.linalg.lapack.dpptrs(n, factor, rhs.reshape(n, -1))  # one or more columns
     return x.reshape(rhs.shape)
 
 
-@functools.lru_cache(maxsize=1)  # solves that share a Gram matrix come one after another
-def _factor(gram: bytes, n: int, context: str, limit: float) -> np.ndarray:
+@functools.lru_cache(maxsize=1)  # solves that share a system come one after another
+def _factor(first_row: bytes, context: str, limit: float) -> np.ndarray:
     """`cholesky_factor` of these bytes; the key also holds the guard's `limit`, so a kept
-    factor is the one a fresh call would give. A refused Gram matrix raises: none is kept."""
-    return cholesky_factor(np.frombuffer(gram).reshape(n, n), context=context)
+    factor is the one a fresh call would give. A refused system raises: none is kept."""
+    return cholesky_factor(np.frombuffer(first_row), context=context)
 
 
-def cholesky_factor(gram: np.ndarray, *, context: str) -> np.ndarray:
-    """The packed upper Cholesky factor of a finite symmetric PSD Gram matrix.
+def cholesky_factor(first_row: np.ndarray, *, context: str) -> np.ndarray:
+    """The packed upper Cholesky factor of the symmetric Toeplitz matrix with this finite first row.
 
     It is factored in packed storage (``dpptrf``, ``dppcon``), which runs on
     one thread at every order, so the factor does not depend on the BLAS
@@ -60,23 +60,22 @@ def cholesky_factor(gram: np.ndarray, *, context: str) -> np.ndarray:
     The guard is LAPACK's estimate of the 1-norm condition number from the
     factor (``dppcon``), within a factor of n of the 2-norm value; the
     largest on the default seed-42 grid is 1.1e5. Raises SingularSystemError,
-    naming the condition estimate, when the Gram matrix is zero or not
-    positive definite, or the estimate exceeds CONDITION_LIMIT.
+    naming the condition estimate, when the matrix is zero or not positive
+    definite, or the estimate exceeds CONDITION_LIMIT.
     """
-    if not np.any(gram):
+    if not np.any(first_row):
         raise SingularSystemError(f"{context}: normal matrix is identically zero "
                                   "(condition estimate inf)")
-    n = gram.shape[0]
-    # The upper triangle in packed column-major storage: column j of the
-    # upper triangle is row j of the transpose's lower triangle.
-    packed = gram.T[np.tri(n, dtype=bool)]
+    n = first_row.size
+    packed = np.concatenate([first_row[j::-1] for j in range(n)])  # column j: lags j..0
     factor, info = scipy.linalg.lapack.dpptrf(n, packed, lower=0, overwrite_ap=1)
     if info != 0:
         raise SingularSystemError(
             f"{context}: Cholesky factorization failed, the normal matrix is not "
             f"positive definite at leading minor {info} (condition estimate inf)"
         )
-    rcond, _ = scipy.linalg.lapack.dppcon(n, factor, np.abs(gram).sum(axis=0).max())
+    c = np.cumsum(np.abs(first_row))  # column j's 1-norm: lags 0..j plus lags 1..n-1-j
+    rcond, _ = scipy.linalg.lapack.dppcon(n, factor, np.max(c + c[::-1] - c[0]))
     cond = 1.0 / rcond if rcond > 0.0 else np.inf
     if not cond <= CONDITION_LIMIT:
         raise SingularSystemError(f"{context}: condition estimate {cond:.3e} exceeds "
@@ -128,13 +127,13 @@ def solve_pooled(plants: Sequence[ImpulseResponse], targets: Sequence[np.ndarray
     and K is the number of pooled systems, so every system carries one copy
     of the penalty. The weighting taps w default to a unit impulse (the
     identity). The Gram matrix of a full convolution is the symmetric
-    Toeplitz matrix of the taps' autocorrelation, so the pooled Gram matrix
-    is built from one accumulated first row and solved once; right-hand
-    sides are cross-correlations, accumulated in list order.
+    Toeplitz matrix of the taps' autocorrelation, so the pooled system is
+    one accumulated first row, solved once without forming the matrix;
+    right-hand sides are cross-correlations, accumulated in list order.
 
     Normal equations that Cholesky refuses raise SingularSystemError, which
     names the condition estimate; no other solver is tried. A call with the
-    same Gram matrix as the solve before it reuses that solve's factor.
+    same first row as the solve before it reuses that solve's factor.
     """
     if not plants or len(plants) != len(targets):
         raise ValueError("plants and targets must be equally long and nonempty")
@@ -153,7 +152,7 @@ def solve_pooled(plants: Sequence[ImpulseResponse], targets: Sequence[np.ndarray
     lam_pooled = lam * len(plants)
     if lam_pooled > 0.0:
         first_row = first_row + lam_pooled * autocorrelation(weight_taps, n_cols)
-    x = solve_normal_equations(scipy.linalg.toeplitz(first_row), rhs, context=context)
+    x = solve_normal_equations(first_row, rhs, context=context)
 
     residual_sq = tail_sq
     gradient = np.zeros(n_cols)

@@ -22,9 +22,9 @@ def factorizations(monkeypatch):
     factor = solvers.cholesky_factor
     contexts = []
 
-    def counted(gram, *, context):
+    def counted(first_row, *, context):
         contexts.append(context)
-        return factor(gram, context=context)
+        return factor(first_row, context=context)
 
     monkeypatch.setattr(solvers, "cholesky_factor", counted)
     solvers._factor.cache_clear()

@@ -221,6 +221,8 @@ def test_manifest_ears_are_read_once_on_first_use(tmp_path, monkeypatch):
     assert data.ears[1] is data.ear("ear01") and len(read) == 18
     with pytest.raises(ValueError, match="'ghost' is not in the cohort"):
         data.ear("ghost")
+    with pytest.raises(ValueError, match="None is not in the cohort"):
+        data.ear(None)
 
 
 def test_a_csv_cli_session_leaves_scipy_signal_stats_and_io_unloaded(tmp_path):

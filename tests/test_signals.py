@@ -293,6 +293,15 @@ def test_wav_round_trip(tmp_path, rng):
         read_impulse_wav(path, expected_rate_hz=8000)
 
 
+def test_8_bit_wav_is_read_without_a_dc_offset(tmp_path):
+    samples = np.full(32, 128, dtype=np.uint8)  # unsigned 8-bit silence
+    samples[5] = 255
+    wavfile.write(tmp_path / "h.wav", RATE, samples)
+    want = np.zeros(32)
+    want[5] = 1.0
+    assert np.array_equal(read_impulse_wav(tmp_path / "h.wav", RATE).samples, want)
+
+
 def test_load_impulse_dispatches_on_suffix(tmp_path, rng):
     h = make_ir(rng.standard_normal(16))
     write_impulse_csv(h, tmp_path / "h.csv")

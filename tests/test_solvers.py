@@ -8,7 +8,8 @@ import pytest
 import scipy.linalg
 
 from eqforge import solvers
-from eqforge.cohort import SynthCohortParams, synth_cohort
+from eqforge.cohort import CohortData, SynthCohortParams, synth_cohort, synth_dummy_ear
+from eqforge.conditions import CONDITIONS, design_for_condition
 from eqforge.design import EqDesignConfig, build_target, design_filter, design_filter_pooled
 from eqforge.rtf import default_rtf_length, estimate_average, estimate_individual
 from eqforge.solvers import SingularSystemError, autocorrelation, solve_normal_equations
@@ -16,35 +17,33 @@ from conftest import make_ir
 
 
 def pooled_gram(rng, n, n_plants, lam):
-    """A Toeplitz Gram matrix built the way `solve_pooled` builds one."""
+    """The first row of a Toeplitz Gram matrix, built the way `solve_pooled` builds one."""
     first_row = np.zeros(n)
     for _ in range(n_plants):
         first_row += autocorrelation(rng.standard_normal(rng.integers(2, 40)), n)
     if lam > 0.0:
         first_row += lam * n_plants * autocorrelation(np.array([1.0, -1.0]), n)
-    return scipy.linalg.toeplitz(first_row)
+    return first_row
 
 
 # --- what the guard rejects, and how it says so -----------------------------------
 
 def test_indefinite_gram_reports_the_failed_factorization():
     with pytest.raises(SingularSystemError, match="condition estimate inf") as err:
-        solve_normal_equations(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+        solve_normal_equations(np.array([1.0, 2.0]), np.ones(2))
     assert "Cholesky factorization failed" in str(err.value)
     assert "not positive definite at leading minor 2" in str(err.value)
 
 
 def test_guard_is_the_condition_estimate_not_a_failed_factorization():
-    with pytest.raises(SingularSystemError, match=r"condition estimate 1\.000e\+13 exceeds"):
-        solve_normal_equations(np.diag([1.0, 1e-13]), np.ones(2))
-    x = solve_normal_equations(np.diag([1.0, 1e-11]), np.ones(2))
-    assert np.allclose(x, [1.0, 1e11], rtol=1e-15)
+    with pytest.raises(SingularSystemError, match=r"condition estimate 1\.999e\+13 exceeds"):
+        solve_normal_equations(np.array([1.0, 1.0 - 1e-13]), np.ones(2))
+    first_row = np.array([1.0, 1.0 - 1e-11])
+    x = solve_normal_equations(first_row, np.array([1.0, -1.0]))
+    assert np.allclose(x, np.array([1.0, -1.0]) / (first_row[0] - first_row[1]), rtol=1e-9)
 
 
-@pytest.mark.parametrize("gram", [
-    np.array([[np.nan, 0.0], [0.0, 1.0]]),
-    np.array([[1.0, 0.0], [0.0, np.inf]]),
-])
+@pytest.mark.parametrize("gram", [np.array([np.nan, 0.0]), np.array([1.0, np.inf])])
 def test_non_finite_gram_raises_with_nothing_on_stderr(gram, capfd):
     with pytest.raises(SingularSystemError, match="not finite"):
         solve_normal_equations(gram, np.ones(2))
@@ -65,7 +64,7 @@ def test_condition_estimate_brackets_the_exact_1_norm_value(rng, monkeypatch):
     for n, n_plants, lam in [(8, 1, 0.0), (33, 2, 0.1), (64, 3, 0.0), (99, 1, 0.1), (255, 2, 0.1)]:
         gram = pooled_gram(rng, n, n_plants, lam)
         rhs = rng.standard_normal(n)
-        kappa = np.linalg.cond(gram, 1)
+        kappa = np.linalg.cond(scipy.linalg.toeplitz(gram), 1)
         monkeypatch.setattr(solvers, "CONDITION_LIMIT", kappa * (1.0 + 1e-9))
         solve_normal_equations(gram, rhs)  # estimate <= kappa
         monkeypatch.setattr(solvers, "CONDITION_LIMIT", np.nextafter(kappa / 10.0, 0.0))
@@ -78,35 +77,50 @@ def test_condition_estimate_brackets_the_exact_1_norm_value(rng, monkeypatch):
 @pytest.mark.parametrize("n", [8, 99, 128, 255])
 def test_solution_matches_a_dense_cholesky_oracle(rng, n):
     gram = pooled_gram(rng, n, 2, 0.1)
-    factor = scipy.linalg.cho_factor(gram)
+    factor = scipy.linalg.cho_factor(scipy.linalg.toeplitz(gram))
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
         x = solve_normal_equations(gram, rhs)
         assert x.shape == rhs.shape
         assert np.allclose(x, scipy.linalg.cho_solve(factor, rhs), rtol=1e-10, atol=0.0)
 
 
-def test_only_the_upper_triangle_is_read(rng):
-    gram = pooled_gram(rng, 40, 2, 0.1)
-    rhs = rng.standard_normal(40)
-    scrambled = np.triu(gram) + np.tril(rng.standard_normal((40, 40)), -1)
-    assert np.array_equal(solve_normal_equations(scrambled, rhs), solve_normal_equations(gram, rhs))
+@pytest.mark.parametrize("n", [1, 2, 99, 255, 512])
+def test_the_factor_from_the_first_row_is_the_dense_upper_triangles_bit_for_bit(rng, n,
+                                                                                monkeypatch):
+    first_row = pooled_gram(rng, n, 2, 0.1)
+    dense = scipy.linalg.toeplitz(first_row)
+    lapack = scipy.linalg.lapack
+    want, info = lapack.dpptrf(n, dense.T[np.tri(n, dtype=bool)], lower=0)
+    assert info == 0
+    want_rcond, _ = lapack.dppcon(n, want, np.abs(dense).sum(axis=0).max())
+    rconds = []
+    dppcon = lapack.dppcon
+
+    def recorded(*args):
+        rcond, status = dppcon(*args)
+        rconds.append(rcond)
+        return rcond, status
+
+    monkeypatch.setattr(lapack, "dppcon", recorded)
+    got = solvers.cholesky_factor(first_row, context="test")
+    assert got.tobytes() == want.tobytes()
+    assert rconds == [pytest.approx(want_rcond, rel=1e-12, abs=0.0)]
 
 
-
-@pytest.mark.parametrize("gram_shape, rhs_shape", [((4, 4), (8,)), ((4, 4), (3,)), ((4, 3), (4,)), ((4,), (4,))])
+@pytest.mark.parametrize("gram_shape, rhs_shape", [((4,), (8,)), ((4,), (3,)), ((4, 4), (4,)),
+                                                   ((1, 4), (4,))])
 def test_mismatched_shapes_raise_value_error(gram_shape, rhs_shape):
-    with pytest.raises(ValueError, match="square Gram matrix"):
+    with pytest.raises(ValueError, match="need a 1-D first row"):
         solve_normal_equations(np.ones(gram_shape), np.ones(rhs_shape))
 
 
 SOLVE_IN_CHILD = """
 import sys
 import numpy as np
-import scipy.linalg
 from eqforge.solvers import autocorrelation, solve_normal_equations
 rng = np.random.default_rng(3)
 first_row = sum(autocorrelation(rng.standard_normal(40), 255) for _ in range(3))
-x = solve_normal_equations(scipy.linalg.toeplitz(first_row), rng.standard_normal(255))
+x = solve_normal_equations(first_row, rng.standard_normal(255))
 sys.stdout.write(x.tobytes().hex())
 """
 
@@ -200,3 +214,19 @@ def test_estimates_and_designs_call_no_numpy_linalg_factorization(monkeypatch):
     plants = [e.d_true for e in cohort] + [cohort[0].d_model]
     filt = design_filter_pooled(plants, targets, EqDesignConfig(device_delay=16))
     assert np.isfinite(filt.coefficients).all()
+
+
+def test_no_solve_forms_a_dense_toeplitz_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.linalg.toeplitz called on a solve path")
+
+    monkeypatch.setattr(scipy.linalg, "toeplitz", forbidden)
+    params = SynthCohortParams(n_subjects=3, seed=5)
+    ears = synth_cohort(params)
+    cohort = CohortData.of(ears, synth_dummy_ear(params))
+    for cond in CONDITIONS.values():
+        filt = design_for_condition(cohort, "ear01", cond, EqDesignConfig(device_delay=16))
+        assert np.isfinite(filt.coefficients).all()
+    pairs = [(e.h_m, e.h_open) for e in ears]
+    rtf = estimate_average(pairs, default_rtf_length(len(ears[0].h_open), 32), 32)
+    assert np.isfinite(rtf.coefficients).all()
