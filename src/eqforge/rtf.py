@@ -30,9 +30,6 @@ class RelativeTransferEstimate:
         if self.acausal_lead < 0:
             raise ValueError(f"acausal_lead must be nonnegative, got {self.acausal_lead}")
 
-    def __len__(self) -> int:
-        return int(self.coefficients.size)
-
 
 def default_rtf_length(target_length: int, acausal_lead: int) -> int:
     """Estimate length covering the padded target support, capped at 512 taps."""

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_SAMPLE_RATE_HZ = 16000
 DEFAULT_N_FFT = 4096
@@ -83,6 +82,7 @@ def convolution_matrix(h: ImpulseResponse, n_cols: int) -> np.ndarray:
     """
     if n_cols < 1:
         raise ValueError(f"n_cols must be at least 1, got {n_cols}")
+    import scipy.linalg
     return scipy.linalg.convolution_matrix(h.samples, n_cols, mode="full")
 
 

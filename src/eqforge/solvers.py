@@ -1,4 +1,4 @@
-"""The one least-squares path shared by RTF estimation and equalizer design."""
+"""The one least-squares path of RTF estimation and design; its first solve imports scipy.linalg."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from .signals import ImpulseResponse, zero_extend
 
@@ -40,6 +39,7 @@ def solve_normal_equations(first_row: np.ndarray, rhs: np.ndarray, *,
         raise SingularSystemError(f"{context}: normal equations are not finite "
                                   "(condition estimate nan)")
     factor = _factor(first_row.tobytes(), context, CONDITION_LIMIT)
+    import scipy.linalg  # here, so that a command that solves nothing never loads it
     x, _ = scipy.linalg.lapack.dpptrs(n, factor, rhs.reshape(n, -1))  # one or more columns
     return x.reshape(rhs.shape)
 
@@ -68,6 +68,7 @@ def cholesky_factor(first_row: np.ndarray, *, context: str) -> np.ndarray:
                                   "(condition estimate inf)")
     n = first_row.size
     packed = np.concatenate([first_row[j::-1] for j in range(n)])  # column j: lags j..0
+    import scipy.linalg
     factor, info = scipy.linalg.lapack.dpptrf(n, packed, lower=0, overwrite_ap=1)
     if info != 0:
         raise SingularSystemError(

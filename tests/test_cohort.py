@@ -249,3 +249,37 @@ print([name for name in ("scipy.signal", "scipy.stats", "scipy.io", "multiproces
                           check=True, env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip().splitlines()[-1] == "[]"
     assert len(list((tmp_path / "eval").glob("eval_ear01__dG*.json"))) == 1
+
+
+def test_synth_and_evaluate_load_no_scipy_and_a_design_loads_scipy_linalg(tmp_path):
+    # scipy.linalg serves only the factorizations, so it is imported at the first one.
+    # pytest's own process has scipy loaded: only a fresh interpreter shows what loads it.
+    from eqforge.cli import main
+
+    src = str(Path(cohort_mod.__file__).resolve().parents[1])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"cohort": {"synth": {"n_subjects": 3}}}))
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "made")]) == 0
+    assert main(["design", "--manifest", str(tmp_path / "made" / "manifest.json"), "--subject",
+                 "ear01", "--condition", "Optimal", "--out", str(tmp_path / "f.json")]) == 0
+    code = f"""
+import sys
+from pathlib import Path
+import eqforge
+from eqforge.cli import main
+out = Path({str(tmp_path)!r})
+seen = [[name for name in sys.modules if name.startswith("scipy")]]
+m = str(out / "cohort" / "manifest.json")
+assert main(["synth", "--config", str(out / "c.json"), "--out", str(out / "cohort")]) == 0
+assert main(["evaluate", "--manifest", m, "--subject", "ear01", "--filter", str(out / "f.json"),
+             "--out", str(out / "eval")]) == 0
+seen.append([name for name in sys.modules if name.startswith("scipy")])
+assert main(["design", "--manifest", m, "--subject", "ear01", "--condition", "Optimal",
+             "--out", str(out / "g.json")]) == 0
+print(seen + ["scipy.linalg" in sys.modules])
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip().splitlines()[-1] == "[[], [], True]"
+    assert len(list((tmp_path / "eval").glob("eval_ear01__dG*.json"))) == 1
+    assert (tmp_path / "g.json").read_bytes() == (tmp_path / "f.json").read_bytes()
