@@ -22,8 +22,6 @@ from .conditions import (
     aided_response,
     condition_named,
     design_for_condition,
-    desired_response,
-    device_gain,
     evaluate,
     run_condition,
 )
@@ -53,7 +51,6 @@ from .signals import (
     convolution_matrix,
     convolve,
     magnitude_response,
-    unit_delay,
     zero_pad_leading,
 )
 from .solvers import SingularSystemError

@@ -55,7 +55,7 @@ def _reported(what: str):
         yield
     except KeyError as exc:
         raise CliError(f"{what}: missing key {exc}") from exc
-    except (ArithmeticError, OSError, TypeError, ValueError) as exc:
+    except (ArithmeticError, OSError, RecursionError, TypeError, ValueError) as exc:
         raise CliError(f"{what}: {exc}") from exc
 
 
@@ -110,7 +110,10 @@ def _design_config(args: argparse.Namespace, config: dict[str, Any]) -> EqDesign
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
 def _str_list(text: str) -> list[str]:

@@ -9,13 +9,14 @@ score isolates the impact of its design-side estimates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .cohort import CohortData, EarDataset, RtfPair
 from .design import EqDesignConfig, EqFilter, build_target, design_filter_pooled
 from .metrics import ConditionReport, band_error_profile, log_spectral_distance
-from .signals import ImpulseResponse, convolve, magnitude_response, unit_delay, zero_extend
-from .solvers import shared
+from .signals import (ImpulseResponse, MagnitudeResponse, convolve, magnitude_response,
+                      zero_extend, zero_pad_leading)
 
 # Where the design ears and their RTFs come from:
 #   own    the subject, with its own RTFs
@@ -65,24 +66,14 @@ def condition_named(name: str) -> ConditionSpec:
         raise ValueError(f"unknown condition {name!r}; expected one of {CONDITION_NAMES}") from None
 
 
-def device_gain(delay: int, sample_rate_hz: int) -> ImpulseResponse:
-    """Hearing-device processing: a pure delay at broadband 0 dB gain."""
-    return unit_delay(delay, delay + 1, sample_rate_hz)
-
-
-def desired_response(ear: EarDataset, g: ImpulseResponse) -> ImpulseResponse:
-    """The open ear heard through the device processing."""
-    return convolve(ear.h_open, g)
-
-
-def aided_response(ear: EarDataset, g: ImpulseResponse, a: EqFilter) -> ImpulseResponse:
+def aided_response(ear: EarDataset, delay: int, a: EqFilter) -> ImpulseResponse:
     """Device path through the true receiver response plus the passive leak.
 
-    Evaluation always runs through d_true; whatever estimate shaped the
-    filter, the ear it plays into is the real one.
+    The device processing is a pure delay of `delay` samples. Evaluation always runs through
+    d_true; whatever estimate shaped the filter, the ear it plays into is the real one.
     """
     eq = ImpulseResponse(a.coefficients, ear.sample_rate_hz)
-    chain = convolve(convolve(convolve(ear.h_m, g), eq), ear.require("d_true")).samples
+    chain = convolve(convolve(zero_pad_leading(ear.h_m, delay), eq), ear.require("d_true")).samples
     n = max(chain.size, len(ear.h_occ))
     samples = zero_extend(chain, n) + zero_extend(ear.h_occ.samples, n)
     return ImpulseResponse(samples, ear.sample_rate_hz)
@@ -130,18 +121,21 @@ def design_for_condition(cohort: CohortData, subject_id: str, cond: ConditionSpe
     return design_filter_pooled(plants, targets, config)
 
 
-def evaluate(ear: EarDataset, filt: EqFilter, condition: str | None = None) -> ConditionReport:
-    """Score `filt` on the ear's true acoustics: aided against desired (open) spectra.
+@functools.lru_cache(maxsize=1)  # a grid share scores an ear's cells one after another
+def _ear_spectra(ear: EarDataset) -> tuple[MagnitudeResponse, MagnitudeResponse]:
+    """The ear's (open, occluded) spectra; the open one is desired at every d_G, as a pure
+    delay changes no magnitude. The key, the ear itself, hashes by identity (`eq=False`) and is
+    held by the cache, so no other object takes its identity while it is cached; it is frozen
+    with read-only arrays. So a hit returns what a fresh call would, and two cohorts with the
+    same subject IDs never share a value."""
+    return magnitude_response(ear.h_open), magnitude_response(ear.h_occ)
 
-    In a `solvers.sharing()` block, the desired and occluded spectra are computed once.
-    """
-    rate, delay = ear.sample_rate_hz, filt.config.device_delay
-    g = device_gain(delay, rate)
-    aided = magnitude_response(aided_response(ear, g, filt))
-    desired = shared(("desired", rate, ear.h_open.samples.tobytes(), g.samples.tobytes()),
-                     lambda: magnitude_response(desired_response(ear, g)))
-    occluded = shared(("occluded", rate, ear.h_occ.samples.tobytes()),
-                      lambda: magnitude_response(ear.h_occ))
+
+def evaluate(ear: EarDataset, filt: EqFilter, condition: str | None = None) -> ConditionReport:
+    """Score `filt` on the ear's true acoustics: aided against desired (open) spectra."""
+    delay = filt.config.device_delay
+    aided = magnitude_response(aided_response(ear, delay, filt))
+    desired, occluded = _ear_spectra(ear)
     return ConditionReport(
         subject_id=ear.subject_id,
         condition=condition,

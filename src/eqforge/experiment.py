@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import logging
@@ -17,7 +18,7 @@ from .cohort import CohortData
 from .conditions import condition_named, run_condition
 from .design import EqDesignConfig, filter_to_json
 from .metrics import EVALUATION_BAND_HZ, ConditionReport, rank_conditions
-from .solvers import shared, sharing
+from .signals import MagnitudeResponse
 
 log = logging.getLogger("eqforge.experiment")
 
@@ -50,19 +51,23 @@ class ExperimentResult:
     failures: list[RunFailure] = field(default_factory=list)
 
 
+@functools.lru_cache(maxsize=1)  # keyed as `conditions._ear_spectra` is, which says why
+def _csv_template(desired: MagnitudeResponse, occluded: MagnitudeResponse) -> bytes:
+    """The run CSV of an ear's spectra, its aided column left as ``%.17g`` fields."""
+    spectra = np.column_stack([desired.frequencies_hz, desired.magnitude_db, occluded.magnitude_db])
+    rows = "%.17g,%.17g,%%.17g,%.17g\n" * len(spectra) % tuple(spectra.ravel().tolist())
+    return ("frequency_hz,desired_db,aided_db,occluded_db\n" + rows).encode()
+
+
 def write_report(report: ConditionReport, out_dir: Path, name: str, csv_ref: str) -> None:
     """Write one scored filter's report files under `out_dir`.
 
     `<name>.csv` holds the spectra, one row per frequency bin at 17 significant
     digits; `<name>.json` holds the scores and the filter, and names the CSV
-    as `csv_ref`. The frequency, desired and occluded columns repeat across
-    reports, so in a `sharing()` block the CSV around the aided column is formatted once.
+    as `csv_ref`. The frequency, desired and occluded columns are an ear's,
+    so consecutive reports of one ear format them once.
     """
-    spectra = np.column_stack([report.desired.frequencies_hz, report.desired.magnitude_db,
-                               report.occluded.magnitude_db])
-    template = shared(("csv template", spectra.tobytes()), lambda: (
-        "frequency_hz,desired_db,aided_db,occluded_db\n"  # the aided column stays a field
-        + "%.17g,%.17g,%%.17g,%.17g\n" * len(spectra) % tuple(spectra.ravel().tolist())).encode())
+    template = _csv_template(report.desired, report.occluded)
     (out_dir / f"{name}.csv").write_bytes(template % tuple(report.aided.magnitude_db.tolist()))
     payload = {
         "subject": report.subject_id,
@@ -131,14 +136,14 @@ def run_experiment(
     The ears are dealt round-robin to one process per usable CPU (one with a
     single CPU or ear, or without `fork`), and each process writes a cell's
     run files as soon as it is scored, keeping only its `RunRecord` for the
-    summaries. An ear's cells run in one `solvers.sharing()` block, so they
-    compute the ear's spectra and CSV text once; the block closes when the
-    ear is done. Individual cell failures are recorded and do not abort
-    the grid. Output is a pure function of the inputs, whatever the process
-    count: rerunning overwrites every file with identical bytes, and run
-    files under ``runs/`` that this grid did not write (left by an earlier,
-    larger grid) are deleted. Earlier summaries are deleted before the first
-    cell, so a tree without them holds an unfinished grid.
+    summaries. An ear's cells run one after another, so they compute the
+    ear's spectra and CSV text once. Individual cell failures are recorded
+    and do not abort the grid. Output is a pure function of the inputs,
+    whatever the process count: rerunning overwrites every file with
+    identical bytes, and run files under ``runs/`` that this grid did not
+    write (left by an earlier, larger grid) are deleted. Earlier summaries
+    are deleted before the first cell, so a tree without them holds an
+    unfinished grid.
     """
     for what, values in (("condition", conditions), ("delay", delays),
                          ("subject", cohort.subject_ids)):
@@ -165,19 +170,18 @@ def run_experiment(
         by_ear = {}
         for sid in subject_ids:
             by_ear[sid] = result = ExperimentResult()
-            with sharing():
-                for spec, delay in itertools.product(specs, delays):
-                    cfg = dataclasses.replace(design, device_delay=delay)
-                    try:
-                        report = run_condition(cohort, sid, spec, cfg)
-                    except Exception as exc:
-                        failure = RunFailure(sid, spec.name, delay, f"{type(exc).__name__}: {exc}")
-                        log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
-                        result.failures.append(failure)
-                        continue
-                    name = f"{sid}__{spec.name}__dG{delay}"
-                    write_report(report, runs_dir, name, f"runs/{name}.csv")
-                    result.runs.append(RunRecord(sid, spec.name, delay, report.lsd_db))
+            for spec, delay in itertools.product(specs, delays):
+                cfg = dataclasses.replace(design, device_delay=delay)
+                try:
+                    report = run_condition(cohort, sid, spec, cfg)
+                except Exception as exc:
+                    failure = RunFailure(sid, spec.name, delay, f"{type(exc).__name__}: {exc}")
+                    log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
+                    result.failures.append(failure)
+                    continue
+                name = f"{sid}__{spec.name}__dG{delay}"
+                write_report(report, runs_dir, name, f"runs/{name}.csv")
+                result.runs.append(RunRecord(sid, spec.name, delay, report.lsd_db))
         return by_ear
 
     ids = [ear.subject_id for ear in ears]

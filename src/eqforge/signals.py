@@ -97,19 +97,6 @@ def zero_pad_leading(h: ImpulseResponse, n: int) -> ImpulseResponse:
     )
 
 
-def unit_delay(
-    d: int, length: int, sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
-) -> ImpulseResponse:
-    """Impulse of amplitude 1 at index `d` in a response of the given length."""
-    if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
-    if not 0 <= d < length:
-        raise ValueError(f"delay {d} does not fit in length {length}")
-    samples = np.zeros(length)
-    samples[d] = 1.0
-    return ImpulseResponse(samples, sample_rate_hz)
-
-
 def magnitude_response(h: ImpulseResponse, n_fft: int = DEFAULT_N_FFT) -> MagnitudeResponse:
     """Magnitude of the length-`n_fft` discrete-frequency transform of `h`, in dB.
 

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import contextlib
 import functools
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -171,25 +169,3 @@ def solve_pooled(plants: Sequence[ImpulseResponse], targets: Sequence[np.ndarray
         normal_eq_residual=float(np.max(np.abs(gradient))),
         normal_eq_scale=float(np.max(np.abs(rhs))),
     )
-
-
-_shared: list[dict] = []  # the values of each open `sharing()` block, innermost last
-
-
-@contextlib.contextmanager
-def sharing() -> Iterator[None]:
-    """A scope in which `shared` computes each key's value once; the values go with it."""
-    _shared.append({})
-    try:
-        yield
-    finally:
-        _shared.pop()
-
-
-def shared(key: tuple, compute: Callable[[], Any]) -> Any:
-    """`compute()`, or in a `sharing()` block the value it gave there for an equal `key`,
-    which must hold the bytes of every input of `compute`, so that sharing never changes a value."""
-    values = _shared[-1] if _shared else {}
-    if key not in values:
-        values[key] = compute()
-    return values[key]

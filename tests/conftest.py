@@ -11,6 +11,13 @@ def make_ir(samples, rate=RATE) -> ImpulseResponse:
     return ImpulseResponse(np.asarray(samples, dtype=np.float64), rate)
 
 
+def unit_impulse(delay: int, rate=RATE) -> ImpulseResponse:
+    """An impulse of amplitude 1 at index `delay`, in a response of `delay` + 1 samples."""
+    samples = np.zeros(delay + 1)
+    samples[delay] = 1.0
+    return make_ir(samples, rate)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(2024)

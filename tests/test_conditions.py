@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eqforge import cohort as cohort_mod
+from eqforge import conditions as conditions_mod
 from eqforge.cohort import CohortData, EarDataset, SynthCohortParams, synth_cohort, synth_dummy_ear
 from eqforge.conditions import (
     CONDITION_NAMES,
@@ -12,13 +13,12 @@ from eqforge.conditions import (
     condition_named,
     individual_rtfs,
     design_for_condition,
-    desired_response,
-    device_gain,
+    evaluate,
     run_condition,
 )
 from eqforge.design import EqDesignConfig, EqFilter, build_target, design_filter
-from eqforge.signals import convolve, magnitude_response, unit_delay, zero_extend
-from conftest import RATE, make_ir
+from eqforge.signals import convolve, magnitude_response, zero_extend, zero_pad_leading
+from conftest import make_ir, unit_impulse
 
 PARAMS = SynthCohortParams(n_subjects=4)
 CFG = EqDesignConfig(device_delay=16)
@@ -72,46 +72,44 @@ def test_condition_registry_is_fixed():
 
 def test_muted_device_leaves_occluded_path(cohort):
     ear = cohort[0]
-    g = device_gain(96, RATE)
-    aided = aided_response(ear, g, zero_filter())
+    aided = aided_response(ear, 96, zero_filter())
     occ = ear.h_occ.samples
     assert np.array_equal(aided.samples, zero_extend(occ, len(aided)))
 
 
 def test_transparent_chain_reproduces_filter(rng):
     delta = make_ir([1.0])
-    late_leak = unit_delay(200, 201)  # leak far beyond the device chain
+    late_leak = unit_impulse(200)  # leak far beyond the device chain
     ear = EarDataset("t", h_m=delta, h_open=delta, h_occ=late_leak,
                      d_true=delta, d_inear=delta, d_model=delta)
     coeffs = rng.standard_normal(CFG.filter_length)
     filt = EqFilter(coeffs, dataclasses.replace(CFG, device_delay=0), 0.0, 0.0)
-    aided = aided_response(ear, device_gain(0, RATE), filt)
+    aided = aided_response(ear, 0, filt)
     assert np.array_equal(aided.samples[: coeffs.size], coeffs)
     assert aided.samples[200] == 1.0
 
 
-def test_desired_is_open_ear_through_device(cohort):
-    ear = cohort[0]
-    assert np.array_equal(
-        desired_response(ear, device_gain(0, RATE)).samples, ear.h_open.samples
-    )
-    delayed = desired_response(ear, device_gain(96, RATE))
-    assert np.array_equal(delayed.samples[96:], ear.h_open.samples)
-
-
 def test_desired_magnitude_is_delay_invariant(cohort):
     ear = cohort[0]
-    m0 = magnitude_response(desired_response(ear, device_gain(0, RATE)))
-    m96 = magnitude_response(desired_response(ear, device_gain(96, RATE)))
-    assert np.max(np.abs(m0.magnitude_db - m96.magnitude_db)) <= 1e-8
+
+    def desired(delay):
+        conditions_mod._ear_spectra.cache_clear()  # computed afresh at each delay
+        return evaluate(ear, zero_filter(dataclasses.replace(CFG, device_delay=delay))).desired
+
+    m0, m96 = desired(0), desired(96)
+    assert m0.magnitude_db.tobytes() == m96.magnitude_db.tobytes()
+    assert m0.frequencies_hz.tobytes() == m96.frequencies_hz.tobytes()
+    # the open ear heard through the device's delay, as a convolution would compute it
+    delayed = magnitude_response(zero_pad_leading(ear.h_open, 96))
+    assert np.max(np.abs(m96.magnitude_db - delayed.magnitude_db)) <= 1e-8
 
 
 def test_aided_is_device_chain_plus_leak(cohort, rng):
     ear = cohort[1]
-    g = device_gain(16, RATE)
+    g = unit_impulse(16)
     coeffs = rng.standard_normal(CFG.filter_length)
     filt = EqFilter(coeffs, CFG, 0.0, 0.0)
-    aided = aided_response(ear, g, filt)
+    aided = aided_response(ear, 16, filt)
     chain = convolve(convolve(convolve(ear.h_m, g), make_ir(coeffs)), ear.d_true)
     want = zero_extend(chain.samples, len(aided)) + zero_extend(ear.h_occ.samples, len(aided))
     assert np.array_equal(aided.samples, want)

@@ -14,9 +14,8 @@ from eqforge.design import (
     weighting_from_json,
 )
 from eqforge.rtf import RelativeTransferEstimate
-from eqforge.signals import unit_delay
 from eqforge.solvers import SingularSystemError, align_target, solve_pooled
-from conftest import make_ir
+from conftest import make_ir, unit_impulse
 
 
 def rte(coeffs, lead=0):
@@ -127,7 +126,7 @@ def test_target_inverts_pure_delay_against_deconvolution_oracle(rng):
     occ[16] = 1.0
     r_open = rte(rng.standard_normal(20))
     r_occ = rte(occ)
-    g = unit_delay(16, 17)
+    g = unit_impulse(16)
     t = build_target(r_open, r_occ, 16)
     oracle = solve_pooled([g], [occ], 20).coefficients
     assert np.allclose(t, r_open.coefficients - oracle, atol=1e-12)
@@ -140,7 +139,7 @@ def test_target_fast_path_matches_solver_for_random_delays(rng):
     occ = rng.standard_normal(24)
     r_open = rte(rng.standard_normal(24))
     for delay in (0, 3, 11, 30):
-        g = unit_delay(delay, delay + 1)
+        g = unit_impulse(delay)
         t = build_target(r_open, rte(occ), delay)
         oracle = solve_pooled([g], [occ], 24).coefficients
         assert np.allclose(t, r_open.coefficients - oracle, atol=1e-10)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from eqforge import cohort as cohort_mod
-from eqforge import experiment, solvers
+from eqforge import conditions, experiment, solvers
 from eqforge.cli import main
 from eqforge.cohort import (
     RESPONSE_KEYS,
@@ -777,6 +777,35 @@ def test_a_grid_factors_each_design_gram_once_per_ear_and_condition(small_manife
     assert len(factorizations) <= 5 * n + len(estimates)
 
 
+@pytest.fixture
+def spectra(monkeypatch):
+    """The responses whose spectra `conditions` computes from here on, none kept from before."""
+    spectrum, responses = conditions.magnitude_response, []
+
+    def counted(h):
+        responses.append(h)
+        return spectrum(h)
+
+    monkeypatch.setattr(conditions, "magnitude_response", counted)
+    conditions._ear_spectra.cache_clear()
+    experiment._csv_template.cache_clear()
+    return responses
+
+
+def test_a_grid_computes_each_ears_spectra_and_csv_template_once(small_manifest, tmp_path,
+                                                                 monkeypatch, spectra):
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0})
+    data = load_manifest(small_manifest)
+    n = len(data.subject_ids)
+    result = run_experiment(data, list(CONDITION_NAMES), list(experiment.DEFAULT_DELAYS),
+                            EqDesignConfig(), tmp_path)
+    cells = len(result.runs)
+    assert cells == n * 7 * 4 and not result.failures
+    # Each cell's aided spectrum, and each ear's open and occluded one, whatever the delay.
+    assert len(spectra) == cells + 2 * n
+    assert experiment._csv_template.cache_info().misses == n
+
+
 def _synth(seed):
     params = SynthCohortParams(seed=seed)
     return synth_cohort(params), synth_dummy_ear(params)
@@ -797,8 +826,7 @@ def test_cohorts_with_the_same_ids_give_the_reports_each_gives_alone(tmp_path, m
         solvers._factor.cache_clear()
         fresh[seed] = scored(seed)
     assert fresh[42] != fresh[7]
-    with solvers.sharing():
-        assert {seed: scored(seed) for seed in (42, 7)} == fresh
+    assert {seed: scored(seed) for seed in (42, 7)} == fresh
 
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0})
     grid = (["Optimal", "PracticalOptimal"], [0, 16], EqDesignConfig())
@@ -810,6 +838,20 @@ def test_cohorts_with_the_same_ids_give_the_reports_each_gives_alone(tmp_path, m
     for seed in (42, 7):  # back to back, in one process
         run_experiment(CohortData.of(*_synth(seed)), *grid, tmp_path / f"after{seed}")
         assert tree_digest(tmp_path / f"after{seed}") == alone[seed]
+
+
+@pytest.mark.parametrize("kind", ["config", "filter", "manifest"])
+def test_a_deeply_nested_json_file_is_one_error_line(tmp_path, small_manifest, capsys, kind):
+    deep = tmp_path / f"{kind}.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {"config": ["experiment", "--config", str(deep)],
+            "filter": ["evaluate", "--manifest", str(small_manifest), "--subject", "ear00",
+                       "--filter", str(deep)],
+            "manifest": ["experiment", "--manifest", str(deep)]}[kind]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: invalid {kind}")
+    assert "recursion" in err[0]
 
 
 # --- evaluate ----------------------------------------------------------------------
@@ -1143,7 +1185,7 @@ def test_exclude_subject_is_checked_against_the_manifest_ids(tmp_path, small_man
      "argument --condition: invalid choice: 'Bogus'"),
     (["experiment", "--delyas", "16"], "unrecognized arguments: --delyas 16"),
     (["experiment", "--delays"], "argument --delays: expected one argument"),
-    (["experiment", "--delays", "16,x"], "argument --delays: invalid _int_list value"),
+    (["experiment", "--delays", "16,x"], "argument --delays: not comma-separated integers: '16,x'"),
     (["evaluate", "--subject", "ear00", "--filter", "f.json", "--manifst", "m.json"],
      "unrecognized arguments: --manifst m.json"),
     (["evaluate", "--subject", "ear00"], "the following arguments are required: --filter"),

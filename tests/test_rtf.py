@@ -9,9 +9,9 @@ from eqforge.rtf import (
     estimate_average,
     estimate_individual,
 )
-from eqforge.signals import convolve, unit_delay
+from eqforge.signals import convolve
 from eqforge.solvers import SingularSystemError, autocorrelation, solve_normal_equations
-from conftest import RATE, make_ir
+from conftest import RATE, make_ir, unit_impulse
 
 
 def loop_built(h, n_cols):
@@ -167,7 +167,7 @@ def deconvolve(h, target, rtf_length):
 
 def test_delay_inversion(rng):
     t = rng.standard_normal(12)
-    x = deconvolve(unit_delay(3, 4), t, rtf_length=6)
+    x = deconvolve(unit_impulse(3), t, rtf_length=6)
     assert np.allclose(x, t[3:9], atol=1e-12)
 
 

@@ -16,11 +16,10 @@ from eqforge.signals import (
     magnitude_response,
     read_impulse_csv,
     read_impulse_wav,
-    unit_delay,
     write_impulse_csv,
     zero_pad_leading,
 )
-from conftest import RATE, make_ir
+from conftest import RATE, make_ir, unit_impulse
 
 finite_samples = st.lists(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False),
@@ -86,8 +85,8 @@ def test_convolve_identity():
 
 
 def test_convolve_delay_composition():
-    d3 = unit_delay(3, 4)
-    d5 = unit_delay(5, 6)
+    d3 = unit_impulse(3)
+    d5 = unit_impulse(5)
     out = convolve(d3, d5)
     expected = np.zeros(9)
     expected[8] = 1.0
@@ -191,29 +190,14 @@ def test_zero_pad_preserves_magnitude(h, n):
     assert np.max(np.abs(base - padded)) <= 1e-12 * (1.0 + np.sum(np.abs(h.samples)))
 
 
-# --- unit_delay -------------------------------------------------------------
-
-def test_unit_delay_identity():
-    assert np.array_equal(unit_delay(0, 1).samples, [1.0])
-
-
-def test_unit_delay_device_latency():
-    g = unit_delay(96, 97, RATE)
-    assert g.samples[96] == 1.0 and np.sum(np.abs(g.samples)) == 1.0
-
+# --- delay by a unit impulse ------------------------------------------------
 
 def test_unit_delay_shift_property(rng):
     h = make_ir(rng.standard_normal(10))
-    shifted = convolve(unit_delay(4, 5), h).samples
+    shifted = convolve(unit_impulse(4), h).samples
+    assert np.array_equal(shifted, zero_pad_leading(h, 4).samples)
     assert np.array_equal(shifted[4:], h.samples)
     assert np.array_equal(shifted[:4], np.zeros(4))
-
-
-def test_unit_delay_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        unit_delay(5, 5)
-    with pytest.raises(ValueError):
-        unit_delay(0, 0)
 
 
 # --- magnitude_response -----------------------------------------------------
