@@ -335,7 +335,7 @@ class CohortData:
 
 def params_from_json(data: dict) -> SynthCohortParams:
     """Generator parameters from their JSON form; a wrong type or unknown key is a ValueError."""
-    known_keys('"cohort.synth"', data, (f.name for f in fields(SynthCohortParams)))
+    known_keys('"synth"', data, (f.name for f in fields(SynthCohortParams)))
     kwargs: dict[str, Any] = {}
     for f in fields(SynthCohortParams):
         if f.name in data:

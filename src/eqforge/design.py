@@ -59,14 +59,11 @@ class EqFilter:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", frozen_vector(self.coefficients, "coefficients"))
-        if self.coefficients.size != self.config.filter_length:
-            raise ValueError(f"expected {self.config.filter_length} coefficients, got {len(self)}")
+        if (n := self.coefficients.size) != self.config.filter_length:
+            raise ValueError(f"expected {self.config.filter_length} coefficients, got {n}")
         for k in _AUDIT_KEYS[1:]:
             if not 0.0 <= getattr(self, k) < np.inf:
                 raise ValueError(f'"{k}" must be finite and nonnegative, got {getattr(self, k)}')
-
-    def __len__(self) -> int:
-        return int(self.coefficients.size)
 
 
 def build_target(r_open: RelativeTransferEstimate, r_occ: RelativeTransferEstimate,

@@ -30,16 +30,15 @@ def solve_normal_equations(first_row: np.ndarray, rhs: np.ndarray, *,
     first_row = np.asarray(first_row, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     n = first_row.size
-    if first_row.shape != (n,) or rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-        raise ValueError(f"{context}: need a 1-D first row and a right-hand side of as many "
-                         f"rows, got shapes {first_row.shape} and {rhs.shape}")
+    if first_row.shape != (n,) or rhs.shape != (n,):
+        raise ValueError(f"{context}: need a 1-D first row and a right-hand side of its size, "
+                         f"got shapes {first_row.shape} and {rhs.shape}")
     if not (np.isfinite(first_row).all() and np.isfinite(rhs).all()):
         raise SingularSystemError(f"{context}: normal equations are not finite "
                                   "(condition estimate nan)")
     factor = _factor(first_row.tobytes(), context, CONDITION_LIMIT)
     import scipy.linalg  # here, so that a command that solves nothing never loads it
-    x, _ = scipy.linalg.lapack.dpptrs(n, factor, rhs.reshape(n, -1))  # one or more columns
-    return x.reshape(rhs.shape)
+    return scipy.linalg.lapack.dpptrs(n, factor, rhs)[0]
 
 
 @functools.lru_cache(maxsize=1)  # solves that share a system come one after another

@@ -235,7 +235,7 @@ import json, sys
 from pathlib import Path
 from eqforge.cli import main
 out = Path({str(tmp_path)!r})
-Path(out / "c.json").write_text(json.dumps({{"cohort": {{"synth": {{"n_subjects": 3}}}}}}))
+Path(out / "c.json").write_text(json.dumps({{"synth": {{"n_subjects": 3}}}}))
 m = str(out / "cohort" / "manifest.json")
 assert main(["synth", "--config", str(out / "c.json"), "--out", str(out / "cohort")]) == 0
 assert main(["design", "--manifest", m, "--subject", "ear01", "--condition", "PracticalOptimal",
@@ -258,7 +258,7 @@ def test_synth_and_evaluate_load_no_scipy_and_a_design_loads_scipy_linalg(tmp_pa
 
     src = str(Path(cohort_mod.__file__).resolve().parents[1])
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"cohort": {"synth": {"n_subjects": 3}}}))
+    config.write_text(json.dumps({"synth": {"n_subjects": 3}}))
     assert main(["synth", "--config", str(config), "--out", str(tmp_path / "made")]) == 0
     assert main(["design", "--manifest", str(tmp_path / "made" / "manifest.json"), "--subject",
                  "ear01", "--condition", "Optimal", "--out", str(tmp_path / "f.json")]) == 0

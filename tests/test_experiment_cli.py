@@ -53,16 +53,16 @@ def write_config(tmp_path, data):
 
 
 def write_params(tmp_path, **overrides):
-    """A config file whose `cohort.synth` is a 3-ear cohort at seed 11, updated by `overrides`."""
-    return write_config(tmp_path, {"cohort": {"synth": {"n_subjects": 3, "seed": 11, **overrides}}})
+    """A config file whose "synth" section is a 3-ear cohort, updated by `overrides`."""
+    return write_config(tmp_path, {"synth": {"n_subjects": 3, **overrides}})
 
 
 # --- synth -----------------------------------------------------------------------
 
 def test_synth_is_idempotent(tmp_path):
-    params = write_params(tmp_path)
-    assert main(["synth", "--config", str(params), "--out", str(tmp_path / "a")]) == 0
-    assert main(["synth", "--config", str(params), "--out", str(tmp_path / "b")]) == 0
+    args = ["synth", "--config", str(write_params(tmp_path)), "--seed", "11"]
+    assert main([*args, "--out", str(tmp_path / "a")]) == 0
+    assert main([*args, "--out", str(tmp_path / "b")]) == 0
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
@@ -83,7 +83,7 @@ def test_synth_default_cohort_has_12_subjects(tmp_path):
 def test_synth_zero_model_error_duplicates_truth_files(tmp_path):
     params = write_params(tmp_path, model_error_db=0.0)
     out = tmp_path / "degen"
-    assert main(["synth", "--config", str(params), "--out", str(out)]) == 0
+    assert main(["synth", "--config", str(params), "--seed", "11", "--out", str(out)]) == 0
     for subject in json.loads((out / "manifest.json").read_text())["subjects"]:
         d_true = (out / subject["d_true"]).read_bytes()
         d_model = (out / subject["d_model"]).read_bytes()
@@ -92,7 +92,7 @@ def test_synth_zero_model_error_duplicates_truth_files(tmp_path):
 
 def test_synth_seed_flag_overrides_params(tmp_path):
     params = write_params(tmp_path)
-    main(["synth", "--config", str(params), "--out", str(tmp_path / "s11")])
+    main(["synth", "--config", str(params), "--seed", "11", "--out", str(tmp_path / "s11")])
     main(["synth", "--config", str(params), "--seed", "12", "--out", str(tmp_path / "s12")])
     assert tree_digest(tmp_path / "s11") != tree_digest(tmp_path / "s12")
 
@@ -106,11 +106,13 @@ REMOVED_SYNTH_KEYS = ("sample_rate_hz", "resonance_bands", "canal_delay_range",
     (["--seed", "-1"], "seed must be nonnegative, got -1"),
     ({"n_subjects": 2.5}, '"n_subjects" must be an integer, got 2.5'),
     ({"n_subjects": 1001}, "n_subjects must be in [2, 1000]"),
-    (lambda tmp_path: ["--config", str(write_config(tmp_path, {"cohort": {"manifest": "m.json"}}))],
-     '`synth` synthesizes a cohort from "cohort.synth"; it cannot take "cohort.manifest"'),
-    *[({key: 1}, f'unknown key {key!r} in "cohort.synth"') for key in REMOVED_SYNTH_KEYS],
+    (["--manifest", "m.json"], "unrecognized arguments: --manifest m.json"),
+    (lambda tmp_path: ["--config", str(write_config(tmp_path, {"cohort": {"synth": {}}}))],
+     "unknown key 'cohort' in the config of `synth`"),
+    ({"seed": 11}, "unknown key 'seed' in \"synth\""),
+    *[({key: 1}, f'unknown key {key!r} in "synth"') for key in REMOVED_SYNTH_KEYS],
 ], ids=["negative-seed", "n_subjects-a-float", "n_subjects-too-many", "synth-with-manifest",
-        *[f"removed-{key}" for key in REMOVED_SYNTH_KEYS]])
+        "old-cohort-key", "seed-in-config", *[f"removed-{key}" for key in REMOVED_SYNTH_KEYS]])
 def test_bad_synth_parameters_print_one_error_line(tmp_path, capsys, args, message):
     if isinstance(args, dict):
         args = ["--config", str(write_params(tmp_path, **args))]
@@ -155,9 +157,10 @@ def test_design_conditions_coincide_on_degenerate_cohort(tmp_path, degenerate_ma
 
 def test_design_huge_lambda_flag(tmp_path, degenerate_manifest):
     out = tmp_path / "crushed.json"
+    config = write_config(tmp_path, {"design": {"lambda": 1e12}})
     assert main([
         "design", "--manifest", str(degenerate_manifest), "--subject", "ear01",
-        "--condition", "Optimal", "--lambda", "1e12", "--out", str(out),
+        "--condition", "Optimal", "--config", str(config), "--out", str(out),
     ]) == 0
     data = json.loads(out.read_text())
     assert data["lambda"] == 1e12
@@ -207,27 +210,28 @@ DESIGN = st.fixed_dictionaries({}, optional={
 })
 
 
-@given(design=DESIGN, condition=st.sampled_from(CONDITION_NAMES))
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_design_section_fuzz_exits_0_or_prints_one_error_line(
-        design, condition, degenerate_manifest, tmp_path_factory):
+def test_design_section_fuzz_exits_0_or_prints_one_error_line(degenerate_manifest,
+                                                               tmp_path_factory):
     root = tmp_path_factory.getbasetemp()
     config = root / "fuzz_config.json"
-    config.write_text(json.dumps({"design": design}))
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = main(["design", "--manifest", str(degenerate_manifest), "--subject", "ear00",
-                   "--condition", condition, "--config", str(config),
-                   "--out", str(root / "fuzz_filter.json")])
-    err = stderr.getvalue().splitlines()
-    assert (rc, err) == (0, []) or (rc == 1 and len(err) == 1 and err[0].startswith("error: "))
+    codes = []
+
+    @given(design=DESIGN, condition=st.sampled_from(CONDITION_NAMES))
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def run(design, condition):
+        config.write_text(json.dumps({"design": design}))
+        codes.append(_exits_0_or_prints_one_error_line([
+            "design", "--manifest", str(degenerate_manifest), "--subject", "ear00",
+            "--condition", condition, "--config", str(config),
+            "--out", str(root / "fuzz_filter.json")]))
+
+    run()
+    assert 0 in codes  # some drawn configs are valid, so the fuzz reaches a design
 
 
 # Values in or near each synth parameter's range. The cohort size is always
 # given, since its default of 12 ears would make the fuzz slow.
 SYNTH_VALUES = {
-    "seed": st.integers(-2, 2**64),
     "inear_mismatch_db": st.floats(-1.0, 12.0),
     "model_error_db": st.floats(-1.0, 12.0),
 }
@@ -235,21 +239,30 @@ SYNTH_VALUES = {
 SYNTH_CAPS = {"n_subjects": 4}
 
 
-@given(synth=st.fixed_dictionaries({"n_subjects": st.integers(1, 4)}, optional=SYNTH_VALUES),
-       junk=st.none() | st.tuples(st.sampled_from(["n_subjects", *SYNTH_VALUES, "typo"]), JSON))
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_synth_section_fuzz_exits_0_or_prints_one_error_line(synth, junk, tmp_path_factory):
-    # At most one key holds an arbitrary JSON value; bare JSON integers are
-    # unbounded, so the cohort size is capped to stay small.
-    if junk is not None:
-        key, value = junk
-        capped = key in SYNTH_CAPS and type(value) is int
-        synth[key] = min(value, SYNTH_CAPS[key]) if capped else value
+def test_synth_section_fuzz_exits_0_or_prints_one_error_line(tmp_path_factory):
     root = tmp_path_factory.getbasetemp()
     path = root / "fuzz_synth.json"
-    path.write_text(json.dumps({"cohort": {"synth": synth}}))
-    _exits_0_or_prints_one_error_line(["synth", "--config", str(path),
-                                       "--out", str(root / "fuzz_cohort")])
+    codes = []
+
+    @given(synth=st.fixed_dictionaries({"n_subjects": st.integers(1, 4)}, optional=SYNTH_VALUES),
+           seed=st.none() | st.integers(-2, 2**64),
+           junk=st.none() | st.tuples(st.sampled_from(["n_subjects", *SYNTH_VALUES, "seed",
+                                                       "typo"]), JSON))
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def run(synth, seed, junk):
+        # At most one key holds an arbitrary JSON value; bare JSON integers are
+        # unbounded, so the cohort size is capped to stay small.
+        if junk is not None:
+            key, value = junk
+            capped = key in SYNTH_CAPS and type(value) is int
+            synth[key] = min(value, SYNTH_CAPS[key]) if capped else value
+        path.write_text(json.dumps({"synth": synth}))
+        seed_flag = [] if seed is None else ["--seed", str(seed)]
+        codes.append(_exits_0_or_prints_one_error_line(
+            ["synth", "--config", str(path), *seed_flag, "--out", str(root / "fuzz_cohort")]))
+
+    run()
+    assert 0 in codes  # some drawn sections are valid, so the fuzz reaches the generator
 
 
 def test_a_line_break_in_a_quoted_path_stays_on_the_error_line(tmp_path, capsys):
@@ -376,23 +389,6 @@ def test_experiment_rerun_with_fewer_conditions_leaves_no_stale_runs(tmp_path, s
     assert (out / "notes.txt").read_text() == "not a run file\n"
 
 
-def test_experiment_config_file_with_flag_override(tmp_path, small_manifest):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "cohort": {"manifest": str(small_manifest)},
-        "conditions": ["Optimal"],
-        "delays": [0, 16],
-        "design": {"L_a": 40, "lambda": 0.1, "L_d": 32},
-    }))
-    out = tmp_path / "cfg_run"
-    assert main(["experiment", "--config", str(config), "--delays", "96",
-                 "--out", str(out)]) == 0
-    data = json.loads((out / "summary.json").read_text())
-    assert {row["d_G"] for row in data["rows"]} == {96}  # flag beat the config
-    run = json.loads((out / "runs" / "ear00__Optimal__dG96.json").read_text())
-    assert run["filter"]["L_a"] == 40  # config beat the default
-
-
 def test_experiment_exclude_subject(tmp_path, small_manifest):
     out = tmp_path / "excl"
     assert main([
@@ -418,10 +414,11 @@ def test_perfect_knowledge_run_is_numerically_transparent(tmp_path):
         ears.append(EarDataset(f"p{i}", h_m=delta, h_open=h_open, h_occ=h_occ,
                                d_true=delta, d_inear=delta, d_model=delta))
     manifest = save_cohort(ears, tmp_path / "ideal")
+    config = write_config(tmp_path, {"design": {"lambda": 0}})
     out = tmp_path / "run"
     assert main([
         "experiment", "--manifest", str(manifest), "--conditions", "Optimal",
-        "--delays", "96", "--lambda", "0", "--out", str(out),
+        "--delays", "96", "--config", str(config), "--out", str(out),
     ]) == 0
     data = json.loads((out / "summary.json").read_text())
     assert data["rows"][0]["mean_lsd_db"] <= 1e-6
@@ -473,6 +470,10 @@ def _subjects(value):
     return make_args
 
 
+# The refusal of a top-level key other than the two sections: its value is a flag, or none.
+OLD_KEY = "unknown key '{}' in the config of `experiment`"
+
+
 def _config(data):
     def make_args(tmp_path, manifest):
         config = tmp_path / "c.json"
@@ -484,14 +485,14 @@ def _config(data):
 @pytest.mark.parametrize("make_args, message", [
     (_malformed_config, "invalid config file"),
     (_config({"rate": 8000}), "unknown key 'rate' in the config"),
-    (_config({"cohort": {"synth": "x"}}), "\"cohort.synth\" must be an object"),
-    (_config({"cohort": {"synth": [1]}}), "\"cohort.synth\" must be an object"),
-    (_config({"cohort": {"manifest": 5}}), "\"cohort.manifest\" must be a string"),
-    (_config({"cohort": "m.json"}), "\"cohort\" must be an object"),
-    (_config({"conditions": ["Optimal"], "delays": [True]}), "got True"),
-    (_config({"conditions": "Optimal"}), "\"conditions\" must be a list, got 'Optimal'"),
-    (_config({"conditions": [["Optimal"]]}), "\"conditions\" must be a list of names"),
-    (_config({"delays": 16}), "\"delays\" must be a list, got 16"),
+    (_config({"synth": "x"}), "\"synth\" must be an object"),
+    (_config({"synth": [1]}), "\"synth\" must be an object"),
+    (_config({"cohort": {"manifest": 5}}), OLD_KEY.format("cohort")),
+    (_config({"cohort": "m.json"}), OLD_KEY.format("cohort")),
+    (_config({"delays": [True]}), OLD_KEY.format("delays")),
+    (_config({"conditions": "Optimal"}), OLD_KEY.format("conditions")),
+    (_config({"conditions": [["Optimal"]]}), OLD_KEY.format("conditions")),
+    (_config({"delays": 16}), OLD_KEY.format("delays")),
     (_config({"design": "x"}), "\"design\" must be an object"),
     (_config({"design": {"weighting": "x"}}), "\"weighting\" must be an object"),
     (_config({"design": {"weighting": {"mode": "fir", "fir_taps": "12"}}}),
@@ -520,30 +521,34 @@ def _config(data):
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "-5"], "-5"),
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "16,513"],
      "device_delay must be in [0, 512], got 513"),
-    (_config({"design": {"d_G": 513}}), "device_delay must be in [0, 512], got 513"),
-    (_config({"design": {"d_G": 5}}), 'takes its delays from "delays" or --delays'),
+    (_config({"design": {"d_G": 513}}), "unknown key 'd_G' in \"design\""),
+    (_config({"design": {"d_G": 5}}), "unknown key 'd_G' in \"design\""),
     (lambda tmp_path, manifest: _manifest_variant(
         tmp_path, manifest, lambda d: d.update(sample_rate_hz=8000)),
      "a cohort at 8000 Hz cannot be scored: the 100-7000 Hz evaluation band"),
     (_config({"design": {"lamda": 50}}), "unknown key 'lamda' in \"design\""),
-    (_config({"desing": {"L_a": 40}, "delays": [3]}), "unknown key 'desing' in the config"),
-    (_config({"cohort": {"manifets": "m.json"}}), "unknown key 'manifets' in \"cohort\""),
+    (_config({"desing": {"L_a": 40}}), "unknown key 'desing' in the config"),
+    (_config({"synth": {"manifets": "m.json"}}), "unknown key 'manifets' in \"synth\""),
     (_config({"design": {"weighting": {"mode": "fir", "taps": [1]}}}),
      "unknown key 'taps' in \"weighting\""),
     (_config({"workers": 2}), "unknown key 'workers' in the config"),
     (lambda tmp_path, manifest: ["--seed", "3", "--manifest", str(tmp_path / "no-manifest.json")],
-     "--seed sets the seed of a synthesized cohort; it cannot go with a manifest"),
+     "argument --manifest: not allowed with argument --seed"),
     (lambda tmp_path, manifest: ["--seed", "3", *_config({"cohort": {"manifest": str(manifest)}})(
-        tmp_path, manifest)], "--seed sets the seed of a synthesized cohort"),
+        tmp_path, manifest)], OLD_KEY.format("cohort")),
     (_config({"cohort": {"manifest": "m.json", "synth": {"n_subjects": 2}}}),
-     '"cohort" holds both "manifest" and "synth"'),
+     OLD_KEY.format("cohort")),
+    (lambda tmp_path, manifest: ["--manifest", str(manifest),
+                                 *_config({"synth": {"n_subjects": 2}})(tmp_path, manifest)],
+     'a "synth" section cannot go with --manifest'),
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--conditions", "Optimal,Optimal",
                                  "--delays", "0,0"], "condition 'Optimal' is given more than once"),
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "0,16,0"],
      "delay 0 is given more than once"),
-    (_config({"conditions": ["GenericDH", "Optimal", "GenericDH"]}),
-     "condition 'GenericDH' is given more than once"),
-    (_config({"conditions": []}), "need at least one condition"),
+    (_config({"conditions": ["GenericDH", "Optimal", "GenericDH"]}), OLD_KEY.format("conditions")),
+    (_config({"conditions": []}), OLD_KEY.format("conditions")),
+    (lambda tmp_path, manifest: ["--manifest", str(manifest), "--conditions", ","],
+     "need at least one condition"),
     (lambda tmp_path, manifest: [*_manifest_variant(
         tmp_path, manifest, lambda d: d.update(subjects=d["subjects"][:1])),
         "--exclude-subject", "ear00"], "need at least one subject"),
@@ -570,9 +575,10 @@ def _config(data):
         "delay-too-long", "config-d_G-too-long", "config-d_G", "rate-below-14-khz",
         "unknown-design-key", "unknown-top-level-key", "unknown-cohort-key",
         "unknown-weighting-key", "workers-key", "seed-with-manifest", "seed-with-config-manifest",
-        "manifest-and-synth", "repeated-condition", "repeated-delay", "config-repeated-condition",
-        "config-no-condition", "no-subject-left", "subjects-empty", "subjects-an-object",
-        "dummy-null", "subject-a-string", "path-a-number", "manifest-a-list"])
+        "manifest-and-synth", "synth-with-manifest", "repeated-condition", "repeated-delay",
+        "config-repeated-condition", "config-no-condition", "no-condition", "no-subject-left",
+        "subjects-empty", "subjects-an-object", "dummy-null", "subject-a-string", "path-a-number",
+        "manifest-a-list"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
     out = tmp_path / "never"
@@ -586,12 +592,33 @@ def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, ca
     assert set(tmp_path.rglob("*")) == before
 
 
-def test_manifest_flag_overrides_a_config_synth_section(tmp_path, small_manifest):
-    # The synthesized cohort would have no ear02, so only the manifest's cohort can pass.
-    config = write_params(tmp_path, n_subjects=2)
-    assert main(["design", "--config", str(config), "--manifest", str(small_manifest),
-                 "--subject", "ear02", "--condition", "Optimal",
-                 "--out", str(tmp_path / "f.json")]) == 0
+@pytest.mark.parametrize("command, config, message", [
+    (["synth"], {"design": {"L_a": 40}}, "unknown key 'design' in the config of `synth`"),
+    (["synth"], {"conditions": ["Optimal"], "delays": [16]},
+     "unknown key 'conditions' in the config of `synth`"),
+    (["design", "--condition", "Optimal"], {"conditions": ["GenericDH"]},
+     "unknown key 'conditions' in the config of `design`"),
+    (["design", "--condition", "Optimal"], {"delays": [96]},
+     "unknown key 'delays' in the config of `design`"),
+    (["evaluate", "--filter", "f.json"], {"design": {"L_a": 40}},
+     "unknown key 'design' in the config of `evaluate`"),
+    (["design", "--condition", "Optimal"], {"synth": {"n_subjects": 2}},
+     'a "synth" section cannot go with --manifest: the cohort has one source'),
+    (["evaluate", "--filter", "f.json"], {"synth": {"n_subjects": 2}},
+     'a "synth" section cannot go with --manifest'),
+], ids=["synth-design", "synth-conditions-delays", "design-conditions", "design-delays",
+        "evaluate-design", "design-synth-with-manifest", "evaluate-synth-with-manifest"])
+def test_a_command_refuses_config_it_would_ignore(tmp_path, small_manifest, reads, capsys,
+                                                  monkeypatch, command, config, message):
+    monkeypatch.chdir(tmp_path)
+    Path("f.json").write_text(json.dumps(filter_to_json(
+        EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0))))
+    cohort = ["--manifest", str(small_manifest), "--subject", "ear00"] * (command != ["synth"])
+    argv = [*command, *cohort, "--config", str(write_config(tmp_path, config)), "--out", "out"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not Path("out").exists() and reads == []
 
 
 def test_design_rejects_an_unknown_config_key_before_the_cohort_loads(tmp_path, capsys):
@@ -1023,6 +1050,7 @@ def _exits_0_or_prints_one_error_line(argv):
         rc = main(argv)
     err = stderr.getvalue().splitlines()
     assert (rc, err) == (0, []) or (rc == 1 and len(err) == 1 and err[0].startswith("error: "))
+    return rc
 
 
 FUZZED_MANIFEST = dict(csv_key=st.sampled_from(RESPONSE_KEYS),
@@ -1151,8 +1179,11 @@ def test_a_missing_out_fails_before_any_ear_is_read(tmp_path, small_manifest, re
     monkeypatch.chdir(tmp_path)
     assert main([command[0], *bad_csv, *command[1:]]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ['error: --out is required (or set "out" in the config file)']
-    assert reads == []
+    assert err == ["error: the following arguments are required: --out"]
+    assert main([command[0], *bad_csv, *command[1:], "--out", ""]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: argument --out: an empty path"]
+    assert reads == [] and sorted(p.name for p in tmp_path.iterdir()) == ["ear02", "variant.json"]
 
 
 def test_exclude_subject_is_checked_against_the_manifest_ids(tmp_path, small_manifest, reads,
@@ -1196,7 +1227,7 @@ def test_exclude_subject_is_checked_against_the_manifest_ids(tmp_path, small_man
     (["evaluate", "--subject", "ear00", "--filter", "f.json", "--exclude-subject", "ear01"],
      "unrecognized arguments: --exclude-subject ear01"),
     (["design", "--manifest", "m.json", "--seed", "99", "--subject", "ear00",
-      "--condition", "Optimal"], "--seed sets the seed of a synthesized cohort"),
+      "--condition", "Optimal"], "argument --seed: not allowed with argument --manifest"),
 ], ids=["no-command", "unknown-command", "synth-misspelt", "synth-missing-value",
         "synth-not-an-int", "design-misspelt", "design-missing-condition",
         "design-bad-condition", "experiment-misspelt", "experiment-missing-value",
@@ -1234,10 +1265,10 @@ def test_help_exits_0(capsys, command):
 
 @pytest.mark.parametrize("command, options", [
     ("synth", ["--config", "--out", "--seed"]),
-    ("design", ["--config", "--out", "--seed", "--manifest", "--exclude-subject", "--lambda",
-                "--filter-length", "--lead", "--subject", "--condition", "--delay"]),
+    ("design", ["--config", "--out", "--seed", "--manifest", "--exclude-subject", "--subject",
+                "--condition", "--delay"]),
     ("experiment", ["--config", "--out", "--seed", "--manifest", "--exclude-subject",
-                    "--lambda", "--filter-length", "--lead", "--conditions", "--delays"]),
+                    "--conditions", "--delays"]),
     ("evaluate", ["--config", "--out", "--seed", "--manifest", "--subject", "--filter"]),
 ])
 def test_each_command_lists_only_its_options(capsys, command, options):

@@ -78,7 +78,7 @@ def test_condition_estimate_brackets_the_exact_1_norm_value(rng, monkeypatch):
 def test_solution_matches_a_dense_cholesky_oracle(rng, n):
     gram = pooled_gram(rng, n, 2, 0.1)
     factor = scipy.linalg.cho_factor(scipy.linalg.toeplitz(gram))
-    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+    for rhs in rng.standard_normal((4, n)):  # one right-hand side per solve
         x = solve_normal_equations(gram, rhs)
         assert x.shape == rhs.shape
         assert np.allclose(x, scipy.linalg.cho_solve(factor, rhs), rtol=1e-10, atol=0.0)
@@ -108,7 +108,7 @@ def test_the_factor_from_the_first_row_is_the_dense_upper_triangles_bit_for_bit(
 
 
 @pytest.mark.parametrize("gram_shape, rhs_shape", [((4,), (8,)), ((4,), (3,)), ((4, 4), (4,)),
-                                                   ((1, 4), (4,))])
+                                                   ((1, 4), (4,)), ((4,), (4, 1))])
 def test_mismatched_shapes_raise_value_error(gram_shape, rhs_shape):
     with pytest.raises(ValueError, match="need a 1-D first row"):
         solve_normal_equations(np.ones(gram_shape), np.ones(rhs_shape))
