@@ -28,7 +28,7 @@ from . import cohort as cohort_mod
 from .conditions import CONDITION_NAMES, condition_named, design_for_condition, evaluate
 from .design import EqDesignConfig, config_from_json, filter_from_json, filter_to_json
 from .design import json_typed, known_keys
-from .experiment import DEFAULT_DELAYS, run_experiment, write_report
+from .experiment import DEFAULT_DELAYS, grid_request, run_experiment, write_report
 from .solvers import SingularSystemError
 
 
@@ -69,8 +69,8 @@ _SECTIONS = {"synth": ("n_subjects", "inear_mismatch_db", "model_error_db"),
 def _load_config(args: argparse.Namespace) -> tuple[cohort_mod.SynthCohortParams, EqDesignConfig]:
     """The config file's generator parameters, with --seed, and its design config."""
     config: dict[str, Any] = {}
-    if args.config:
-        p = Path(args.config)
+    if args.config is not None:
+        p = args.config
         if not p.exists():
             raise CliError(f"config file not found: {p}")
         with _reported(f"invalid config file {p}"):
@@ -117,14 +117,6 @@ def _load_cohort(args: argparse.Namespace,
                                     cohort_mod.synth_dummy_ear(params))
 
 
-def _apply_exclusion(data: cohort_mod.CohortData, exclude: str | None) -> cohort_mod.CohortData:
-    if not exclude:
-        return data
-    if exclude not in data.subject_ids:
-        raise CliError(f"--exclude-subject {exclude!r}: no such subject in the cohort")
-    return dataclasses.replace(data, subject_ids=tuple(i for i in data.subject_ids if i != exclude))
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     params, _ = _load_config(args)
     ears, dummy = cohort_mod.synth_cohort(params), cohort_mod.synth_dummy_ear(params)
@@ -137,7 +129,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_design(args: argparse.Namespace) -> int:
     params, cfg = _load_config(args)
     cfg = dataclasses.replace(cfg, device_delay=args.delay)
-    data = _apply_exclusion(_load_cohort(args, params), args.exclude_subject)
+    data = _load_cohort(args, params)
     filt = design_for_condition(data, args.subject, condition_named(args.condition), cfg)
     with _reported(f"cannot write {args.out}"):
         args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -148,11 +140,8 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     params, cfg = _load_config(args)
-    for name in args.conditions:
-        condition_named(name)
-    for delay in args.delays:
-        dataclasses.replace(cfg, device_delay=delay)
-    data = _apply_exclusion(_load_cohort(args, params), args.exclude_subject)
+    grid_request(args.conditions, args.delays, cfg)  # a bad request fails before the cohort loads
+    data = _load_cohort(args, params)
     try:
         result = run_experiment(data, args.conditions, args.delays, cfg, args.out)
     except OSError as exc:
@@ -187,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, *sections: str, manifest: bool = True) -> None:
-        p.add_argument("--config", help=f"JSON config file; sections: {', '.join(sections)}")
+        p.add_argument("--config", type=_nonempty_path,
+                       help=f"JSON config file; sections: {', '.join(sections)}")
         p.add_argument("--out", required=True, type=_nonempty_path,
                        help="output directory (or file for `design`)")
         cohort = p.add_mutually_exclusive_group()
@@ -202,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_design = sub.add_parser("design", help="design one condition's filter for a subject")
     common(p_design, "synth", "design")
-    p_design.add_argument("--exclude-subject", help="drop this subject from the cohort")
     p_design.add_argument("--subject", required=True)
     p_design.add_argument("--condition", required=True, choices=list(CONDITION_NAMES))
     p_design.add_argument("--delay", type=int, default=0,
@@ -211,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run the full subject x condition x delay grid")
     common(p_exp, "synth", "design")
-    p_exp.add_argument("--exclude-subject", help="drop this subject from the cohort")
     p_exp.add_argument("--conditions", type=_str_list, default=list(CONDITION_NAMES),
                        help="comma-separated condition names (default: all seven)")
     p_exp.add_argument("--delays", type=_int_list, default=list(DEFAULT_DELAYS),

@@ -132,23 +132,6 @@ class EarDataset:
         return self.h_m.sample_rate_hz
 
 
-class _Draws:
-    """Uniform draws from ranges; with no generator every draw sits mid-range."""
-
-    def __init__(self, rng: np.random.Generator | None):
-        self._rng = rng
-
-    def uniform(self, lo: float, hi: float) -> float:
-        if self._rng is None:
-            return 0.5 * (lo + hi)
-        return float(self._rng.uniform(lo, hi))
-
-    def integer(self, lo: int, hi: int) -> int:
-        if self._rng is None:
-            return int(round(0.5 * (lo + hi)))
-        return int(self._rng.integers(lo, hi + 1))
-
-
 def _sos_filter(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cascade of second-order sections (a0 = 1) from rest, in transposed direct form II.
 
@@ -189,7 +172,7 @@ def _resonator_ir(resonances: list[tuple[float, float, float]], delay: int,
 
 
 def _band_energy(h: ImpulseResponse) -> float:
-    mag = magnitude_response(h, n_fft=max(4096, len(h)))
+    mag = magnitude_response(h)
     mask = (mag.frequencies_hz >= _ENERGY_BAND_HZ[0]) & (
         mag.frequencies_hz <= _ENERGY_BAND_HZ[1]
     )
@@ -211,29 +194,33 @@ def _perturbed(resonances: list[tuple[float, float, float]],
             for (f, q, g), (df_db, dg_db) in zip(resonances, shifts)]
 
 
-def _build_ear(subject_id: str, draws: _Draws, params: SynthCohortParams) -> EarDataset:
+def _build_ear(subject_id: str, rng: np.random.Generator | None,
+               params: SynthCohortParams) -> EarDataset:
+    """One ear from `rng`'s uniform draws; with no generator every draw sits mid-range."""
+
+    def uniform(lo: float, hi: float) -> float:
+        return 0.5 * (lo + hi) if rng is None else float(rng.uniform(lo, hi))
+
     # Draw order is fixed; reordering would silently reshuffle every cohort.
-    canal_delay = draws.integer(*_CANAL_DELAY_RANGE)
-    canal = [tuple(draws.uniform(*r) for r in band) for band in _CANAL_BANDS]
+    lo, hi = _CANAL_DELAY_RANGE
+    canal_delay = int(round(0.5 * (lo + hi))) if rng is None else int(rng.integers(lo, hi + 1))
+    canal = [tuple(uniform(*r) for r in band) for band in _CANAL_BANDS]
     inear_shifts = [
-        (draws.uniform(-params.inear_mismatch_db, params.inear_mismatch_db),
-         draws.uniform(-params.inear_mismatch_db, params.inear_mismatch_db))
+        (uniform(-params.inear_mismatch_db, params.inear_mismatch_db),
+         uniform(-params.inear_mismatch_db, params.inear_mismatch_db))
         for _ in _CANAL_BANDS
     ]
     model_shifts = [
-        (draws.uniform(-params.model_error_db, params.model_error_db),
-         draws.uniform(-params.model_error_db, params.model_error_db))
+        (uniform(-params.model_error_db, params.model_error_db),
+         uniform(-params.model_error_db, params.model_error_db))
         for _ in _CANAL_BANDS
     ]
-    mic = [tuple(draws.uniform(*r) for r in _MIC_BAND)]
+    mic = [tuple(uniform(*r) for r in _MIC_BAND)]
     coloring = [
-        (draws.uniform(*center), draws.uniform(*quality),
-         _COLORING_GAIN_SCALE * draws.uniform(*gain))
+        (uniform(*center), uniform(*quality), _COLORING_GAIN_SCALE * uniform(*gain))
         for center, quality, gain in _CANAL_BANDS
     ]
-    occlusion_depth = _OCCLUSION_DEPTH_DB + draws.uniform(
-        -_OCCLUSION_JITTER_DB, _OCCLUSION_JITTER_DB
-    )
+    occlusion_depth = _OCCLUSION_DEPTH_DB + uniform(-_OCCLUSION_JITTER_DB, _OCCLUSION_JITTER_DB)
 
     d_true = _resonator_ir(canal, canal_delay, _RECEIVER_IR_LENGTH)
     d_inear = _resonator_ir(_perturbed(canal, inear_shifts), canal_delay, _RECEIVER_IR_LENGTH)
@@ -258,14 +245,14 @@ def synth_cohort(params: SynthCohortParams) -> list[EarDataset]:
     """Deterministic cohort of synthetic ears: one independent stream per ear."""
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_subjects)
     return [
-        _build_ear(f"ear{i:02d}", _Draws(np.random.default_rng(seed)), params)
+        _build_ear(f"ear{i:02d}", np.random.default_rng(seed), params)
         for i, seed in enumerate(seeds)
     ]
 
 
 def synth_dummy_ear(params: SynthCohortParams) -> EarDataset:
     """Reference ear with every generator draw pinned to its range midpoint."""
-    return _build_ear("dummy", _Draws(None), params)
+    return _build_ear("dummy", None, params)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +279,8 @@ class CohortData:
         duplicates = sorted({i for i in ids if ids.count(i) > 1})
         if duplicates:
             raise ValueError(f"duplicate subject IDs {duplicates}")
+        if not self.subject_ids:
+            raise ValueError("a cohort needs at least one subject")
 
     @classmethod
     def of(cls, ears: list[EarDataset], dummy: EarDataset | None = None) -> CohortData:
@@ -379,7 +368,8 @@ def save_cohort(
 
 def _checked_entry(key: str, entry: Any, base_dir: Path) -> str:
     """The ID of manifest entry `key`, once it is an object with valid ID, keys and files."""
-    sid = json_typed("id", json_typed(key, entry, dict, "an object")["id"], str, "a string")
+    known_keys(f'"{key}"', json_typed(key, entry, dict, "an object"), ("id", *RESPONSE_KEYS))
+    sid = json_typed("id", entry["id"], str, "a string")
     # IDs become output file names: nothing that names or climbs a directory.
     if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
         raise ValueError(f'"id" must be a plain file name, got {sid!r}')
@@ -396,6 +386,7 @@ def load_manifest(path: str | Path) -> CohortData:
     """Check the whole manifest now; read each ear's responses when it is first used."""
     path = Path(path)
     data = json_typed("manifest", json.loads(path.read_text()), dict, "an object")
+    known_keys("the manifest", data, ("sample_rate_hz", "subjects", "dummy", "synth_params"))
     rate = json_typed("sample_rate_hz", data["sample_rate_hz"], int, "an integer")
     if rate <= 0:
         raise ValueError(f'"sample_rate_hz" must be positive, got {rate}')

@@ -187,5 +187,6 @@ def filter_from_json(data: Any) -> EqFilter:
         json_typed("coefficients", c, (int, float), "a list of numbers")
     audit = {"normal_eq_residual": 0.0, "normal_eq_scale": 0.0, **data}  # older files lack both
     norms = {k: json_typed(k, audit[k], (int, float), "a number") for k in _AUDIT_KEYS[1:]}
-    config = config_from_json({k: v for k, v in data.items() if k not in _AUDIT_KEYS})
+    # Every design key is required: a missing one would take its default, another design.
+    config = config_from_json({k: data[k] for k in (*_CONFIG_WIRE, "weighting")})
     return EqFilter(coefficients, config, **norms)

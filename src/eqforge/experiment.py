@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import CohortData
-from .conditions import condition_named, run_condition
+from .conditions import ConditionSpec, condition_named, run_condition
 from .design import EqDesignConfig, filter_to_json
 from .metrics import EVALUATION_BAND_HZ, ConditionReport, rank_conditions
 from .signals import MagnitudeResponse
@@ -124,6 +124,23 @@ def _run_adopted(subject_ids: list[str]) -> dict[str, ExperimentResult]:
     return _adopted_share(subject_ids)
 
 
+def grid_request(conditions: list[str], delays: list[int], design: EqDesignConfig
+                 ) -> tuple[list[ConditionSpec], dict[int, EqDesignConfig]]:
+    """A grid's condition specs and its design config at each delay.
+
+    A ValueError if either list is empty or repeats a value, a condition is
+    unknown or a delay is out of bounds.
+    """
+    for what, values in (("condition", conditions), ("delay", delays)):
+        if not values:
+            raise ValueError(f"need at least one {what}")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{what} {repeated[0]!r} is given more than once")
+    return ([condition_named(name) for name in conditions],
+            {delay: dataclasses.replace(design, device_delay=delay) for delay in delays})
+
+
 def run_experiment(
     cohort: CohortData,
     conditions: list[str],
@@ -143,16 +160,10 @@ def run_experiment(
     identical bytes, and run files under ``runs/`` that this grid did not
     write (left by an earlier, larger grid) are deleted. Earlier summaries
     are deleted before the first cell, so a tree without them holds an
-    unfinished grid.
+    unfinished grid. A request that `grid_request` refuses fails before any
+    ear is read or any file is touched.
     """
-    for what, values in (("condition", conditions), ("delay", delays),
-                         ("subject", cohort.subject_ids)):
-        if not values:
-            raise ValueError(f"need at least one {what}")
-        repeated = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeated:
-            raise ValueError(f"{what} {repeated[0]!r} is given more than once")
-    specs = [condition_named(name) for name in conditions]
+    specs, configs = grid_request(conditions, delays, design)
     # Every ear, the dummy's too, is read now: a bad file fails the run, not a cell.
     ears, _ = cohort.ears, cohort.dummy
     for ear in ears:
@@ -170,8 +181,7 @@ def run_experiment(
         by_ear = {}
         for sid in subject_ids:
             by_ear[sid] = result = ExperimentResult()
-            for spec, delay in itertools.product(specs, delays):
-                cfg = dataclasses.replace(design, device_delay=delay)
+            for spec, (delay, cfg) in itertools.product(specs, configs.items()):
                 try:
                     report = run_condition(cohort, sid, spec, cfg)
                 except Exception as exc:

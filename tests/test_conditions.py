@@ -273,3 +273,10 @@ def test_cohort_rejects_duplicate_ids(cohort, dummy):
         CohortData.of([*cohort, cohort[1]], dummy)
     with pytest.raises(ValueError, match=r"duplicate subject IDs \['dummy'\]"):
         CohortData.of([*cohort, dummy], dummy)
+
+
+def test_cohort_rejects_an_empty_subject_list(dummy):
+    with pytest.raises(ValueError, match="a cohort needs at least one subject"):
+        CohortData.of([], dummy)
+    with pytest.raises(ValueError, match="a cohort needs at least one subject"):
+        CohortData((), None, lambda sid: dummy)

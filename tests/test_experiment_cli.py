@@ -389,17 +389,6 @@ def test_experiment_rerun_with_fewer_conditions_leaves_no_stale_runs(tmp_path, s
     assert (out / "notes.txt").read_text() == "not a run file\n"
 
 
-def test_experiment_exclude_subject(tmp_path, small_manifest):
-    out = tmp_path / "excl"
-    assert main([
-        "experiment", "--manifest", str(small_manifest), "--conditions", "Optimal",
-        "--delays", "0", "--exclude-subject", "ear01", "--out", str(out),
-    ]) == 0
-    data = json.loads((out / "summary.json").read_text())
-    subjects = {row["subject"] for row in data["per_subject"]}
-    assert subjects == {"ear00", "ear02"}
-
-
 def test_perfect_knowledge_run_is_numerically_transparent(tmp_path):
     # Pass-through mic and receiver, negligible leak: with lam = 0 the whole
     # pipeline should equalize to within numerical precision.
@@ -549,9 +538,6 @@ def _config(data):
     (_config({"conditions": []}), OLD_KEY.format("conditions")),
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--conditions", ","],
      "need at least one condition"),
-    (lambda tmp_path, manifest: [*_manifest_variant(
-        tmp_path, manifest, lambda d: d.update(subjects=d["subjects"][:1])),
-        "--exclude-subject", "ear00"], "need at least one subject"),
     (_subjects([]), '"subjects" must be a nonempty list, got []'),
     (_subjects({}), '"subjects" must be a nonempty list, got {}'),
     (lambda tmp_path, manifest: _manifest_variant(
@@ -565,6 +551,15 @@ def _config(data):
      '"subjects[1].h_occ" must be a path, got 5'),
     (lambda tmp_path, manifest: _manifest_text(tmp_path, "[1, 2]"),
      '"manifest" must be an object, got [1, 2]'),
+    (lambda tmp_path, manifest: _manifest_variant(
+        tmp_path, manifest, lambda d: d.update(dumy=d.pop("dummy"))),
+     "unknown key 'dumy' in the manifest"),
+    (lambda tmp_path, manifest: _manifest_variant(
+        tmp_path, manifest, lambda d: d["subjects"][1].update(d_ture=d["subjects"][1]["d_true"])),
+     "unknown key 'd_ture' in \"subjects[1]\""),
+    (lambda tmp_path, manifest: _manifest_variant(
+        tmp_path, manifest, lambda d: d["dummy"].update(name="KEMAR")),
+     "unknown key 'name' in \"dummy\""),
 ], ids=["malformed-config", "rate-key", "synth-a-string", "synth-a-list",
         "manifest-a-number", "cohort-a-string", "delay-a-bool", "conditions-a-string",
         "condition-a-list", "delays-a-number", "design-a-string",
@@ -576,9 +571,9 @@ def _config(data):
         "unknown-design-key", "unknown-top-level-key", "unknown-cohort-key",
         "unknown-weighting-key", "workers-key", "seed-with-manifest", "seed-with-config-manifest",
         "manifest-and-synth", "synth-with-manifest", "repeated-condition", "repeated-delay",
-        "config-repeated-condition", "config-no-condition", "no-condition", "no-subject-left",
-        "subjects-empty", "subjects-an-object", "dummy-null", "subject-a-string", "path-a-number",
-        "manifest-a-list"])
+        "config-repeated-condition", "config-no-condition", "no-condition", "subjects-empty",
+        "subjects-an-object", "dummy-null", "subject-a-string", "path-a-number", "manifest-a-list",
+        "manifest-misspelt-key", "entry-misspelt-key", "dummy-unknown-key"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
     out = tmp_path / "never"
@@ -656,6 +651,23 @@ def test_run_experiment_rejects_empty_requests(small_manifest, tmp_path):
         run_experiment(data, [], [0], EqDesignConfig(), tmp_path / "x")
     with pytest.raises(ValueError):
         run_experiment(data, ["Optimal"], [], EqDesignConfig(), tmp_path / "y")
+
+
+@pytest.mark.parametrize("conditions, delays, message", [
+    (["Optimal"], [600], "device_delay must be in [0, 512], got 600"),
+    (["Optimal", "Bogus"], [0], "unknown condition 'Bogus'"),
+    (["Optimal"], [0, 16, 0], "delay 0 is given more than once"),
+], ids=["delay-600", "unknown-condition", "repeated-delay"])
+def test_a_bad_library_request_leaves_an_earlier_grid_in_place(small_manifest, tmp_path, reads,
+                                                               conditions, delays, message):
+    out = tmp_path / "exp"
+    run_experiment(load_manifest(small_manifest), ["Optimal"], [0], EqDesignConfig(), out)
+    before = tree_digest(out)
+    reads.clear()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(load_manifest(small_manifest), conditions, delays, EqDesignConfig(), out)
+    assert tree_digest(out) == before and all((out / name).exists() for name in SUMMARIES)
+    assert reads == []
 
 
 @pytest.mark.parametrize("cpus, n_subjects", [(1, 3), (4, 1)], ids=["one-cpu", "one-ear"])
@@ -977,6 +989,21 @@ def test_evaluate_rejects_a_filter_file_that_no_design_writes(tmp_path, small_ma
     assert len(err) == 1 and err[0].startswith("error: invalid filter file") and message in err[0]
 
 
+@pytest.mark.parametrize("key", ["L_a", "lambda", "L_d", "d_G", "weighting"])
+def test_evaluate_rejects_a_filter_without_a_design_key(tmp_path, small_manifest, capsys, key):
+    # A missing key would otherwise take its default: d_G = 0 for a filter designed at 96, say.
+    data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(device_delay=96), 0.0, 0.0))
+    del data[key]
+    filter_path = tmp_path / "partial.json"
+    filter_path.write_text(json.dumps(data))
+    rc = main(["evaluate", "--manifest", str(small_manifest), "--subject", "ear00",
+               "--filter", str(filter_path), "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and not (tmp_path / "e").exists()
+    assert len(err) == 1 and err[0].startswith("error: invalid filter file")
+    assert f"missing key '{key}'" in err[0]
+
+
 def test_evaluate_rejects_a_filter_with_an_unknown_key(tmp_path, small_manifest, capsys):
     data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0))
     filter_path = tmp_path / "extra.json"
@@ -1186,21 +1213,6 @@ def test_a_missing_out_fails_before_any_ear_is_read(tmp_path, small_manifest, re
     assert reads == [] and sorted(p.name for p in tmp_path.iterdir()) == ["ear02", "variant.json"]
 
 
-def test_exclude_subject_is_checked_against_the_manifest_ids(tmp_path, small_manifest, reads,
-                                                              capsys):
-    design = ["design", "--manifest", str(small_manifest), "--subject", "ear00",
-              "--out", str(tmp_path / "f.json")]
-    assert main([*design, "--condition", "Optimal", "--exclude-subject", "ear01"]) == 0
-    assert _read_ears(reads) == {"ear00": 6}
-    reads.clear()
-    assert main([*design, "--condition", "PracticalOptimal", "--exclude-subject", "ear01"]) == 0
-    assert _read_ears(reads) == {"ear00": 6, "ear02": 6}
-    capsys.readouterr()
-    assert main([*design, "--condition", "Optimal", "--exclude-subject", "ghost"]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: --exclude-subject 'ghost'")
-
-
 # --- command-line parsing -------------------------------------------------------------
 
 @pytest.mark.parametrize("argv, message", [
@@ -1228,12 +1240,18 @@ def test_exclude_subject_is_checked_against_the_manifest_ids(tmp_path, small_man
      "unrecognized arguments: --exclude-subject ear01"),
     (["design", "--manifest", "m.json", "--seed", "99", "--subject", "ear00",
       "--condition", "Optimal"], "argument --seed: not allowed with argument --manifest"),
+    (["design", "--subject", "ear00", "--condition", "Optimal", "--exclude-subject", "ear01"],
+     "unrecognized arguments: --exclude-subject ear01"),
+    (["experiment", "--exclude-subject", "ear01"],
+     "unrecognized arguments: --exclude-subject ear01"),
+    (["synth", "--config", ""], "argument --config: an empty path"),
 ], ids=["no-command", "unknown-command", "synth-misspelt", "synth-missing-value",
         "synth-not-an-int", "design-misspelt", "design-missing-condition",
         "design-bad-condition", "experiment-misspelt", "experiment-missing-value",
         "experiment-bad-delays", "evaluate-misspelt", "evaluate-missing-filter",
         "evaluate-no-condition-flag", "synth-exclude-subject", "synth-params",
-        "evaluate-exclude-subject", "design-seed-with-manifest"])
+        "evaluate-exclude-subject", "design-seed-with-manifest", "design-exclude-subject",
+        "experiment-exclude-subject", "config-empty"])
 def test_argument_errors_print_one_error_line(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "never")] if argv else argv) == 1
     captured = capsys.readouterr()
@@ -1265,10 +1283,9 @@ def test_help_exits_0(capsys, command):
 
 @pytest.mark.parametrize("command, options", [
     ("synth", ["--config", "--out", "--seed"]),
-    ("design", ["--config", "--out", "--seed", "--manifest", "--exclude-subject", "--subject",
-                "--condition", "--delay"]),
-    ("experiment", ["--config", "--out", "--seed", "--manifest", "--exclude-subject",
-                    "--conditions", "--delays"]),
+    ("design", ["--config", "--out", "--seed", "--manifest", "--subject", "--condition",
+                "--delay"]),
+    ("experiment", ["--config", "--out", "--seed", "--manifest", "--conditions", "--delays"]),
     ("evaluate", ["--config", "--out", "--seed", "--manifest", "--subject", "--filter"]),
 ])
 def test_each_command_lists_only_its_options(capsys, command, options):
