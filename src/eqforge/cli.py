@@ -1,13 +1,11 @@
 """Command-line front-end: cohort synthesis, filter design, experiments, evaluation.
 
-Every value has one way in. Flags name the run: the output, the cohort (a
-`--manifest`, or the `--seed` of a synthesized one), the subject, the
-condition and the device delay. The `--config` file holds the method: a
-"synth" section of generator parameters and a "design" section of equalizer
-parameters. A command refuses a section it would not read, and a "synth"
-section cannot go with `--manifest`. `EQFORGE_LOG` (debug/info/warning/error)
-sets verbosity.
-"""
+Every value has one way in. Flags name the run: the output, the cohort's
+`--manifest` (only `synth` synthesizes, from its `--seed`), the subject, the
+condition and the device delay. The `--config` file holds the method, in the
+one section its command reads: `synth` reads "synth" (generator parameters),
+`design` and `experiment` read "design" (equalizer parameters), and `evaluate`
+takes no config. `EQFORGE_LOG` (debug/info/warning/error) sets verbosity."""
 
 from __future__ import annotations
 
@@ -18,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from typing import Any, NoReturn
@@ -26,8 +25,7 @@ import numpy as np
 
 from . import cohort as cohort_mod
 from .conditions import CONDITION_NAMES, condition_named, design_for_condition, evaluate
-from .design import EqDesignConfig, config_from_json, filter_from_json, filter_to_json
-from .design import json_typed, known_keys
+from .design import config_from_json, filter_from_json, filter_to_json, json_typed, known_keys
 from .experiment import DEFAULT_DELAYS, grid_request, run_experiment, write_report
 from .solvers import SingularSystemError
 
@@ -61,31 +59,29 @@ def _reported(what: str):
         raise CliError(f"{what}: {exc}") from exc
 
 
-# The keys of each config section: "seed" is --seed, and "d_G" is --delay or --delays.
+# The keys of the one config section a command reads: "seed" is --seed, and
+# "d_G" is --delay or --delays.
 _SECTIONS = {"synth": ("n_subjects", "inear_mismatch_db", "model_error_db"),
              "design": ("L_a", "lambda", "L_d", "weighting")}
 
 
-def _load_config(args: argparse.Namespace) -> tuple[cohort_mod.SynthCohortParams, EqDesignConfig]:
-    """The config file's generator parameters, with --seed, and its design config."""
-    config: dict[str, Any] = {}
-    if args.config is not None:
-        p = args.config
-        if not p.exists():
-            raise CliError(f"config file not found: {p}")
-        with _reported(f"invalid config file {p}"):
-            config = json_typed("config", json.loads(p.read_text()), dict, "an object")
-            known_keys(f"the config of `{args.command}`", config, args.sections)
-            for name, section in config.items():
-                known_keys(f'"{name}"', json_typed(name, section, dict, "an object"),
-                           _SECTIONS[name])
-    if "synth" in config and getattr(args, "manifest", None) is not None:
-        raise CliError('a "synth" section cannot go with --manifest: the cohort has one source')
-    synth = dict(config.get("synth", {}))
-    if args.seed is not None:
-        synth["seed"] = args.seed
-    # Both parsed now, so that a bad value fails before the cohort loads.
-    return cohort_mod.params_from_json(synth), config_from_json(config.get("design", {}))
+def _read_input(path: Path, what: str, parse: Callable[[Path], Any]) -> Any:
+    """`parse(path)`, with a missing file or a failed parse as one CliError."""
+    if not path.exists():
+        raise CliError(f"{what} not found: {path}")
+    with _reported(f"invalid {what} {path}"):
+        return parse(path)
+
+
+def _config_section(args: argparse.Namespace) -> dict[str, Any]:
+    """The command's section of the --config file ({} without one); any other key is an error."""
+    def parse(path: Path) -> dict[str, Any]:
+        config = json_typed("config", json.loads(path.read_text()), dict, "an object")
+        known_keys(f"the config of `{args.command}`", config, (args.section,))
+        section = json_typed(args.section, config.get(args.section, {}), dict, "an object")
+        return known_keys(f'"{args.section}"', section, _SECTIONS[args.section])
+
+    return {} if args.config is None else _read_input(args.config, "config file", parse)
 
 
 def _nonempty_path(text: str) -> Path:
@@ -105,20 +101,8 @@ def _str_list(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
-def _load_cohort(args: argparse.Namespace,
-                 params: cohort_mod.SynthCohortParams) -> cohort_mod.CohortData:
-    if args.manifest is not None:
-        path = Path(args.manifest)
-        if not path.exists():
-            raise CliError(f"manifest not found: {path}")
-        with _reported(f"invalid manifest {path}"):
-            return cohort_mod.load_manifest(path)
-    return cohort_mod.CohortData.of(cohort_mod.synth_cohort(params),
-                                    cohort_mod.synth_dummy_ear(params))
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
-    params, _ = _load_config(args)
+    params = cohort_mod.params_from_json({**_config_section(args), "seed": args.seed})
     ears, dummy = cohort_mod.synth_cohort(params), cohort_mod.synth_dummy_ear(params)
     with _reported(f"cannot write cohort under {args.out}"):
         manifest = cohort_mod.save_cohort(ears, args.out, dummy=dummy, params=params)
@@ -127,9 +111,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_design(args: argparse.Namespace) -> int:
-    params, cfg = _load_config(args)
-    cfg = dataclasses.replace(cfg, device_delay=args.delay)
-    data = _load_cohort(args, params)
+    cfg = dataclasses.replace(config_from_json(_config_section(args)), device_delay=args.delay)
+    data = _read_input(args.manifest, "manifest", cohort_mod.load_manifest)
     filt = design_for_condition(data, args.subject, condition_named(args.condition), cfg)
     with _reported(f"cannot write {args.out}"):
         args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -139,9 +122,9 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    params, cfg = _load_config(args)
+    cfg = config_from_json(_config_section(args))
     grid_request(args.conditions, args.delays, cfg)  # a bad request fails before the cohort loads
-    data = _load_cohort(args, params)
+    data = _read_input(args.manifest, "manifest", cohort_mod.load_manifest)
     try:
         result = run_experiment(data, args.conditions, args.delays, cfg, args.out)
     except OSError as exc:
@@ -153,13 +136,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    params, _ = _load_config(args)
-    filter_path = Path(args.filter)
-    if not filter_path.exists():
-        raise CliError(f"filter file not found: {filter_path}")
-    with _reported(f"invalid filter file {filter_path}"):
-        filt = filter_from_json(json.loads(filter_path.read_text()))
-    report = evaluate(_load_cohort(args, params).ear(args.subject), filt)
+    filt = _read_input(args.filter, "filter file",
+                       lambda path: filter_from_json(json.loads(path.read_text())))
+    data = _read_input(args.manifest, "manifest", cohort_mod.load_manifest)
+    report = evaluate(data.ear(args.subject), filt)
     name = f"eval_{args.subject}__dG{filt.config.device_delay}"
     with _reported(f"cannot write reports under {args.out}"):
         args.out.mkdir(parents=True, exist_ok=True)
@@ -175,23 +155,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *sections: str, manifest: bool = True) -> None:
-        p.add_argument("--config", type=_nonempty_path,
-                       help=f"JSON config file; sections: {', '.join(sections)}")
+    def common(p: argparse.ArgumentParser, section: str | None, manifest: bool = True) -> None:
+        if section is not None:
+            p.add_argument("--config", type=_nonempty_path,
+                           help=f'JSON config file with a "{section}" section')
         p.add_argument("--out", required=True, type=_nonempty_path,
                        help="output directory (or file for `design`)")
-        cohort = p.add_mutually_exclusive_group()
-        cohort.add_argument("--seed", type=int, help="seed of a synthesized cohort")
         if manifest:
-            cohort.add_argument("--manifest", help="cohort manifest JSON (default: synthesize)")
-        p.set_defaults(sections=sections)
+            p.add_argument("--manifest", required=True, type=_nonempty_path,
+                           help="cohort manifest JSON, as `synth` writes it")
+        p.set_defaults(section=section)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic ear cohort")
     common(p_synth, "synth", manifest=False)
+    p_synth.add_argument("--seed", type=int, default=cohort_mod.SynthCohortParams.seed,
+                         help="seed of the synthesized cohort (default: %(default)s)")
     p_synth.set_defaults(func=cmd_synth)
 
     p_design = sub.add_parser("design", help="design one condition's filter for a subject")
-    common(p_design, "synth", "design")
+    common(p_design, "design")
     p_design.add_argument("--subject", required=True)
     p_design.add_argument("--condition", required=True, choices=list(CONDITION_NAMES))
     p_design.add_argument("--delay", type=int, default=0,
@@ -199,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.set_defaults(func=cmd_design)
 
     p_exp = sub.add_parser("experiment", help="run the full subject x condition x delay grid")
-    common(p_exp, "synth", "design")
+    common(p_exp, "design")
     p_exp.add_argument("--conditions", type=_str_list, default=list(CONDITION_NAMES),
                        help="comma-separated condition names (default: all seven)")
     p_exp.add_argument("--delays", type=_int_list, default=list(DEFAULT_DELAYS),
@@ -207,9 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=cmd_experiment)
 
     p_eval = sub.add_parser("evaluate", help="re-simulate a stored filter on a subject")
-    common(p_eval, "synth")
+    common(p_eval, None)
     p_eval.add_argument("--subject", required=True)
-    p_eval.add_argument("--filter", required=True, help="filter JSON written by `design`")
+    p_eval.add_argument("--filter", required=True, type=_nonempty_path,
+                        help="filter JSON written by `design`")
     p_eval.set_defaults(func=cmd_evaluate)
 
     return parser

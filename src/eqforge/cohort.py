@@ -387,6 +387,8 @@ def load_manifest(path: str | Path) -> CohortData:
     path = Path(path)
     data = json_typed("manifest", json.loads(path.read_text()), dict, "an object")
     known_keys("the manifest", data, ("sample_rate_hz", "subjects", "dummy", "synth_params"))
+    # "synth_params" records how `synth` made the cohort: nothing reads it, but it must be valid.
+    params_from_json(json_typed("synth_params", data.get("synth_params", {}), dict, "an object"))
     rate = json_typed("sample_rate_hz", data["sample_rate_hz"], int, "an integer")
     if rate <= 0:
         raise ValueError(f'"sample_rate_hz" must be positive, got {rate}')

