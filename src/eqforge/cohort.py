@@ -17,6 +17,7 @@ numpy only: every cascade runs in `_sos_filter`, which reproduces scipy's
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Callable
@@ -31,6 +32,7 @@ from .rtf import RelativeTransferEstimate, default_rtf_length, estimate_average
 from .signals import (
     DEFAULT_SAMPLE_RATE_HZ,
     ImpulseResponse,
+    MagnitudeResponse,
     convolve,
     load_impulse,
     magnitude_response,
@@ -130,6 +132,12 @@ class EarDataset:
     @property
     def sample_rate_hz(self) -> int:
         return self.h_m.sample_rate_hz
+
+    @functools.cached_property  # the ear is frozen, with read-only arrays
+    def spectra(self) -> tuple[MagnitudeResponse, MagnitudeResponse]:
+        """The (open, occluded) spectra; the open one is desired at every d_G, as a pure delay
+        changes no magnitude."""
+        return magnitude_response(self.h_open), magnitude_response(self.h_occ)
 
 
 def _sos_filter(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -322,9 +330,10 @@ class CohortData:
         return self._rtfs[key]
 
 
-def params_from_json(data: dict) -> SynthCohortParams:
-    """Generator parameters from their JSON form; a wrong type or unknown key is a ValueError."""
-    known_keys('"synth"', data, (f.name for f in fields(SynthCohortParams)))
+def params_from_json(data: Any, section: str = "synth") -> SynthCohortParams:
+    """Generator parameters from the JSON object `section`; a bad type or key is a ValueError."""
+    json_typed(section, data, dict, "an object")
+    known_keys(f'"{section}"', data, (f.name for f in fields(SynthCohortParams)))
     kwargs: dict[str, Any] = {}
     for f in fields(SynthCohortParams):
         if f.name in data:
@@ -388,7 +397,7 @@ def load_manifest(path: str | Path) -> CohortData:
     data = json_typed("manifest", json.loads(path.read_text()), dict, "an object")
     known_keys("the manifest", data, ("sample_rate_hz", "subjects", "dummy", "synth_params"))
     # "synth_params" records how `synth` made the cohort: nothing reads it, but it must be valid.
-    params_from_json(json_typed("synth_params", data.get("synth_params", {}), dict, "an object"))
+    params_from_json(data.get("synth_params", {}), "synth_params")
     rate = json_typed("sample_rate_hz", data["sample_rate_hz"], int, "an integer")
     if rate <= 0:
         raise ValueError(f'"sample_rate_hz" must be positive, got {rate}')

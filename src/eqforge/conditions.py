@@ -9,14 +9,12 @@ score isolates the impact of its design-side estimates.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .cohort import CohortData, EarDataset, RtfPair
 from .design import EqDesignConfig, EqFilter, build_target, design_filter_pooled
 from .metrics import ConditionReport, band_error_profile, log_spectral_distance
-from .signals import (ImpulseResponse, MagnitudeResponse, convolve, magnitude_response,
-                      zero_extend, zero_pad_leading)
+from .signals import ImpulseResponse, convolve, magnitude_response, zero_extend, zero_pad_leading
 
 # Where the design ears and their RTFs come from:
 #   own    the subject, with its own RTFs
@@ -121,21 +119,11 @@ def design_for_condition(cohort: CohortData, subject_id: str, cond: ConditionSpe
     return design_filter_pooled(plants, targets, config)
 
 
-@functools.lru_cache(maxsize=1)  # a grid share scores an ear's cells one after another
-def _ear_spectra(ear: EarDataset) -> tuple[MagnitudeResponse, MagnitudeResponse]:
-    """The ear's (open, occluded) spectra; the open one is desired at every d_G, as a pure
-    delay changes no magnitude. The key, the ear itself, hashes by identity (`eq=False`) and is
-    held by the cache, so no other object takes its identity while it is cached; it is frozen
-    with read-only arrays. So a hit returns what a fresh call would, and two cohorts with the
-    same subject IDs never share a value."""
-    return magnitude_response(ear.h_open), magnitude_response(ear.h_occ)
-
-
 def evaluate(ear: EarDataset, filt: EqFilter, condition: str | None = None) -> ConditionReport:
     """Score `filt` on the ear's true acoustics: aided against desired (open) spectra."""
     delay = filt.config.device_delay
     aided = magnitude_response(aided_response(ear, delay, filt))
-    desired, occluded = _ear_spectra(ear)
+    desired, occluded = ear.spectra
     return ConditionReport(
         subject_id=ear.subject_id,
         condition=condition,

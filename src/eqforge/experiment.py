@@ -51,7 +51,7 @@ class ExperimentResult:
     failures: list[RunFailure] = field(default_factory=list)
 
 
-@functools.lru_cache(maxsize=1)  # keyed as `conditions._ear_spectra` is, which says why
+@functools.lru_cache(maxsize=1)  # keyed by the spectra an ear keeps (`EarDataset.spectra`)
 def _csv_template(desired: MagnitudeResponse, occluded: MagnitudeResponse) -> bytes:
     """The run CSV of an ear's spectra, its aided column left as ``%.17g`` fields."""
     spectra = np.column_stack([desired.frequencies_hz, desired.magnitude_db, occluded.magnitude_db])
@@ -153,15 +153,15 @@ def run_experiment(
     The ears are dealt round-robin to one process per usable CPU (one with a
     single CPU or ear, or without `fork`), and each process writes a cell's
     run files as soon as it is scored, keeping only its `RunRecord` for the
-    summaries. An ear's cells run one after another, so they compute the
-    ear's spectra and CSV text once. Individual cell failures are recorded
-    and do not abort the grid. Output is a pure function of the inputs,
-    whatever the process count: rerunning overwrites every file with
-    identical bytes, and run files under ``runs/`` that this grid did not
-    write (left by an earlier, larger grid) are deleted. Earlier summaries
-    are deleted before the first cell, so a tree without them holds an
-    unfinished grid. A request that `grid_request` refuses fails before any
-    ear is read or any file is touched.
+    summaries. An ear keeps its spectra, and its cells run one after another,
+    so they make its CSV text once. Individual cell failures are recorded and
+    do not abort the grid. Output is a pure function of the inputs, whatever
+    the process count: rerunning overwrites every file with identical bytes,
+    and run files under ``runs/`` that this grid did not write (left by an
+    earlier, larger grid) are deleted. Earlier summaries are deleted before
+    the first cell, so a tree without them holds an unfinished grid. A request
+    that `grid_request` refuses fails before any ear is read or any file is
+    touched.
     """
     specs, configs = grid_request(conditions, delays, design)
     # Every ear, the dummy's too, is read now: a bad file fails the run, not a cell.

@@ -21,11 +21,12 @@ def solve_normal_equations(first_row: np.ndarray, rhs: np.ndarray, *,
                            context: str = "normal equations") -> np.ndarray:
     """Solve ``T @ x = rhs`` by Cholesky for the symmetric Toeplitz T with this first row.
 
-    No n×n matrix is formed, and a first row with the bytes of the previous
-    solve's reuses its factor. Raises SingularSystemError, naming the
-    condition estimate, when the first row or right-hand side is not finite,
-    or when `cholesky_factor` refuses the system; raises ValueError when the
-    shapes do not match.
+    No n×n matrix is formed. A first row with the bytes of the previous solve's
+    reuses its factor and condition estimate, and every solve holds the estimate
+    to CONDITION_LIMIT, so a kept factor is refused as a fresh one would be.
+    Raises SingularSystemError, naming the condition estimate, when the inputs
+    are not finite, `cholesky_factor` refuses the system or the estimate exceeds
+    the limit, and ValueError when the shapes do not match.
     """
     first_row = np.asarray(first_row, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -36,29 +37,32 @@ def solve_normal_equations(first_row: np.ndarray, rhs: np.ndarray, *,
     if not (np.isfinite(first_row).all() and np.isfinite(rhs).all()):
         raise SingularSystemError(f"{context}: normal equations are not finite "
                                   "(condition estimate nan)")
-    factor = _factor(first_row.tobytes(), context, CONDITION_LIMIT)
+    factor, cond = _factor(first_row.tobytes(), context)
+    if not cond <= CONDITION_LIMIT:
+        raise SingularSystemError(f"{context}: condition estimate {cond:.3e} exceeds "
+                                  f"{CONDITION_LIMIT:.0e}")
     import scipy.linalg  # here, so that a command that solves nothing never loads it
     return scipy.linalg.lapack.dpptrs(n, factor, rhs)[0]
 
 
 @functools.lru_cache(maxsize=1)  # solves that share a system come one after another
-def _factor(first_row: bytes, context: str, limit: float) -> np.ndarray:
-    """`cholesky_factor` of these bytes; the key also holds the guard's `limit`, so a kept
-    factor is the one a fresh call would give. A refused system raises: none is kept."""
+def _factor(first_row: bytes, context: str) -> tuple[np.ndarray, float]:
+    """`cholesky_factor`'s (factor, condition estimate) of these bytes; no refusal is kept."""
     return cholesky_factor(np.frombuffer(first_row), context=context)
 
 
-def cholesky_factor(first_row: np.ndarray, *, context: str) -> np.ndarray:
-    """The packed upper Cholesky factor of the symmetric Toeplitz matrix with this finite first row.
+def cholesky_factor(first_row: np.ndarray, *, context: str) -> tuple[np.ndarray, float]:
+    """The packed upper Cholesky factor of the symmetric Toeplitz matrix with this finite first
+    row, and its condition estimate.
 
     It is factored in packed storage (``dpptrf``, ``dppcon``), which runs on
     one thread at every order, so the factor does not depend on the BLAS
     thread count as that of the blocked ``dpotrf`` does from order 128 up.
-    The guard is LAPACK's estimate of the 1-norm condition number from the
-    factor (``dppcon``), within a factor of n of the 2-norm value; the
-    largest on the default seed-42 grid is 1.1e5. Raises SingularSystemError,
-    naming the condition estimate, when the matrix is zero or not positive
-    definite, or the estimate exceeds CONDITION_LIMIT.
+    The estimate is LAPACK's 1-norm condition estimate from the factor
+    (``dppcon``), within a factor of n of the 2-norm value (inf for a singular
+    factor); the largest on the default seed-42 grid is 1.1e5. No limit is
+    applied here. Raises SingularSystemError, naming the condition estimate,
+    when the matrix is zero or not positive definite.
     """
     if not np.any(first_row):
         raise SingularSystemError(f"{context}: normal matrix is identically zero "
@@ -74,12 +78,8 @@ def cholesky_factor(first_row: np.ndarray, *, context: str) -> np.ndarray:
         )
     c = np.cumsum(np.abs(first_row))  # column j's 1-norm: lags 0..j plus lags 1..n-1-j
     rcond, _ = scipy.linalg.lapack.dppcon(n, factor, np.max(c + c[::-1] - c[0]))
-    cond = 1.0 / rcond if rcond > 0.0 else np.inf
-    if not cond <= CONDITION_LIMIT:
-        raise SingularSystemError(f"{context}: condition estimate {cond:.3e} exceeds "
-                                  f"{CONDITION_LIMIT:.0e}")
     factor.flags.writeable = False  # a kept factor is shared by later solves
-    return factor
+    return factor, 1.0 / rcond if rcond > 0.0 else np.inf
 
 
 def align_target(target: np.ndarray, rows: int) -> tuple[np.ndarray, float]:

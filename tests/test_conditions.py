@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eqforge import cohort as cohort_mod
-from eqforge import conditions as conditions_mod
 from eqforge.cohort import CohortData, EarDataset, SynthCohortParams, synth_cohort, synth_dummy_ear
 from eqforge.conditions import (
     CONDITION_NAMES,
@@ -92,9 +91,9 @@ def test_transparent_chain_reproduces_filter(rng):
 def test_desired_magnitude_is_delay_invariant(cohort):
     ear = cohort[0]
 
-    def desired(delay):
-        conditions_mod._ear_spectra.cache_clear()  # computed afresh at each delay
-        return evaluate(ear, zero_filter(dataclasses.replace(CFG, device_delay=delay))).desired
+    def desired(delay):  # a fresh copy of the ear computes its spectra afresh at each delay
+        return evaluate(dataclasses.replace(ear),
+                        zero_filter(dataclasses.replace(CFG, device_delay=delay))).desired
 
     m0, m96 = desired(0), desired(96)
     assert m0.magnitude_db.tobytes() == m96.magnitude_db.tobytes()

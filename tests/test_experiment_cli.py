@@ -566,7 +566,7 @@ def _config(data):
      '"synth_params" must be an object, got 5'),
     (lambda tmp_path, manifest: _manifest_variant(
         tmp_path, manifest, lambda d: d["synth_params"].update(n_subject=3)),
-     "unknown key 'n_subject' in \"synth\""),
+     "unknown key 'n_subject' in \"synth_params\""),
 ], ids=["malformed-config", "rate-key", "synth-a-string", "synth-a-list",
         "manifest-a-number", "cohort-a-string", "delay-a-bool", "conditions-a-string",
         "condition-a-list", "delays-a-number", "design-a-string",
@@ -823,7 +823,7 @@ def test_a_grid_factors_each_design_gram_once_per_ear_and_condition(small_manife
 
 @pytest.fixture
 def spectra(monkeypatch):
-    """The responses whose spectra `conditions` computes from here on, none kept from before."""
+    """The responses whose spectra `conditions` and `cohort` compute from here on."""
     spectrum, responses = conditions.magnitude_response, []
 
     def counted(h):
@@ -831,7 +831,7 @@ def spectra(monkeypatch):
         return spectrum(h)
 
     monkeypatch.setattr(conditions, "magnitude_response", counted)
-    conditions._ear_spectra.cache_clear()
+    monkeypatch.setattr(cohort_mod, "magnitude_response", counted)
     experiment._csv_template.cache_clear()
     return responses
 
@@ -848,6 +848,17 @@ def test_a_grid_computes_each_ears_spectra_and_csv_template_once(small_manifest,
     # Each cell's aided spectrum, and each ear's open and occluded one, whatever the delay.
     assert len(spectra) == cells + 2 * n
     assert experiment._csv_template.cache_info().misses == n
+
+
+def test_an_ear_computes_its_spectra_once_when_its_cells_interleave(small_manifest, spectra):
+    data = load_manifest(small_manifest)
+    a, b = data.subject_ids[:2]
+    for sid in (a, b, a, b):
+        run_condition(data, sid, condition_named("Optimal"), EqDesignConfig(device_delay=16))
+    ear_responses = [r for sid in (a, b) for r in data.ear(sid).responses().values()]
+    # Each ear's open and occluded spectra once, and one aided spectrum per cell.
+    assert sum(any(h is r for r in ear_responses) for h in spectra) == 4
+    assert len(spectra) == 4 + 4
 
 
 def _synth(seed):

@@ -59,17 +59,14 @@ def test_overflowing_plant_raises_with_nothing_on_stderr(capfd):
     assert capfd.readouterr().err == ""
 
 
-def test_condition_estimate_brackets_the_exact_1_norm_value(rng, monkeypatch):
-    # the estimate is not returned, so bracket it by moving the limit around it
+def test_condition_estimate_brackets_the_exact_1_norm_value(rng):
     for n, n_plants, lam in [(8, 1, 0.0), (33, 2, 0.1), (64, 3, 0.0), (99, 1, 0.1), (255, 2, 0.1)]:
         gram = pooled_gram(rng, n, n_plants, lam)
         rhs = rng.standard_normal(n)
         kappa = np.linalg.cond(scipy.linalg.toeplitz(gram), 1)
-        monkeypatch.setattr(solvers, "CONDITION_LIMIT", kappa * (1.0 + 1e-9))
-        solve_normal_equations(gram, rhs)  # estimate <= kappa
-        monkeypatch.setattr(solvers, "CONDITION_LIMIT", np.nextafter(kappa / 10.0, 0.0))
-        with pytest.raises(SingularSystemError, match="condition estimate"):
-            solve_normal_equations(gram, rhs)  # estimate >= kappa / 10
+        solve_normal_equations(gram, rhs)  # accepted at the default limit
+        estimate = solvers.cholesky_factor(gram, context="test")[1]
+        assert kappa / 10.0 <= estimate <= kappa * (1.0 + 1e-9)
 
 
 # --- the packed factorization -----------------------------------------------------
@@ -102,7 +99,7 @@ def test_the_factor_from_the_first_row_is_the_dense_upper_triangles_bit_for_bit(
         return rcond, status
 
     monkeypatch.setattr(lapack, "dppcon", recorded)
-    got = solvers.cholesky_factor(first_row, context="test")
+    got, _ = solvers.cholesky_factor(first_row, context="test")
     assert got.tobytes() == want.tobytes()
     assert rconds == [pytest.approx(want_rcond, rel=1e-12, abs=0.0)]
 
@@ -173,6 +170,23 @@ def test_a_refused_gram_is_never_kept_and_raises_the_same_message_every_time(pla
         messages.append(str(err.value))
     assert messages == [messages[0]] * 3
     assert solvers._factor.cache_info().currsize == 0
+
+
+def test_a_kept_factor_is_held_to_the_limit_in_force_at_each_solve(rng, monkeypatch,
+                                                                   factorizations):
+    gram = pooled_gram(rng, 33, 2, 0.1)
+    rhs = rng.standard_normal(33)
+    estimate = solvers.cholesky_factor(gram, context="test")[1]
+    factorizations.clear()
+    want = solve_normal_equations(gram, rhs)
+    limit = solvers.CONDITION_LIMIT
+    monkeypatch.setattr(solvers, "CONDITION_LIMIT", np.nextafter(estimate, 0.0))
+    with pytest.raises(SingularSystemError, match=r"condition estimate \S+ exceeds"):
+        solve_normal_equations(gram, rhs)
+    assert len(factorizations) == 1  # refused by the limit in force, without factoring again
+    monkeypatch.setattr(solvers, "CONDITION_LIMIT", limit)
+    assert solve_normal_equations(gram, rhs).tobytes() == want.tobytes()
+    assert len(factorizations) == 1
 
 
 def test_a_kept_factor_still_refuses_a_non_finite_right_hand_side(rng):
