@@ -64,14 +64,18 @@ def condition_named(name: str) -> ConditionSpec:
         raise ValueError(f"unknown condition {name!r}; expected one of {CONDITION_NAMES}") from None
 
 
-def aided_response(ear: EarDataset, delay: int, a: EqFilter) -> ImpulseResponse:
+def aided_response(ear: EarDataset, a: EqFilter) -> ImpulseResponse:
     """Device path through the true receiver response plus the passive leak.
 
-    The device processing is a pure delay of `delay` samples. Evaluation always runs through
+    The device processing is a pure delay of the filter's `device_delay` samples. A filter that
+    records a design rate other than the ear's is a ValueError. Evaluation always runs through
     d_true; whatever estimate shaped the filter, the ear it plays into is the real one.
     """
+    if a.sample_rate_hz not in (None, ear.sample_rate_hz):
+        raise ValueError(f"cannot play a {a.sample_rate_hz} Hz filter at {ear.sample_rate_hz} Hz")
     eq = ImpulseResponse(a.coefficients, ear.sample_rate_hz)
-    chain = convolve(convolve(zero_pad_leading(ear.h_m, delay), eq), ear.require("d_true")).samples
+    chain = convolve(convolve(zero_pad_leading(ear.h_m, a.config.device_delay), eq),
+                     ear.require("d_true")).samples
     n = max(chain.size, len(ear.h_occ))
     samples = zero_extend(chain, n) + zero_extend(ear.h_occ.samples, n)
     return ImpulseResponse(samples, ear.sample_rate_hz)
@@ -121,13 +125,12 @@ def design_for_condition(cohort: CohortData, subject_id: str, cond: ConditionSpe
 
 def evaluate(ear: EarDataset, filt: EqFilter, condition: str | None = None) -> ConditionReport:
     """Score `filt` on the ear's true acoustics: aided against desired (open) spectra."""
-    delay = filt.config.device_delay
-    aided = magnitude_response(aided_response(ear, delay, filt))
+    aided = magnitude_response(aided_response(ear, filt))
     desired, occluded = ear.spectra
     return ConditionReport(
         subject_id=ear.subject_id,
         condition=condition,
-        device_delay=delay,
+        device_delay=filt.config.device_delay,
         lsd_db=log_spectral_distance(aided, desired),
         band_errors_db=band_error_profile(aided, desired),
         aided=aided,

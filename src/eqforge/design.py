@@ -48,7 +48,7 @@ _AUDIT_KEYS = ("coefficients", "residual_norm", "penalty_norm", "normal_eq_resid
 
 @dataclass(frozen=True, eq=False)
 class EqFilter:
-    """Designed equalizer coefficients plus the norms audited at solve time."""
+    """Designed equalizer coefficients, the norms audited at solve time and the design rate."""
 
     coefficients: np.ndarray
     config: EqDesignConfig
@@ -56,6 +56,7 @@ class EqFilter:
     penalty_norm: float
     normal_eq_residual: float = 0.0
     normal_eq_scale: float = 0.0
+    sample_rate_hz: int | None = None  # of the plants; None if a filter file does not say
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", frozen_vector(self.coefficients, "coefficients"))
@@ -104,7 +105,7 @@ def design_filter_pooled(d_hats: list[ImpulseResponse], targets: list[np.ndarray
     solution = solve_pooled(d_hats, targets, config.filter_length, lam=config.lam,
                             weight_taps=config.weighting or (1.0,), context="equalizer design")
     return EqFilter(solution.coefficients, config, solution.residual_norm, solution.penalty_norm,
-                    solution.normal_eq_residual, solution.normal_eq_scale)
+                    solution.normal_eq_residual, solution.normal_eq_scale, d_hats[0].sample_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +177,12 @@ def filter_to_json(filt: EqFilter) -> dict[str, Any]:
     out = config_to_json(filt.config)
     out["coefficients"] = filt.coefficients.tolist()
     out.update((key, getattr(filt, key)) for key in _AUDIT_KEYS[1:])
-    return out
+    return out if filt.sample_rate_hz is None else {**out, "sample_rate_hz": filt.sample_rate_hz}
 
 
 def filter_from_json(data: Any) -> EqFilter:
     json_typed("filter", data, dict, "an object")
-    known_keys("the filter", data, (*_CONFIG_WIRE, "weighting", *_AUDIT_KEYS))
+    known_keys("the filter", data, (*_CONFIG_WIRE, "weighting", *_AUDIT_KEYS, "sample_rate_hz"))
     coefficients = json_typed("coefficients", data["coefficients"], list, "a list of numbers")
     for c in coefficients:
         json_typed("coefficients", c, (int, float), "a list of numbers")
@@ -189,4 +190,7 @@ def filter_from_json(data: Any) -> EqFilter:
     norms = {k: json_typed(k, audit[k], (int, float), "a number") for k in _AUDIT_KEYS[1:]}
     # Every design key is required: a missing one would take its default, another design.
     config = config_from_json({k: data[k] for k in (*_CONFIG_WIRE, "weighting")})
-    return EqFilter(coefficients, config, **norms)
+    rate = data.get("sample_rate_hz")  # older files lack it: they play at the ear's rate
+    if "sample_rate_hz" in data and json_typed("sample_rate_hz", rate, int, "an integer") <= 0:
+        raise ValueError(f'"sample_rate_hz" must be positive, got {rate}')
+    return EqFilter(coefficients, config, **norms, sample_rate_hz=rate)

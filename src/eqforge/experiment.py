@@ -81,13 +81,6 @@ def write_report(report: ConditionReport, out_dir: Path, name: str, csv_ref: str
     (out_dir / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _prune_stale_runs(runs_dir: Path, written: set[str]) -> None:
-    """Delete the run files of an earlier grid that this grid did not write."""
-    for path in runs_dir.iterdir():
-        if path.is_file() and _RUN_FILE.fullmatch(path.name) and path.stem not in written:
-            path.unlink()
-
-
 def _write_summaries(result: ExperimentResult, delays: list[int], out_dir: Path) -> None:
     # (delay, best-first summaries), one per delay with runs
     rankings = [(delay, rank_conditions(runs)) for delay in delays
@@ -120,7 +113,7 @@ def _adopt(run_share) -> None:
     _adopted_share = run_share
 
 
-def _run_adopted(subject_ids: list[str]) -> dict[str, ExperimentResult]:
+def _run_adopted(subject_ids: list[str]) -> ExperimentResult:
     return _adopted_share(subject_ids)
 
 
@@ -150,18 +143,18 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every (subject, condition, delay) cell and write all report files.
 
-    The ears are dealt round-robin to one process per usable CPU (one with a
-    single CPU or ear, or without `fork`), and each process writes a cell's
-    run files as soon as it is scored, keeping only its `RunRecord` for the
-    summaries. An ear keeps its spectra, and its cells run one after another,
-    so they make its CSV text once. Individual cell failures are recorded and
-    do not abort the grid. Output is a pure function of the inputs, whatever
-    the process count: rerunning overwrites every file with identical bytes,
-    and run files under ``runs/`` that this grid did not write (left by an
-    earlier, larger grid) are deleted. Earlier summaries are deleted before
-    the first cell, so a tree without them holds an unfinished grid. A request
-    that `grid_request` refuses fails before any ear is read or any file is
-    touched.
+    The ears are dealt in contiguous shares, in ear order, to one process per
+    usable CPU (one with a single CPU or ear, or without `fork`), and each
+    process writes a cell's run files as soon as it is scored, keeping only
+    its `RunRecord` for the summaries; the shares' results, concatenated, are
+    the grid's in ear order. An ear keeps its spectra, and its cells run one
+    after another, so they make its CSV text once. Individual cell failures
+    are recorded and do not abort the grid. Output is a pure function of the
+    inputs, whatever the process count. Before the first cell, the earlier
+    summaries and every run file under ``runs/`` are deleted, so the tree
+    never mixes two grids, and a tree without summaries holds an unfinished
+    one. A request that `grid_request` refuses, an ear that cannot be read or
+    a rate too low to score fails before any file is touched.
     """
     specs, configs = grid_request(conditions, delays, design)
     # Every ear, the dummy's too, is read now: a bad file fails the run, not a cell.
@@ -176,26 +169,27 @@ def run_experiment(
     runs_dir.mkdir(parents=True, exist_ok=True)
     for name in _SUMMARIES:  # until the grid finishes, no summary disagrees with its runs
         (out_dir / name).unlink(missing_ok=True)
+    for path in runs_dir.iterdir():  # and no run file is an earlier grid's
+        if path.is_file() and _RUN_FILE.fullmatch(path.name):
+            path.unlink()
 
-    def run_share(subject_ids: list[str]) -> dict[str, ExperimentResult]:
-        by_ear = {}
-        for sid in subject_ids:
-            by_ear[sid] = result = ExperimentResult()
-            for spec, (delay, cfg) in itertools.product(specs, configs.items()):
-                try:
-                    report = run_condition(cohort, sid, spec, cfg)
-                except Exception as exc:
-                    failure = RunFailure(sid, spec.name, delay, f"{type(exc).__name__}: {exc}")
-                    log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
-                    result.failures.append(failure)
-                    continue
-                name = f"{sid}__{spec.name}__dG{delay}"
-                write_report(report, runs_dir, name, f"runs/{name}.csv")
-                result.runs.append(RunRecord(sid, spec.name, delay, report.lsd_db))
-        return by_ear
+    def run_share(subject_ids: list[str]) -> ExperimentResult:
+        result = ExperimentResult()
+        for sid, spec, (delay, cfg) in itertools.product(subject_ids, specs, configs.items()):
+            try:
+                report = run_condition(cohort, sid, spec, cfg)
+            except Exception as exc:
+                failure = RunFailure(sid, spec.name, delay, f"{type(exc).__name__}: {exc}")
+                log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
+                result.failures.append(failure)
+                continue
+            name = f"{sid}__{spec.name}__dG{delay}"
+            write_report(report, runs_dir, name, f"runs/{name}.csv")
+            result.runs.append(RunRecord(sid, spec.name, delay, report.lsd_db))
+        return result
 
-    ids = [ear.subject_id for ear in ears]
-    w = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(ids))
+    ids, n = [ear.subject_id for ear in ears], len(ears)
+    w = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, n)
     if w > 1:
         import multiprocessing  # here, so that a command that never forks does not import it
         from concurrent.futures import ProcessPoolExecutor
@@ -203,18 +197,15 @@ def run_experiment(
     if w > 1 and "fork" in multiprocessing.get_all_start_methods():
         # A killed child breaks the executor, where multiprocessing.Pool would wait forever.
         # The parent runs share 0 itself, so what it records (a trace, say) covers those ears.
+        shares = [ids[n * i // w:n * (i + 1) // w] for i in range(w)]
         with ProcessPoolExecutor(w - 1, multiprocessing.get_context("fork"), _adopt,
                                  (run_share,)) as pool:
-            pending = [pool.submit(_run_adopted, ids[i::w]) for i in range(1, w)]
-            by_ear = run_share(ids[::w])
-            for share in pending:
-                by_ear.update(share.result())
+            pending = [pool.submit(_run_adopted, share) for share in shares[1:]]
+            results = [run_share(shares[0]), *(future.result() for future in pending)]
     else:
-        by_ear = run_share(ids)
-    result = ExperimentResult([r for sid in ids for r in by_ear[sid].runs],
-                              [f for sid in ids for f in by_ear[sid].failures])
-    _prune_stale_runs(runs_dir, {f"{r.subject_id}__{r.condition}__dG{r.device_delay}"
-                                 for r in result.runs})
+        results = [run_share(ids)]
+    result = ExperimentResult([r for part in results for r in part.runs],
+                              [f for part in results for f in part.failures])
     _write_summaries(result, list(delays), out_dir)
     log.info("experiment finished: %d runs, %d failures", len(result.runs), len(result.failures))
     return result

@@ -215,8 +215,8 @@ def test_criterion_7_muted_device_identity():
     muted = EqFilter(np.zeros(cfg.filter_length), cfg, 0.0, 0.0)
     exact = all(
         np.array_equal(
-            aided_response(ear, 96, muted).samples,
-            zero_extend(ear.h_occ.samples, len(aided_response(ear, 96, muted))),
+            aided_response(ear, muted).samples,
+            zero_extend(ear.h_occ.samples, len(aided_response(ear, muted))),
         )
         for ear in cohort
     )

@@ -71,7 +71,7 @@ def test_condition_registry_is_fixed():
 
 def test_muted_device_leaves_occluded_path(cohort):
     ear = cohort[0]
-    aided = aided_response(ear, 96, zero_filter())
+    aided = aided_response(ear, zero_filter(dataclasses.replace(CFG, device_delay=96)))
     occ = ear.h_occ.samples
     assert np.array_equal(aided.samples, zero_extend(occ, len(aided)))
 
@@ -83,7 +83,7 @@ def test_transparent_chain_reproduces_filter(rng):
                      d_true=delta, d_inear=delta, d_model=delta)
     coeffs = rng.standard_normal(CFG.filter_length)
     filt = EqFilter(coeffs, dataclasses.replace(CFG, device_delay=0), 0.0, 0.0)
-    aided = aided_response(ear, 0, filt)
+    aided = aided_response(ear, filt)
     assert np.array_equal(aided.samples[: coeffs.size], coeffs)
     assert aided.samples[200] == 1.0
 
@@ -108,7 +108,7 @@ def test_aided_is_device_chain_plus_leak(cohort, rng):
     g = unit_impulse(16)
     coeffs = rng.standard_normal(CFG.filter_length)
     filt = EqFilter(coeffs, CFG, 0.0, 0.0)
-    aided = aided_response(ear, 16, filt)
+    aided = aided_response(ear, filt)
     chain = convolve(convolve(convolve(ear.h_m, g), make_ir(coeffs)), ear.d_true)
     want = zero_extend(chain.samples, len(aided)) + zero_extend(ear.h_occ.samples, len(aided))
     assert np.array_equal(aided.samples, want)

@@ -264,6 +264,7 @@ def test_filter_json_round_trip(rng):
     assert back.config == filt.config
     assert back.residual_norm == filt.residual_norm
     assert back.penalty_norm == filt.penalty_norm
+    assert back.sample_rate_hz == filt.sample_rate_hz == 16000
 
 
 # --- pooled design -----------------------------------------------------------------

@@ -974,6 +974,8 @@ def test_evaluate_on_an_ear_without_d_true_fails_cleanly(tmp_path, small_manifes
     ("residual_norm", float("nan")), ("normal_eq_scale", float("inf")),
     ("penalty_norm", float("-inf")), ("normal_eq_residual", -1.0),
     ("coefficients", [True] * 99), ("coefficients", "zeros"), ("coefficients", None),
+    ("sample_rate_hz", True), ("sample_rate_hz", "16000"), ("sample_rate_hz", 0),
+    ("sample_rate_hz", -16000), ("sample_rate_hz", 16000.0), ("sample_rate_hz", None),
 ])
 def test_evaluate_rejects_filter_values_of_the_wrong_type(tmp_path, small_manifest, capsys,
                                                           key, value):
@@ -1018,6 +1020,42 @@ def test_evaluate_rejects_a_filter_without_a_design_key(tmp_path, small_manifest
     assert rc == 1 and not (tmp_path / "e").exists()
     assert len(err) == 1 and err[0].startswith("error: invalid filter file")
     assert f"missing key '{key}'" in err[0]
+
+
+def test_evaluate_refuses_a_filter_designed_at_another_rate(tmp_path, small_manifest, capsys):
+    filter_path = tmp_path / "f.json"
+    assert main(["design", "--manifest", str(small_manifest), "--subject", "ear01",
+                 "--condition", "PracticalOptimal", "--delay", "16",
+                 "--out", str(filter_path)]) == 0
+    assert json.loads(filter_path.read_text())["sample_rate_hz"] == 16000
+    at_32k = _manifest_variant(tmp_path, small_manifest, lambda d: d.update(sample_rate_hz=32000))
+    rc = main(["evaluate", *at_32k, "--subject", "ear01", "--filter", str(filter_path),
+               "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and not (tmp_path / "e").exists()
+    assert err == ["error: cannot play a 16000 Hz filter at 32000 Hz"]
+
+
+def test_a_filter_file_without_its_rate_evaluates_at_the_ears(tmp_path, small_manifest):
+    # Files written before filters recorded their rate load with none and play at the ear's.
+    designed = tmp_path / "f.json"
+    assert main(["design", "--manifest", str(small_manifest), "--subject", "ear01",
+                 "--condition", "ModelBased", "--delay", "16", "--out", str(designed)]) == 0
+    data = json.loads(designed.read_text())
+    assert list(data)[-1] == "sample_rate_hz"
+    del data["sample_rate_hz"]
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(data, indent=2) + "\n")
+    assert filter_from_json(data).sample_rate_hz is None
+    for path, out in ((designed, "with"), (older, "without")):
+        assert main(["evaluate", "--manifest", str(small_manifest), "--subject", "ear01",
+                     "--filter", str(path), "--out", str(tmp_path / out)]) == 0
+    with_rate, without = (tmp_path / "with", tmp_path / "without")
+    name = "eval_ear01__dG16"
+    assert (without / f"{name}.csv").read_bytes() == (with_rate / f"{name}.csv").read_bytes()
+    report = json.loads((with_rate / f"{name}.json").read_text())
+    del report["filter"]["sample_rate_hz"]
+    assert json.loads((without / f"{name}.json").read_text()) == report
 
 
 def test_evaluate_rejects_a_filter_with_an_unknown_key(tmp_path, small_manifest, capsys):

@@ -145,8 +145,8 @@ def test_the_grid_tree_is_byte_identical_at_every_process_count(floor_cohort, tm
 
 def test_failures_in_a_forked_share_are_reported_in_ear_order(floor_cohort, tmp_path,
                                                               monkeypatch, cpus):
-    # With two processes the parent runs f0 and f2, the child f1.
-    failing = [("f1", "NaiveInEar", 16), ("f2", "Optimal", 0)]
+    # With two processes the parent runs f0, the child f1 and f2: one failure in each share.
+    failing = [("f0", "NaiveInEar", 16), ("f2", "Optimal", 0)]
 
     def run_or_fail(cohort, subject_id, cond, config):
         if (subject_id, cond.name, config.device_delay) in failing:
@@ -168,3 +168,26 @@ def test_failures_in_a_forked_share_are_reported_in_ear_order(floor_cohort, tmp_
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert [(f["subject_id"], f["condition"], f["device_delay"])
             for f in summary["failures"]] == failing
+
+
+def test_an_interrupted_rerun_leaves_no_run_file_of_the_earlier_grid(floor_cohort, tmp_path,
+                                                                     monkeypatch, cpus):
+    cpus(1)
+    run_experiment(CohortData.of(floor_cohort), CONDITIONS, DELAYS, EqDesignConfig(lam=0.1),
+                   tmp_path)
+    earlier = tree(tmp_path / "runs")
+    write, written = experiment.write_report, []
+
+    def interrupted_at_the_second_cell(report, out_dir, name, csv_ref):
+        written.append(name)
+        if len(written) == 2:
+            raise KeyboardInterrupt
+        write(report, out_dir, name, csv_ref)
+
+    monkeypatch.setattr(experiment, "write_report", interrupted_at_the_second_cell)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(CohortData.of(floor_cohort), CONDITIONS, DELAYS, EqDesignConfig(lam=0.5),
+                       tmp_path)
+    later = tree(tmp_path / "runs")
+    assert sorted(later) == [f"{written[0]}.csv", f"{written[0]}.json"]
+    assert [name for name, data in later.items() if earlier[name] == data] == []
