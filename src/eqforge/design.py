@@ -21,14 +21,14 @@ class EqDesignConfig:
     lam:            regularization trade-off (lambda), finite
     acausal_lead:   leading zeros in the estimation targets (L_d, samples), at most 512
     device_delay:   hearing-device processing delay (d_G, samples), at most 512
-    weighting:      FIR taps W of the penalty, nonempty; None is the identity
+    weighting:      FIR taps W of the penalty, nonempty; the unit tap (1.0,) is the identity
     """
 
     filter_length: int = 99
     lam: float = 0.1
     acausal_lead: int = 32
     device_delay: int = 0
-    weighting: tuple[float, ...] | None = None
+    weighting: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
         for name, low in (("filter_length", 1), ("acausal_lead", 0), ("device_delay", 0)):
@@ -37,9 +37,8 @@ class EqDesignConfig:
                     f"{name} must be in [{low}, {MAX_RTF_LENGTH}], got {getattr(self, name)}")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
-        if self.weighting is not None:
-            taps = frozen_vector(self.weighting, "weighting").tolist()
-            object.__setattr__(self, "weighting", tuple(taps))
+        taps = frozen_vector(self.weighting, "weighting").tolist()
+        object.__setattr__(self, "weighting", tuple(taps))
 
 
 _AUDIT_KEYS = ("coefficients", "residual_norm", "penalty_norm", "normal_eq_residual",
@@ -65,6 +64,9 @@ class EqFilter:
         for k in _AUDIT_KEYS[1:]:
             if not 0.0 <= getattr(self, k) < np.inf:
                 raise ValueError(f'"{k}" must be finite and nonnegative, got {getattr(self, k)}')
+        rate = self.sample_rate_hz
+        if rate is not None and json_typed("sample_rate_hz", rate, int, "an integer") <= 0:
+            raise ValueError(f'"sample_rate_hz" must be positive, got {rate}')
 
 
 def build_target(r_open: RelativeTransferEstimate, r_occ: RelativeTransferEstimate,
@@ -103,7 +105,7 @@ def design_filter_pooled(d_hats: list[ImpulseResponse], targets: list[np.ndarray
     normal matrix is numerically singular.
     """
     solution = solve_pooled(d_hats, targets, config.filter_length, lam=config.lam,
-                            weight_taps=config.weighting or (1.0,), context="equalizer design")
+                            weight_taps=config.weighting, context="equalizer design")
     return EqFilter(solution.coefficients, config, solution.residual_norm, solution.penalty_norm,
                     solution.normal_eq_residual, solution.normal_eq_scale, d_hats[0].sample_rate_hz)
 
@@ -111,10 +113,6 @@ def design_filter_pooled(d_hats: list[ImpulseResponse], targets: list[np.ndarray
 # ---------------------------------------------------------------------------
 # JSON wire format: config fields appear under their published names.
 # ---------------------------------------------------------------------------
-
-
-def weighting_to_json(taps: tuple[float, ...] | None) -> dict[str, Any]:
-    return {"mode": "identity"} if taps is None else {"mode": "fir", "fir_taps": list(taps)}
 
 
 def json_typed(key: str, value: Any, kind: type | tuple[type, ...], what: str) -> Any:
@@ -132,44 +130,30 @@ def known_keys(where: str, data: dict[str, Any], keys: Iterable[str]) -> dict[st
     return data
 
 
-def weighting_from_json(data: Any) -> tuple[float, ...] | None:
-    json_typed("weighting", data, dict, "an object")
-    known_keys('"weighting"', data, ("mode", "fir_taps"))
-    taps = json_typed("fir_taps", data.get("fir_taps", []), list, "a list of numbers")
-    taps = tuple(json_typed("fir_taps", tap, (int, float), "a list of numbers") for tap in taps)
-    mode = json_typed("mode", data.get("mode", "identity"), str, "a string")
-    if mode not in ("identity", "fir"):
-        raise ValueError(f"mode must be one of ('identity', 'fir'), got {mode!r}")
-    if (mode == "fir") != bool(taps):
-        raise ValueError("fir_taps need mode 'fir', got mode 'identity'" if taps
-                         else "fir weighting requires nonempty fir_taps")
-    return taps or None
-
-
 # Wire name: (EqDesignConfig field, JSON type, description of the type).
 _CONFIG_WIRE = {
     "L_a": ("filter_length", int, "an integer"),
     "lambda": ("lam", (int, float), "a number"),
     "L_d": ("acausal_lead", int, "an integer"),
     "d_G": ("device_delay", int, "an integer"),
+    "weighting": ("weighting", list, "a list of numbers"),
 }
 
 
 def config_to_json(config: EqDesignConfig) -> dict[str, Any]:
-    out: dict[str, Any] = {key: getattr(config, name) for key, (name, *_) in _CONFIG_WIRE.items()}
-    out["weighting"] = weighting_to_json(config.weighting)
-    return out
+    out = {key: getattr(config, name) for key, (name, *_) in _CONFIG_WIRE.items()}
+    return {**out, "weighting": list(config.weighting)}  # a list, as config_from_json reads it
 
 
 def config_from_json(data: dict[str, Any]) -> EqDesignConfig:
     """Design config from the wire keys present; an unknown key or wrong type is a ValueError."""
-    known_keys('"design"', data, (*_CONFIG_WIRE, "weighting"))
+    known_keys('"design"', data, _CONFIG_WIRE)
     kwargs = {name: json_typed(key, data[key], kind, what)
               for key, (name, kind, what) in _CONFIG_WIRE.items() if key in data}
     if "lam" in kwargs:
         kwargs["lam"] = float(kwargs["lam"])
-    if "weighting" in data:
-        kwargs["weighting"] = weighting_from_json(data["weighting"])
+    for tap in kwargs.get("weighting", ()):  # numpy would read "1" or true as 1.0
+        json_typed("weighting", tap, (int, float), "a list of numbers")
     return EqDesignConfig(**kwargs)
 
 
@@ -182,15 +166,15 @@ def filter_to_json(filt: EqFilter) -> dict[str, Any]:
 
 def filter_from_json(data: Any) -> EqFilter:
     json_typed("filter", data, dict, "an object")
-    known_keys("the filter", data, (*_CONFIG_WIRE, "weighting", *_AUDIT_KEYS, "sample_rate_hz"))
+    known_keys("the filter", data, (*_CONFIG_WIRE, *_AUDIT_KEYS, "sample_rate_hz"))
     coefficients = json_typed("coefficients", data["coefficients"], list, "a list of numbers")
     for c in coefficients:
         json_typed("coefficients", c, (int, float), "a list of numbers")
     audit = {"normal_eq_residual": 0.0, "normal_eq_scale": 0.0, **data}  # older files lack both
     norms = {k: json_typed(k, audit[k], (int, float), "a number") for k in _AUDIT_KEYS[1:]}
     # Every design key is required: a missing one would take its default, another design.
-    config = config_from_json({k: data[k] for k in (*_CONFIG_WIRE, "weighting")})
+    config = config_from_json({k: data[k] for k in _CONFIG_WIRE})
     rate = data.get("sample_rate_hz")  # older files lack it: they play at the ear's rate
-    if "sample_rate_hz" in data and json_typed("sample_rate_hz", rate, int, "an integer") <= 0:
-        raise ValueError(f'"sample_rate_hz" must be positive, got {rate}')
+    if "sample_rate_hz" in data and rate is None:
+        raise ValueError('"sample_rate_hz" must be an integer, got None')
     return EqFilter(coefficients, config, **norms, sample_rate_hz=rate)

@@ -116,7 +116,7 @@ def test_criterion_2_normal_equation_residual(grid_run):
         aligned = np.zeros(matrix.shape[0])
         keep = min(matrix.shape[0], target.size)
         aligned[:keep] = target[:keep]
-        weights = loop_built_design_matrix(np.asarray(cfg.weighting or (1.0,)), filter_length)
+        weights = loop_built_design_matrix(np.asarray(cfg.weighting), filter_length)
         gradient = matrix.T @ (matrix @ filt.coefficients - aligned)
         gradient += cfg.lam * (weights.T @ (weights @ filt.coefficients))
         bound = 1e-8 * (np.max(np.abs(matrix.T @ aligned)) + 1.0)

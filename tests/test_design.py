@@ -11,7 +11,6 @@ from eqforge.design import (
     design_filter_pooled,
     filter_from_json,
     filter_to_json,
-    weighting_from_json,
 )
 from eqforge.rtf import RelativeTransferEstimate
 from eqforge.solvers import SingularSystemError, align_target, solve_pooled
@@ -30,7 +29,7 @@ def cost(a, d_hat, target, config):
     estimate = np.convolve(d_hat.samples, a)
     aligned, tail_sq = align_target(target, estimate.size)
     residual = estimate - aligned
-    penalty = np.convolve(np.asarray(config.weighting or (1.0,)), a)
+    penalty = np.convolve(np.asarray(config.weighting), a)
     return float(residual @ residual + tail_sq + config.lam * (penalty @ penalty))
 
 
@@ -50,7 +49,7 @@ def dense_oracle(d_hat, target, config):
     t = np.zeros(D.shape[0])
     keep = min(t.size, len(target))
     t[:keep] = target[:keep]
-    W = loop_built(config.weighting or (1.0,), L)
+    W = loop_built(config.weighting, L)
     if config.lam > 0:
         D = np.vstack([D, np.sqrt(config.lam) * W])
         t = np.concatenate([t, np.zeros(W.shape[0])])
@@ -58,7 +57,7 @@ def dense_oracle(d_hat, target, config):
     return a
 
 
-WEIGHTINGS = [None, (1.0, -1.0), (0.5, -1.0, 0.25)]
+WEIGHTINGS = [(1.0,), (1.0, -1.0), (0.5, -1.0, 0.25)]
 
 
 # --- configuration types ------------------------------------------------------
@@ -76,11 +75,6 @@ def test_config_validation():
     with pytest.raises(ValueError, match="weighting must form a nonempty, finite 1-D vector"):
         EqDesignConfig(weighting=())
     assert EqDesignConfig(weighting=[1, -1]).weighting == (1.0, -1.0)
-    with pytest.raises(ValueError, match="fir weighting requires nonempty fir_taps"):
-        weighting_from_json({"mode": "fir"})
-    with pytest.raises(ValueError) as info:
-        weighting_from_json({"mode": "diagonal"})
-    assert str(info.value) == "mode must be one of ('identity', 'fir'), got 'diagonal'"
 
 
 def test_config_json_round_trip():
@@ -91,18 +85,6 @@ def test_config_json_round_trip():
     assert data["L_d"] == 8 and data["d_G"] == 16
     assert config_from_json(data) == cfg
     assert config_from_json({}) == EqDesignConfig()
-
-
-# --- weighting -------------------------------------------------------------------
-
-def test_identity_weighting_is_a_single_unit_tap(rng):
-    d = make_ir(rng.standard_normal(10))
-    t = rng.standard_normal(25)
-    identity = design_filter(d, t, EqDesignConfig(filter_length=8, weighting=None))
-    unit_tap = design_filter(d, t, EqDesignConfig(filter_length=8, weighting=(1.0,)))
-    assert identity.coefficients.tobytes() == unit_tap.coefficients.tobytes()
-    for key in ("residual_norm", "penalty_norm", "normal_eq_residual", "normal_eq_scale"):
-        assert getattr(identity, key) == getattr(unit_tap, key)
 
 
 # --- build_target ----------------------------------------------------------------
@@ -292,7 +274,7 @@ def test_pooled_design_matches_stacked_oracle(rng):
                 keep = min(D.shape[0], len(t))
                 blocks.append(D)
                 targets.append(np.concatenate([t[:keep], np.zeros(D.shape[0] - keep)]))
-            W = loop_built(weighting or (1.0,), filter_length)
+            W = loop_built(weighting, filter_length)
             blocks.append(np.sqrt(cfg.lam * len(ds)) * W)
             targets.append(np.zeros(W.shape[0]))
             want, *_ = np.linalg.lstsq(np.vstack(blocks), np.concatenate(targets), rcond=None)
@@ -312,3 +294,10 @@ def test_eq_filter_validates_length():
     cfg = EqDesignConfig(filter_length=4)
     with pytest.raises(ValueError):
         EqFilter(np.zeros(3), cfg, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("rate", [-5, 0, True, 16000.0])
+def test_eq_filter_refuses_a_rate_its_file_reader_refuses(rate):
+    # Otherwise filter_to_json would write a file that filter_from_json refuses.
+    with pytest.raises(ValueError, match='"sample_rate_hz" must be'):
+        EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0, sample_rate_hz=rate)

@@ -205,10 +205,7 @@ JSON = st.recursive(
                                                                   max_size=3),
     max_leaves=6,
 )
-WEIGHTING = st.fixed_dictionaries({}, optional={
-    "mode": JSON | st.sampled_from(["identity", "fir"]),
-    "fir_taps": JSON | st.lists(st.floats(-4.0, 4.0), max_size=4),
-})
+WEIGHTING = st.lists(st.floats(-4.0, 4.0), max_size=4)
 DESIGN = st.fixed_dictionaries({}, optional={
     "L_a": JSON | st.integers(-2, 600),
     "lambda": JSON | st.floats(0.0, 10.0),
@@ -491,11 +488,10 @@ def _config(data):
     (_config({"conditions": [["Optimal"]]}), OLD_KEY.format("conditions")),
     (_config({"delays": 16}), OLD_KEY.format("delays")),
     (_config({"design": "x"}), "\"design\" must be an object"),
-    (_config({"design": {"weighting": "x"}}), "\"weighting\" must be an object"),
-    (_config({"design": {"weighting": {"mode": "fir", "fir_taps": "12"}}}),
-     "\"fir_taps\" must be a list of numbers"),
-    (_config({"design": {"weighting": {"fir_taps": [1, -1]}}}),
-     "fir_taps need mode 'fir', got mode 'identity'"),
+    (_config({"design": {"weighting": "x"}}), "\"weighting\" must be a list of numbers"),
+    (_config({"design": {"weighting": {"mode": "identity"}}}),
+     "\"weighting\" must be a list of numbers, got {'mode': 'identity'}"),
+    (_config({"design": {"weighting": []}}), "weighting must form a nonempty, finite 1-D vector"),
     (_config({"design": {"L_a": 99.7}}), "\"L_a\" must be an integer, got 99.7"),
     (_config({"design": {"L_a": True}}), "\"L_a\" must be an integer, got True"),
     (_config({"design": {"L_a": 10**9}}), "filter_length must be in [1, 512]"),
@@ -526,8 +522,10 @@ def _config(data):
     (_config({"design": {"lamda": 50}}), "unknown key 'lamda' in \"design\""),
     (_config({"desing": {"L_a": 40}}), "unknown key 'desing' in the config"),
     (_config({"synth": {"manifets": "m.json"}}), OLD_KEY.format("synth")),
-    (_config({"design": {"weighting": {"mode": "fir", "taps": [1]}}}),
-     "unknown key 'taps' in \"weighting\""),
+    (_config({"design": {"weighting": ["1"]}}),
+     "\"weighting\" must be a list of numbers, got '1'"),
+    (_config({"design": {"weighting": [True]}}),
+     "\"weighting\" must be a list of numbers, got True"),
     (_config({"workers": 2}), "unknown key 'workers' in the config"),
     (_config({"cohort": {"manifest": "m.json", "synth": {"n_subjects": 2}}}),
      OLD_KEY.format("cohort")),
@@ -570,14 +568,15 @@ def _config(data):
 ], ids=["malformed-config", "rate-key", "synth-a-string", "synth-a-list",
         "manifest-a-number", "cohort-a-string", "delay-a-bool", "conditions-a-string",
         "condition-a-list", "delays-a-number", "design-a-string",
-        "weighting-a-string", "fir_taps-a-string", "fir_taps-without-fir-mode", "L_a-a-float",
+        "weighting-a-string", "weighting-an-object", "weighting-empty", "L_a-a-float",
         "L_a-a-bool", "L_a-too-long", "lambda-a-string", "lambda-infinite", "entry-without-h_m",
         "duplicate-id", "id-of-dummy", "id-a-list", "id-escapes-out", "rate-a-float",
         "rate-a-bool", "rate-a-string", "unknown-condition", "negative-delay",
         "delay-too-long", "config-d_G-too-long", "config-d_G", "rate-below-14-khz",
         "unknown-design-key", "unknown-top-level-key", "unknown-cohort-key",
-        "unknown-weighting-key", "workers-key", "manifest-and-synth", "repeated-condition",
-        "repeated-delay", "config-repeated-condition", "config-no-condition", "no-condition",
+        "weighting-a-string-tap", "weighting-a-bool-tap", "workers-key", "manifest-and-synth",
+        "repeated-condition", "repeated-delay", "config-repeated-condition", "config-no-condition",
+        "no-condition",
         "subjects-empty", "subjects-an-object", "dummy-null", "subject-a-string", "path-a-number",
         "manifest-a-list", "manifest-misspelt-key", "entry-misspelt-key", "dummy-unknown-key",
         "synth_params-a-number", "synth_params-unknown-key"])
@@ -976,6 +975,7 @@ def test_evaluate_on_an_ear_without_d_true_fails_cleanly(tmp_path, small_manifes
     ("coefficients", [True] * 99), ("coefficients", "zeros"), ("coefficients", None),
     ("sample_rate_hz", True), ("sample_rate_hz", "16000"), ("sample_rate_hz", 0),
     ("sample_rate_hz", -16000), ("sample_rate_hz", 16000.0), ("sample_rate_hz", None),
+    ("weighting", {"mode": "identity"}),
 ])
 def test_evaluate_rejects_filter_values_of_the_wrong_type(tmp_path, small_manifest, capsys,
                                                           key, value):
