@@ -193,7 +193,6 @@ def run_experiment(
     if w > 1:
         import multiprocessing  # here, so that a command that never forks does not import it
         from concurrent.futures import ProcessPoolExecutor
-        import scipy.linalg  # noqa: F401  (before the fork, so that no share imports it)
     if w > 1 and "fork" in multiprocessing.get_all_start_methods():
         # A killed child breaks the executor, where multiprocessing.Pool would wait forever.
         # The parent runs share 0 itself, so what it records (a trace, say) covers those ears.

@@ -1,10 +1,14 @@
-"""The one least-squares path of RTF estimation and design; its first solve imports scipy.linalg."""
+"""The one least-squares path of RTF estimation and design, on scipy's LAPACK extension alone."""
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from types import ModuleType
 
 import numpy as np
 
@@ -15,6 +19,20 @@ CONDITION_LIMIT = 1e12
 
 class SingularSystemError(RuntimeError):
     """A least-squares system is too ill-conditioned to solve as requested."""
+
+
+@functools.cache
+def lapack() -> ModuleType:
+    """`scipy.linalg._flapack` without its 0.3 s, 17 MB package, shared via sys.modules."""
+    import scipy  # its init sets up the extension's shared libraries on some platforms
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        spec = PathFinder.find_spec(name, [f"{scipy.__path__[0]}/linalg"])
+        if spec is None:
+            raise ImportError(f"scipy {scipy.__version__} has no module {name}", name=name)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def solve_normal_equations(first_row: np.ndarray, rhs: np.ndarray, *,
@@ -41,8 +59,7 @@ def solve_normal_equations(first_row: np.ndarray, rhs: np.ndarray, *,
     if not cond <= CONDITION_LIMIT:
         raise SingularSystemError(f"{context}: condition estimate {cond:.3e} exceeds "
                                   f"{CONDITION_LIMIT:.0e}")
-    import scipy.linalg  # here, so that a command that solves nothing never loads it
-    return scipy.linalg.lapack.dpptrs(n, factor, rhs)[0]
+    return lapack().dpptrs(n, factor, rhs)[0]
 
 
 @functools.lru_cache(maxsize=1)  # solves that share a system come one after another
@@ -69,15 +86,14 @@ def cholesky_factor(first_row: np.ndarray, *, context: str) -> tuple[np.ndarray,
                                   "(condition estimate inf)")
     n = first_row.size
     packed = np.concatenate([first_row[j::-1] for j in range(n)])  # column j: lags j..0
-    import scipy.linalg
-    factor, info = scipy.linalg.lapack.dpptrf(n, packed, lower=0, overwrite_ap=1)
+    factor, info = lapack().dpptrf(n, packed, lower=0, overwrite_ap=1)
     if info != 0:
         raise SingularSystemError(
             f"{context}: Cholesky factorization failed, the normal matrix is not "
             f"positive definite at leading minor {info} (condition estimate inf)"
         )
     c = np.cumsum(np.abs(first_row))  # column j's 1-norm: lags 0..j plus lags 1..n-1-j
-    rcond, _ = scipy.linalg.lapack.dppcon(n, factor, np.max(c + c[::-1] - c[0]))
+    rcond, _ = lapack().dppcon(n, factor, np.max(c + c[::-1] - c[0]))
     factor.flags.writeable = False  # a kept factor is shared by later solves
     return factor, 1.0 / rcond if rcond > 0.0 else np.inf
 

@@ -95,7 +95,7 @@ def test_criterion_1_solver_oracle_equivalence():
             aligned = np.concatenate([aligned, np.zeros(filter_length)])
         want, *_ = np.linalg.lstsq(matrix, aligned, rcond=None)
         err = np.linalg.norm(filt.coefficients - want) / (1.0 + np.linalg.norm(want))
-        worst = max(worst, err)
+        worst = np.maximum(worst, err)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 5.0
     check("1 solver-oracle-equivalence",
@@ -120,7 +120,7 @@ def test_criterion_2_normal_equation_residual(grid_run):
         gradient = matrix.T @ (matrix @ filt.coefficients - aligned)
         gradient += cfg.lam * (weights.T @ (weights @ filt.coefficients))
         bound = 1e-8 * (np.max(np.abs(matrix.T @ aligned)) + 1.0)
-        worst = max(worst, np.max(np.abs(gradient)) / bound)
+        worst = np.maximum(worst, np.max(np.abs(gradient)) / bound)
 
     stored_worst = 0.0
     n_filters = 0
@@ -128,7 +128,7 @@ def test_criterion_2_normal_equation_residual(grid_run):
         data = json.loads(run_json.read_text())
         filt = data["filter"]
         bound = 1e-8 * (filt["normal_eq_scale"] + 1.0)
-        stored_worst = max(stored_worst, filt["normal_eq_residual"] / bound)
+        stored_worst = np.maximum(stored_worst, filt["normal_eq_residual"] / bound)
         n_filters += 1
     ok = worst <= 1.0 and stored_worst <= 1.0 and n_filters == 336
     check("2 normal-equation-residual",
@@ -151,11 +151,11 @@ def test_criterion_3_estimator_recovery():
             pairs.append((h_m, convolve(h_m, make_ir(r_true))))
         est = estimate_individual(*pairs[0], length, lead)
         rel = np.linalg.norm(est.coefficients - planted) / np.linalg.norm(r_true)
-        worst_rel = max(worst_rel, rel)
+        worst_rel = np.maximum(worst_rel, rel)
 
         avg = estimate_average(pairs, length, lead)
         pooled = np.linalg.norm(avg.coefficients - planted) / np.linalg.norm(r_true)
-        worst_pooled = max(worst_pooled, pooled)
+        worst_pooled = np.maximum(worst_pooled, pooled)
     ok = worst_rel <= 1e-8 and worst_pooled <= 1e-8
     check("3 estimator-recovery",
           ok, f"worst recovery rel err {worst_rel:.3e}, "
@@ -168,11 +168,11 @@ def test_criterion_4_perfect_knowledge_transparency(grid_run):
     generic = means[(96, "GenericDH")]
     gap = generic - optimal
     fixture = json.loads(FIXTURE.read_text())["mean_lsd_db"]
-    drift = max(
+    drift = np.max([
         abs(means[(int(d), cond)] - fixture[d][cond])
         for d in fixture
         for cond in fixture[d]
-    )
+    ])
     ok = gap >= 6.0 and drift <= 1e-6
     check("4 perfect-knowledge-transparency",
           ok, f"Optimal {optimal:.3f} dB vs GenericDH {generic:.3f} dB "

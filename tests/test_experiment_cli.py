@@ -7,8 +7,6 @@ import json
 import os
 import re
 import signal
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -727,35 +725,6 @@ def test_a_killed_grid_process_is_one_error_line(tmp_path, small_manifest, capsy
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 1 and len(err) == 1
     assert err[0].startswith(f"error: the grid under {out} stopped: A process in the process pool")
-
-
-def test_forked_shares_inherit_scipy_linalg(tmp_path, small_manifest, monkeypatch):
-    # A grid that forks imports scipy.linalg first, so that no share pays for the import.
-    src = str(Path(experiment.__file__).resolve().parents[1])
-    args = ["experiment", "--manifest", str(small_manifest), "--conditions", "Optimal,GenericAV",
-            "--delays", "0,16"]
-    code = f"""
-import sys
-from eqforge import experiment
-from eqforge.cli import main
-assert not [name for name in sys.modules if name.startswith("scipy")]
-run_adopted = experiment._run_adopted
-
-def checked(subject_ids):
-    if "scipy.linalg" not in sys.modules:
-        raise RuntimeError("a share started without scipy.linalg")
-    return run_adopted(subject_ids)
-
-experiment._run_adopted = checked
-experiment.os.sched_getaffinity = lambda pid: {{0, 1}}
-sys.exit(main({[*args, "--out", str(tmp_path / "forked")]!r}))
-"""
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert done.returncode == 0, done.stderr
-    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0})
-    assert main([*args, "--out", str(tmp_path / "one")]) == 0
-    assert tree_digest(tmp_path / "forked") == tree_digest(tmp_path / "one")
 
 
 SUMMARIES = ("summary.csv", "summary.json", "ranking.csv")

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def test_the_factor_from_the_first_row_is_the_dense_upper_triangles_bit_for_bit(
                                                                                 monkeypatch):
     first_row = pooled_gram(rng, n, 2, 0.1)
     dense = scipy.linalg.toeplitz(first_row)
-    lapack = scipy.linalg.lapack
+    lapack = solvers.lapack()
     want, info = lapack.dpptrf(n, dense.T[np.tri(n, dtype=bool)], lower=0)
     assert info == 0
     want_rcond, _ = lapack.dppcon(n, want, np.abs(dense).sum(axis=0).max())
@@ -132,6 +133,50 @@ def test_solution_bytes_do_not_depend_on_the_blas_thread_count():
                               capture_output=True, text=True, check=True)
         outputs.append(done.stdout)
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+# --- scipy's LAPACK extension, loaded alone -----------------------------------------
+
+SHARE_IN_CHILD = """
+import sys
+import numpy as np
+order = sys.argv[1]
+if order == "scipy.linalg first":
+    import scipy.linalg
+from eqforge import solvers
+x = solvers.solve_normal_equations(np.array([2.0, 0.5]), np.array([1.0, 2.0]))
+assert "scipy.linalg" not in sys.modules or order == "scipy.linalg first"
+import scipy.linalg
+a = np.array([[2.0, 0.5], [0.5, 2.0]])
+y = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), np.array([1.0, 2.0]))
+assert np.allclose(x, y, rtol=1e-14, atol=0.0) and np.allclose(a @ y, [1.0, 2.0])
+flapack = sys.modules["scipy.linalg._flapack"]
+assert solvers.lapack() is flapack
+for name in ("dpptrf", "dppcon", "dpptrs"):
+    assert getattr(scipy.linalg.lapack, name) is getattr(flapack, name), name
+print("shared")
+"""
+
+
+@pytest.mark.parametrize("order", ["eqforge first", "scipy.linalg first"])
+def test_eqforge_and_scipy_linalg_share_one_lapack_module_in_either_order(order):
+    # pytest's own process has scipy.linalg loaded: only a fresh interpreter shows both orders.
+    src = Path(solvers.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", SHARE_IN_CHILD, order], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["shared"]
+
+
+def test_a_scipy_without_the_lapack_extension_is_one_import_error(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(solvers, "PathFinder", SimpleNamespace(find_spec=lambda name, path: None))
+    solvers.lapack.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=r"has no module scipy\.linalg\._flapack$"):
+            solvers.lapack()
+    finally:
+        solvers.lapack.cache_clear()
 
 
 # --- kept factors: one factorization per Gram matrix -------------------------------
