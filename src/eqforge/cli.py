@@ -25,7 +25,8 @@ import numpy as np
 
 from . import cohort as cohort_mod
 from .conditions import CONDITION_NAMES, condition_named, design_for_condition, evaluate
-from .design import config_from_json, filter_from_json, filter_to_json, json_typed, known_keys
+from .design import (CONFIG_KEYS, config_from_json, filter_from_json, filter_to_json, json_typed,
+                     known_keys)
 from .experiment import DEFAULT_DELAYS, grid_request, run_experiment, write_report
 from .solvers import SingularSystemError
 
@@ -59,10 +60,9 @@ def _reported(what: str):
         raise CliError(f"{what}: {exc}") from exc
 
 
-# The keys of the one config section a command reads: "seed" is --seed, and
-# "d_G" is --delay or --delays.
-_SECTIONS = {"synth": ("n_subjects", "inear_mismatch_db", "model_error_db"),
-             "design": ("L_a", "lambda", "L_d", "weighting")}
+# The keys of the config section each command reads: "seed" is --seed, "d_G" --delay(s).
+_SECTIONS = {"synth": {f.name for f in dataclasses.fields(cohort_mod.SynthCohortParams)} - {"seed"},
+             "design": set(CONFIG_KEYS) - {"d_G"}}
 
 
 def _read_input(path: Path, what: str, parse: Callable[[Path], Any]) -> Any:

@@ -67,11 +67,11 @@ def condition_named(name: str) -> ConditionSpec:
 def aided_response(ear: EarDataset, a: EqFilter) -> ImpulseResponse:
     """Device path through the true receiver response plus the passive leak.
 
-    The device processing is a pure delay of the filter's `device_delay` samples. A filter that
-    records a design rate other than the ear's is a ValueError. Evaluation always runs through
+    The device processing is a pure delay of the filter's `device_delay` samples. A filter
+    designed at a rate other than the ear's is a ValueError. Evaluation always runs through
     d_true; whatever estimate shaped the filter, the ear it plays into is the real one.
     """
-    if a.sample_rate_hz not in (None, ear.sample_rate_hz):
+    if a.sample_rate_hz != ear.sample_rate_hz:
         raise ValueError(f"cannot play a {a.sample_rate_hz} Hz filter at {ear.sample_rate_hz} Hz")
     eq = ImpulseResponse(a.coefficients, ear.sample_rate_hz)
     chain = convolve(convolve(zero_pad_leading(ear.h_m, a.config.device_delay), eq),
@@ -127,17 +127,10 @@ def evaluate(ear: EarDataset, filt: EqFilter, condition: str | None = None) -> C
     """Score `filt` on the ear's true acoustics: aided against desired (open) spectra."""
     aided = magnitude_response(aided_response(ear, filt))
     desired, occluded = ear.spectra
-    return ConditionReport(
-        subject_id=ear.subject_id,
-        condition=condition,
-        device_delay=filt.config.device_delay,
-        lsd_db=log_spectral_distance(aided, desired),
-        band_errors_db=band_error_profile(aided, desired),
-        aided=aided,
-        desired=desired,
-        occluded=occluded,
-        eq_filter=filt,
-    )
+    return ConditionReport(subject_id=ear.subject_id, condition=condition,
+                           lsd_db=log_spectral_distance(aided, desired),
+                           band_errors_db=band_error_profile(aided, desired),
+                           aided=aided, desired=desired, occluded=occluded, eq_filter=filt)
 
 
 def run_condition(cohort: CohortData, subject_id: str, cond: ConditionSpec,

@@ -37,36 +37,32 @@ class EqDesignConfig:
                     f"{name} must be in [{low}, {MAX_RTF_LENGTH}], got {getattr(self, name)}")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        object.__setattr__(self, "lam", float(self.lam))
         taps = frozen_vector(self.weighting, "weighting").tolist()
         object.__setattr__(self, "weighting", tuple(taps))
 
 
-_AUDIT_KEYS = ("coefficients", "residual_norm", "penalty_norm", "normal_eq_residual",
-               "normal_eq_scale")
-
-
 @dataclass(frozen=True, eq=False)
 class EqFilter:
-    """Designed equalizer coefficients, the norms audited at solve time and the design rate."""
+    """Designed equalizer coefficients, the norms audited at solve time and the plants' rate."""
 
     coefficients: np.ndarray
     config: EqDesignConfig
     residual_norm: float
     penalty_norm: float
-    normal_eq_residual: float = 0.0
-    normal_eq_scale: float = 0.0
-    sample_rate_hz: int | None = None  # of the plants; None if a filter file does not say
+    normal_eq_residual: float
+    normal_eq_scale: float
+    sample_rate_hz: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", frozen_vector(self.coefficients, "coefficients"))
         if (n := self.coefficients.size) != self.config.filter_length:
             raise ValueError(f"expected {self.config.filter_length} coefficients, got {n}")
-        for k in _AUDIT_KEYS[1:]:
+        for k in ("residual_norm", "penalty_norm", "normal_eq_residual", "normal_eq_scale"):
             if not 0.0 <= getattr(self, k) < np.inf:
                 raise ValueError(f'"{k}" must be finite and nonnegative, got {getattr(self, k)}')
-        rate = self.sample_rate_hz
-        if rate is not None and json_typed("sample_rate_hz", rate, int, "an integer") <= 0:
-            raise ValueError(f'"sample_rate_hz" must be positive, got {rate}')
+        if json_typed("sample_rate_hz", self.sample_rate_hz, int, "an integer") <= 0:
+            raise ValueError(f'"sample_rate_hz" must be positive, got {self.sample_rate_hz}')
 
 
 def build_target(r_open: RelativeTransferEstimate, r_occ: RelativeTransferEstimate,
@@ -111,7 +107,7 @@ def design_filter_pooled(d_hats: list[ImpulseResponse], targets: list[np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format: config fields appear under their published names.
+# JSON wire format: the filter file, whose design keys a config's "design" section holds.
 # ---------------------------------------------------------------------------
 
 
@@ -130,51 +126,50 @@ def known_keys(where: str, data: dict[str, Any], keys: Iterable[str]) -> dict[st
     return data
 
 
-# Wire name: (EqDesignConfig field, JSON type, description of the type).
-_CONFIG_WIRE = {
+# The filter file, in file order: wire key -> (attribute, JSON type, description of the type).
+FILTER_WIRE = {
     "L_a": ("filter_length", int, "an integer"),
     "lambda": ("lam", (int, float), "a number"),
     "L_d": ("acausal_lead", int, "an integer"),
     "d_G": ("device_delay", int, "an integer"),
     "weighting": ("weighting", list, "a list of numbers"),
+    "coefficients": ("coefficients", list, "a list of numbers"),
+    "residual_norm": ("residual_norm", (int, float), "a number"),
+    "penalty_norm": ("penalty_norm", (int, float), "a number"),
+    "normal_eq_residual": ("normal_eq_residual", (int, float), "a number"),
+    "normal_eq_scale": ("normal_eq_scale", (int, float), "a number"),
+    "sample_rate_hz": ("sample_rate_hz", int, "an integer"),
 }
+CONFIG_KEYS = tuple(FILTER_WIRE)[:5]  # EqDesignConfig fields; the rest are EqFilter fields
 
 
-def config_to_json(config: EqDesignConfig) -> dict[str, Any]:
-    out = {key: getattr(config, name) for key, (name, *_) in _CONFIG_WIRE.items()}
-    return {**out, "weighting": list(config.weighting)}  # a list, as config_from_json reads it
+def _wired(key: str, value: Any) -> Any:
+    """`value` if it has `key`'s JSON type in FILTER_WIRE, a list holding only numbers."""
+    _, kind, what = FILTER_WIRE[key]
+    json_typed(key, value, kind, what)
+    for item in value if kind is list else ():  # numpy would read "1" or true as 1.0
+        json_typed(key, item, (int, float), what)
+    return value
 
 
 def config_from_json(data: dict[str, Any]) -> EqDesignConfig:
     """Design config from the wire keys present; an unknown key or wrong type is a ValueError."""
-    known_keys('"design"', data, _CONFIG_WIRE)
-    kwargs = {name: json_typed(key, data[key], kind, what)
-              for key, (name, kind, what) in _CONFIG_WIRE.items() if key in data}
-    if "lam" in kwargs:
-        kwargs["lam"] = float(kwargs["lam"])
-    for tap in kwargs.get("weighting", ()):  # numpy would read "1" or true as 1.0
-        json_typed("weighting", tap, (int, float), "a list of numbers")
-    return EqDesignConfig(**kwargs)
+    known_keys('"design"', data, CONFIG_KEYS)
+    return EqDesignConfig(**{FILTER_WIRE[k][0]: _wired(k, v) for k, v in data.items()})
 
 
 def filter_to_json(filt: EqFilter) -> dict[str, Any]:
-    out = config_to_json(filt.config)
-    out["coefficients"] = filt.coefficients.tolist()
-    out.update((key, getattr(filt, key)) for key in _AUDIT_KEYS[1:])
-    return out if filt.sample_rate_hz is None else {**out, "sample_rate_hz": filt.sample_rate_hz}
+    out = {}
+    for key, (name, kind, _) in FILTER_WIRE.items():
+        value = getattr(filt.config if key in CONFIG_KEYS else filt, name)
+        out[key] = np.asarray(value).tolist() if kind is list else value
+    return out
 
 
 def filter_from_json(data: Any) -> EqFilter:
+    """The filter in a filter file's object; a missing key is a KeyError, never its default."""
     json_typed("filter", data, dict, "an object")
-    known_keys("the filter", data, (*_CONFIG_WIRE, *_AUDIT_KEYS, "sample_rate_hz"))
-    coefficients = json_typed("coefficients", data["coefficients"], list, "a list of numbers")
-    for c in coefficients:
-        json_typed("coefficients", c, (int, float), "a list of numbers")
-    audit = {"normal_eq_residual": 0.0, "normal_eq_scale": 0.0, **data}  # older files lack both
-    norms = {k: json_typed(k, audit[k], (int, float), "a number") for k in _AUDIT_KEYS[1:]}
-    # Every design key is required: a missing one would take its default, another design.
-    config = config_from_json({k: data[k] for k in _CONFIG_WIRE})
-    rate = data.get("sample_rate_hz")  # older files lack it: they play at the ear's rate
-    if "sample_rate_hz" in data and rate is None:
-        raise ValueError('"sample_rate_hz" must be an integer, got None')
-    return EqFilter(coefficients, config, **norms, sample_rate_hz=rate)
+    known_keys("the filter", data, FILTER_WIRE)
+    config = config_from_json({key: data[key] for key in CONFIG_KEYS})
+    return EqFilter(config=config, **{name: _wired(key, data[key]) for key, (name, *_)
+                                      in FILTER_WIRE.items() if key not in CONFIG_KEYS})

@@ -72,11 +72,11 @@ def write_report(report: ConditionReport, out_dir: Path, name: str, csv_ref: str
     payload = {
         "subject": report.subject_id,
         "condition": report.condition,
-        "d_G": report.device_delay,
+        "d_G": report.eq_filter.config.device_delay,
         "lsd_db": report.lsd_db,
         "band_errors_db": {format(c, "g"): v for c, v in report.band_errors_db.items()},
         "responses_csv": csv_ref,
-        "filter": filter_to_json(report.eq_filter) if report.eq_filter else None,
+        "filter": filter_to_json(report.eq_filter),
     }
     (out_dir / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
 

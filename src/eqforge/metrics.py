@@ -23,17 +23,16 @@ _EDGE = 2.0 ** (1.0 / 6.0)
 
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
-    """Per-subject, per-condition evaluation: spectral errors plus the responses."""
+    """Per-subject, per-condition evaluation: spectral errors, the responses and the filter."""
 
     subject_id: str
     condition: str | None  # None when scoring a stored filter outside the grid
-    device_delay: int
     lsd_db: float
     band_errors_db: dict[float, float]
     aided: MagnitudeResponse
     desired: MagnitudeResponse
     occluded: MagnitudeResponse
-    eq_filter: EqFilter | None = None
+    eq_filter: EqFilter
 
     def __post_init__(self) -> None:
         if self.lsd_db < 0:

@@ -212,7 +212,7 @@ def test_criterion_7_muted_device_identity():
     params = SynthCohortParams()
     cohort = synth_cohort(params)
     cfg = EqDesignConfig(device_delay=96)
-    muted = EqFilter(np.zeros(cfg.filter_length), cfg, 0.0, 0.0)
+    muted = EqFilter(np.zeros(cfg.filter_length), cfg, 0.0, 0.0, 0.0, 0.0, RATE)
     exact = all(
         np.array_equal(
             aided_response(ear, muted).samples,

@@ -17,7 +17,7 @@ from eqforge.conditions import (
 )
 from eqforge.design import EqDesignConfig, EqFilter, build_target, design_filter
 from eqforge.signals import convolve, magnitude_response, zero_extend, zero_pad_leading
-from conftest import make_ir, unit_impulse
+from conftest import RATE, make_ir, unit_impulse
 
 PARAMS = SynthCohortParams(n_subjects=4)
 CFG = EqDesignConfig(device_delay=16)
@@ -34,7 +34,7 @@ def dummy():
 
 
 def zero_filter(cfg=CFG):
-    return EqFilter(np.zeros(cfg.filter_length), cfg, 0.0, 0.0)
+    return EqFilter(np.zeros(cfg.filter_length), cfg, 0.0, 0.0, 0.0, 0.0, RATE)
 
 
 def degenerate(ear, subject_id=None):
@@ -82,7 +82,7 @@ def test_transparent_chain_reproduces_filter(rng):
     ear = EarDataset("t", h_m=delta, h_open=delta, h_occ=late_leak,
                      d_true=delta, d_inear=delta, d_model=delta)
     coeffs = rng.standard_normal(CFG.filter_length)
-    filt = EqFilter(coeffs, dataclasses.replace(CFG, device_delay=0), 0.0, 0.0)
+    filt = EqFilter(coeffs, dataclasses.replace(CFG, device_delay=0), 0.0, 0.0, 0.0, 0.0, RATE)
     aided = aided_response(ear, filt)
     assert np.array_equal(aided.samples[: coeffs.size], coeffs)
     assert aided.samples[200] == 1.0
@@ -107,7 +107,7 @@ def test_aided_is_device_chain_plus_leak(cohort, rng):
     ear = cohort[1]
     g = unit_impulse(16)
     coeffs = rng.standard_normal(CFG.filter_length)
-    filt = EqFilter(coeffs, CFG, 0.0, 0.0)
+    filt = EqFilter(coeffs, CFG, 0.0, 0.0, 0.0, 0.0, RATE)
     aided = aided_response(ear, filt)
     chain = convolve(convolve(convolve(ear.h_m, g), make_ir(coeffs)), ear.d_true)
     want = zero_extend(chain.samples, len(aided)) + zero_extend(ear.h_occ.samples, len(aided))
@@ -190,7 +190,7 @@ def test_run_condition_report_contents(cohort, dummy):
                            CFG)
     assert report.subject_id == "ear02"
     assert report.condition == "ModelBased"
-    assert report.device_delay == CFG.device_delay
+    assert report.eq_filter.config.device_delay == CFG.device_delay
     assert report.lsd_db >= 0.0
     assert report.aided.frequencies_hz.size == report.desired.frequencies_hz.size
     assert report.eq_filter is not None

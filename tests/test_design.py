@@ -1,12 +1,18 @@
+import json
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
 
 from eqforge.design import (
+    CONFIG_KEYS,
+    FILTER_WIRE,
     EqDesignConfig,
     EqFilter,
     build_target,
     config_from_json,
-    config_to_json,
     design_filter,
     design_filter_pooled,
     filter_from_json,
@@ -80,7 +86,8 @@ def test_config_validation():
 def test_config_json_round_trip():
     cfg = EqDesignConfig(filter_length=32, lam=0.5, acausal_lead=8, device_delay=16,
                          weighting=(1.0, -1.0))
-    data = config_to_json(cfg)
+    data = {key: value for key, value in filter_to_json(
+        EqFilter(np.zeros(32), cfg, 0.0, 0.0, 0.0, 0.0, 16000)).items() if key in CONFIG_KEYS}
     assert data["L_a"] == 32 and data["lambda"] == 0.5
     assert data["L_d"] == 8 and data["d_G"] == 16
     assert config_from_json(data) == cfg
@@ -293,11 +300,43 @@ def test_pooled_design_rejects_mismatched_inputs(rng):
 def test_eq_filter_validates_length():
     cfg = EqDesignConfig(filter_length=4)
     with pytest.raises(ValueError):
-        EqFilter(np.zeros(3), cfg, 0.0, 0.0)
+        EqFilter(np.zeros(3), cfg, 0.0, 0.0, 0.0, 0.0, 16000)
 
 
-@pytest.mark.parametrize("rate", [-5, 0, True, 16000.0])
+@pytest.mark.parametrize("rate", [-5, 0, True, 16000.0, None])
 def test_eq_filter_refuses_a_rate_its_file_reader_refuses(rate):
     # Otherwise filter_to_json would write a file that filter_from_json refuses.
     with pytest.raises(ValueError, match='"sample_rate_hz" must be'):
-        EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0, sample_rate_hz=rate)
+        EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0, 0.0, 0.0, sample_rate_hz=rate)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NORM = st.one_of(st.integers(0, 10**6), st.floats(-0.0, allow_infinity=False))  # -0.0 is >= 0
+
+
+@st.composite
+def eq_filters(draw):
+    """Any filter the library constructs: lambda an int or a float, any taps, norms and rate."""
+    cfg = EqDesignConfig(filter_length=draw(st.integers(1, 512)), lam=draw(NORM),
+                         acausal_lead=draw(st.integers(0, 512)),
+                         device_delay=draw(st.integers(0, 512)),
+                         weighting=draw(st.lists(FINITE, min_size=1, max_size=8)))
+    coefficients = draw(arrays(np.float64, cfg.filter_length, elements=FINITE))
+    return EqFilter(coefficients, cfg, *(draw(NORM) for _ in range(4)),
+                    draw(st.integers(min_value=1)))
+
+
+def fields_but_coefficients(filt):
+    """Text of every other field: a float's repr tells it from any other, 1 from 1.0 too."""
+    return repr([filt.config, filt.residual_norm, filt.penalty_norm, filt.normal_eq_residual,
+                 filt.normal_eq_scale, filt.sample_rate_hz])
+
+
+@settings(max_examples=60, deadline=None)
+@given(eq_filters())
+def test_a_filter_round_trips_through_its_file_bit_for_bit(filt):
+    data = json.loads(json.dumps(filter_to_json(filt)))
+    assert list(data) == list(FILTER_WIRE)
+    back = filter_from_json(data)
+    assert back.coefficients.tobytes() == filt.coefficients.tobytes()
+    assert fields_but_coefficients(back) == fields_but_coefficients(filt)

@@ -30,9 +30,10 @@ from eqforge.cohort import (
 )
 from eqforge.conditions import CONDITION_NAMES, condition_named, design_for_condition
 from eqforge.conditions import run_condition
-from eqforge.design import EqDesignConfig, EqFilter, filter_from_json, filter_to_json
+from eqforge.design import FILTER_WIRE, EqDesignConfig, EqFilter, filter_from_json, filter_to_json
 from eqforge.experiment import run_experiment
 from eqforge.signals import ImpulseResponse, write_impulse_csv
+from conftest import RATE
 
 
 def tree_digest(root):
@@ -609,7 +610,7 @@ def test_a_command_refuses_config_it_would_ignore(tmp_path, small_manifest, read
                                                   monkeypatch, command, config, message):
     monkeypatch.chdir(tmp_path)
     Path("f.json").write_text(json.dumps(filter_to_json(
-        EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0))))
+        EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0, 0.0, 0.0, RATE))))
     cohort = ["--manifest", str(small_manifest), "--subject", "ear00"] * (command != ["synth"])
     argv = [*command, *cohort, "--config", str(write_config(tmp_path, config)), "--out", "out"]
     assert main(argv) == 1
@@ -632,7 +633,7 @@ def test_design_rejects_an_unknown_config_key_before_the_cohort_loads(tmp_path, 
 
 def test_device_delay_over_512_fails_before_the_cohort_loads(tmp_path, capsys):
     # The manifest does not exist, so an error about it would mean it was read first.
-    data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0))
+    data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0, 0.0, 0.0, RATE))
     filter_path = tmp_path / "late.json"
     filter_path.write_text(json.dumps({**data, "d_G": 513}))
     manifest = ["--manifest", str(tmp_path / "no-manifest.json")]
@@ -926,7 +927,7 @@ def test_evaluate_writes_the_grid_report_of_the_same_filter(tmp_path, small_mani
 
 def test_evaluate_on_an_ear_without_d_true_fails_cleanly(tmp_path, small_manifest, capsys):
     filter_path = tmp_path / "zero.json"
-    zero = EqFilter(np.zeros(99), EqDesignConfig(device_delay=16), 0.0, 0.0)
+    zero = EqFilter(np.zeros(99), EqDesignConfig(device_delay=16), 0.0, 0.0, 0.0, 0.0, RATE)
     filter_path.write_text(json.dumps(filter_to_json(zero)))
     variant = _manifest_variant(tmp_path, small_manifest, lambda d: d["subjects"][0].pop("d_true"))
     rc = main(["evaluate", *variant, "--subject", "ear00", "--filter", str(filter_path),
@@ -948,7 +949,7 @@ def test_evaluate_on_an_ear_without_d_true_fails_cleanly(tmp_path, small_manifes
 ])
 def test_evaluate_rejects_filter_values_of_the_wrong_type(tmp_path, small_manifest, capsys,
                                                           key, value):
-    data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0))
+    data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0, 0.0, 0.0, RATE))
     data[key] = value
     filter_path = tmp_path / "typed.json"
     filter_path.write_text(json.dumps(data))
@@ -966,7 +967,8 @@ def test_evaluate_rejects_filter_values_of_the_wrong_type(tmp_path, small_manife
 ], ids=["a-list", "1e400"])
 def test_evaluate_rejects_a_filter_file_that_no_design_writes(tmp_path, small_manifest, capsys,
                                                               edit, message):
-    text = json.dumps(filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0)))
+    text = json.dumps(filter_to_json(
+        EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0, 0.0, 0.0, RATE)))
     filter_path = tmp_path / "odd.json"
     filter_path.write_text(edit(text))
     rc = main(["evaluate", "--manifest", str(small_manifest), "--subject", "ear00",
@@ -976,10 +978,11 @@ def test_evaluate_rejects_a_filter_file_that_no_design_writes(tmp_path, small_ma
     assert len(err) == 1 and err[0].startswith("error: invalid filter file") and message in err[0]
 
 
-@pytest.mark.parametrize("key", ["L_a", "lambda", "L_d", "d_G", "weighting"])
+@pytest.mark.parametrize("key", list(FILTER_WIRE))
 def test_evaluate_rejects_a_filter_without_a_design_key(tmp_path, small_manifest, capsys, key):
     # A missing key would otherwise take its default: d_G = 0 for a filter designed at 96, say.
-    data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(device_delay=96), 0.0, 0.0))
+    data = filter_to_json(
+        EqFilter(np.zeros(99), EqDesignConfig(device_delay=96), 0.0, 0.0, 0.0, 0.0, RATE))
     del data[key]
     filter_path = tmp_path / "partial.json"
     filter_path.write_text(json.dumps(data))
@@ -1005,30 +1008,8 @@ def test_evaluate_refuses_a_filter_designed_at_another_rate(tmp_path, small_mani
     assert err == ["error: cannot play a 16000 Hz filter at 32000 Hz"]
 
 
-def test_a_filter_file_without_its_rate_evaluates_at_the_ears(tmp_path, small_manifest):
-    # Files written before filters recorded their rate load with none and play at the ear's.
-    designed = tmp_path / "f.json"
-    assert main(["design", "--manifest", str(small_manifest), "--subject", "ear01",
-                 "--condition", "ModelBased", "--delay", "16", "--out", str(designed)]) == 0
-    data = json.loads(designed.read_text())
-    assert list(data)[-1] == "sample_rate_hz"
-    del data["sample_rate_hz"]
-    older = tmp_path / "older.json"
-    older.write_text(json.dumps(data, indent=2) + "\n")
-    assert filter_from_json(data).sample_rate_hz is None
-    for path, out in ((designed, "with"), (older, "without")):
-        assert main(["evaluate", "--manifest", str(small_manifest), "--subject", "ear01",
-                     "--filter", str(path), "--out", str(tmp_path / out)]) == 0
-    with_rate, without = (tmp_path / "with", tmp_path / "without")
-    name = "eval_ear01__dG16"
-    assert (without / f"{name}.csv").read_bytes() == (with_rate / f"{name}.csv").read_bytes()
-    report = json.loads((with_rate / f"{name}.json").read_text())
-    del report["filter"]["sample_rate_hz"]
-    assert json.loads((without / f"{name}.json").read_text()) == report
-
-
 def test_evaluate_rejects_a_filter_with_an_unknown_key(tmp_path, small_manifest, capsys):
-    data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0))
+    data = filter_to_json(EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0, 0.0, 0.0, RATE))
     filter_path = tmp_path / "extra.json"
     filter_path.write_text(json.dumps({**data, "condition": "Optimal"}))
     rc = main(["evaluate", "--manifest", str(small_manifest), "--subject", "ear00",
@@ -1175,7 +1156,7 @@ def test_design_reads_only_the_ears_its_condition_uses(tmp_path, small_manifest,
 def test_evaluate_reads_only_its_subject(tmp_path, small_manifest, reads):
     filter_path = tmp_path / "f.json"
     filter_path.write_text(json.dumps(filter_to_json(
-        EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0))))
+        EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0, 0.0, 0.0, RATE))))
     for subject in ("ear02", "dummy"):
         reads.clear()
         assert main(["evaluate", "--manifest", str(small_manifest), "--subject", subject,

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from eqforge.design import EqDesignConfig, EqFilter
 from eqforge.metrics import (
     THIRD_OCTAVE_CENTERS_HZ,
     ConditionReport,
@@ -26,7 +27,8 @@ def random_mag(rng, n_fft=4096):
 
 def report(condition, lsd, subject="s0", delay=96):
     mag = flat(0.0)
-    return ConditionReport(subject, condition, delay, lsd, {}, mag, mag, mag)
+    filt = EqFilter(np.zeros(99), EqDesignConfig(device_delay=delay), 0.0, 0.0, 0.0, 0.0, RATE)
+    return ConditionReport(subject, condition, lsd, {}, mag, mag, mag, filt)
 
 
 # --- log_spectral_distance -----------------------------------------------------
@@ -170,7 +172,8 @@ def test_rank_rejects_empty():
 def test_report_rejects_negative_lsd():
     mag = flat(0.0)
     with pytest.raises(ValueError):
-        ConditionReport("s", "Optimal", 0, -1.0, {}, mag, mag, mag)
+        ConditionReport("s", "Optimal", -1.0, {}, mag, mag, mag,
+                        EqFilter(np.zeros(99), EqDesignConfig(), 0.0, 0.0, 0.0, 0.0, RATE))
 
 
 # --- band index ranges against the boolean-mask formulas -------------------------

@@ -60,7 +60,7 @@ CONTAINERS = {
     "ImpulseResponse": (lambda v: ImpulseResponse(v, RATE), "samples"),
     "MagnitudeResponse": (lambda v: MagnitudeResponse([0.0, 1.0, 2.0], v), "magnitude_db"),
     "RelativeTransferEstimate": (lambda v: RelativeTransferEstimate(v, 0), "coefficients"),
-    "EqFilter": (lambda v: EqFilter(v, EqDesignConfig(filter_length=3), 0.0, 0.0),
+    "EqFilter": (lambda v: EqFilter(v, EqDesignConfig(filter_length=3), 0.0, 0.0, 0.0, 0.0, RATE),
                  "coefficients"),
 }
 
