@@ -19,12 +19,13 @@ from .conditions import ConditionSpec, condition_named, run_condition
 from .design import EqDesignConfig, filter_to_json
 from .metrics import EVALUATION_BAND_HZ, ConditionReport, rank_conditions
 from .signals import MagnitudeResponse
+from .solvers import SingularSystemError
 
 log = logging.getLogger("eqforge.experiment")
 
 DEFAULT_DELAYS = (0, 1, 16, 96)
 _RUN_FILE = re.compile(r".+__.+__dG\d+\.(csv|json)")
-_SUMMARIES = ("summary.csv", "summary.json", "ranking.csv")
+_SUMMARIES = ("summary.csv", "summary.json")
 
 
 @dataclass(frozen=True)
@@ -82,16 +83,14 @@ def write_report(report: ConditionReport, out_dir: Path, name: str, csv_ref: str
 
 
 def _write_summaries(result: ExperimentResult, delays: list[int], out_dir: Path) -> None:
-    # (delay, best-first summaries), one per delay with runs
-    rankings = [(delay, rank_conditions(runs)) for delay in delays
-                if (runs := [r for r in result.runs if r.device_delay == delay])]
-    rows = [{"condition": s.condition, "d_G": delay, "mean_lsd_db": s.mean_lsd_db,
+    rows = [{"d_G": delay, "rank": rank, "condition": s.condition, "mean_lsd_db": s.mean_lsd_db,
              "sd_lsd_db": s.sd_lsd_db, "n_subjects": s.n_subjects}
-            for delay, ranked in rankings for s in sorted(ranked, key=lambda s: s.condition)]
-    summary = [f"{r['condition']},{r['d_G']},{r['mean_lsd_db']:.17g},{r['sd_lsd_db']:.17g},"
-               f"{r['n_subjects']}" for r in rows]
+            for delay in delays if (runs := [r for r in result.runs if r.device_delay == delay])
+            for rank, s in enumerate(rank_conditions(runs), start=1)]
+    table = [f"{r['d_G']},{r['rank']},{r['condition']},{r['mean_lsd_db']:.17g},"
+             f"{r['sd_lsd_db']:.17g},{r['n_subjects']}" for r in rows]
     (out_dir / "summary.csv").write_text(
-        "\n".join(["condition,d_G,mean_lsd_db,sd_lsd_db,n_subjects", *summary]) + "\n")
+        "\n".join(["d_G,rank,condition,mean_lsd_db,sd_lsd_db,n_subjects", *table]) + "\n")
     payload = {
         "rows": rows,
         "per_subject": [{"subject": r.subject_id, "condition": r.condition,
@@ -99,10 +98,6 @@ def _write_summaries(result: ExperimentResult, delays: list[int], out_dir: Path)
         "failures": [dataclasses.asdict(f) for f in result.failures],
     }
     (out_dir / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
-    ranking = [f"{delay},{rank},{s.condition},{s.mean_lsd_db:.17g},{s.sd_lsd_db:.17g}"
-               for delay, ranked in rankings for rank, s in enumerate(ranked, start=1)]
-    (out_dir / "ranking.csv").write_text(
-        "\n".join(["d_G,rank,condition,mean_lsd_db,sd_lsd_db", *ranking]) + "\n")
 
 
 _adopted_share = None  # in a pool child: the parent's `run_share`, inherited, not pickled
@@ -148,13 +143,14 @@ def run_experiment(
     process writes a cell's run files as soon as it is scored, keeping only
     its `RunRecord` for the summaries; the shares' results, concatenated, are
     the grid's in ear order. An ear keeps its spectra, and its cells run one
-    after another, so they make its CSV text once. Individual cell failures
-    are recorded and do not abort the grid. Output is a pure function of the
-    inputs, whatever the process count. Before the first cell, the earlier
-    summaries and every run file under ``runs/`` are deleted, so the tree
-    never mixes two grids, and a tree without summaries holds an unfinished
-    one. A request that `grid_request` refuses, an ear that cannot be read or
-    a rate too low to score fails before any file is touched.
+    after another, so they make its CSV text once. A cell that fails on its
+    numbers (ValueError, ArithmeticError, SingularSystemError) is recorded;
+    any other error stops the grid. Output is a pure function of the inputs,
+    whatever the process count. Before the first cell, the earlier summaries
+    and every run file under ``runs/`` are deleted, so the tree never mixes
+    two grids, and a tree without summaries holds an unfinished one. A request
+    that `grid_request` refuses, an ear that cannot be read or a rate too low
+    to score fails before any file is touched.
     """
     specs, configs = grid_request(conditions, delays, design)
     # Every ear, the dummy's too, is read now: a bad file fails the run, not a cell.
@@ -178,7 +174,7 @@ def run_experiment(
         for sid, spec, (delay, cfg) in itertools.product(subject_ids, specs, configs.items()):
             try:
                 report = run_condition(cohort, sid, spec, cfg)
-            except Exception as exc:
+            except (ValueError, ArithmeticError, SingularSystemError) as exc:
                 failure = RunFailure(sid, spec.name, delay, f"{type(exc).__name__}: {exc}")
                 log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
                 result.failures.append(failure)

@@ -310,9 +310,7 @@ def test_experiment_grid_files_and_determinism(tmp_path, small_manifest):
     assert main(args) == 0
     run_files = sorted(p.name for p in (out / "runs").iterdir())
     assert len(run_files) == 3 * 3 * 2 * 2  # subjects x conditions x delays x (csv+json)
-    assert (out / "summary.csv").exists()
-    assert (out / "summary.json").exists()
-    assert (out / "ranking.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["runs", "summary.csv", "summary.json"]
 
     first = tree_digest(out)
     assert main(args) == 0  # overwrite in place
@@ -323,14 +321,26 @@ def test_experiment_summary_carries_requested_delay(tmp_path, small_manifest):
     out = tmp_path / "exp96"
     assert main([
         "experiment", "--manifest", str(small_manifest),
-        "--conditions", "Optimal", "--delays", "96", "--out", str(out),
+        "--conditions", "Optimal,GenericDH", "--delays", "96,16", "--out", str(out),
     ]) == 0
-    rows = (out / "summary.csv").read_text().strip().splitlines()
-    assert rows[0] == "condition,d_G,mean_lsd_db,sd_lsd_db,n_subjects"
-    assert all(line.split(",")[1] == "96" for line in rows[1:])
+    lines = (out / "summary.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    assert header == ["d_G", "rank", "condition", "mean_lsd_db", "sd_lsd_db", "n_subjects"]
     data = json.loads((out / "summary.json").read_text())
-    assert {row["d_G"] for row in data["rows"]} == {96}
-    assert len(data["per_subject"]) == 3
+    rows = data["rows"]
+    assert [list(row) for row in rows] == [header] * len(rows)
+    # the CSV and the JSON rows are one table, row for row, in the same order
+    assert [dict(zip(header, (int(d), int(k), c, float(m), float(s), int(n))))
+            for d, k, c, m, s, n in (line.split(",") for line in lines[1:])] == rows
+    assert [row["d_G"] for row in rows] == [96, 96, 16, 16]
+    for delay in (96, 16):
+        ranked = [row for row in rows if row["d_G"] == delay]
+        assert [row["rank"] for row in ranked] == [1, 2]
+        assert {row["condition"] for row in ranked} == {"Optimal", "GenericDH"}
+        means = [row["mean_lsd_db"] for row in ranked]
+        assert means == sorted(means)
+        assert all(row["n_subjects"] == 3 for row in ranked)
+    assert len(data["per_subject"]) == 3 * 2 * 2
 
 
 def test_experiment_isolates_per_run_failures(tmp_path):
@@ -728,7 +738,7 @@ def test_a_killed_grid_process_is_one_error_line(tmp_path, small_manifest, capsy
     assert err[0].startswith(f"error: the grid under {out} stopped: A process in the process pool")
 
 
-SUMMARIES = ("summary.csv", "summary.json", "ranking.csv")
+SUMMARIES = ("summary.csv", "summary.json")
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])

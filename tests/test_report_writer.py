@@ -13,6 +13,7 @@ from eqforge.cohort import CohortData, EarDataset, save_cohort
 from eqforge.conditions import condition_named, evaluate, run_condition
 from eqforge.design import EqDesignConfig, filter_from_json
 from eqforge.experiment import RunRecord, run_experiment
+from eqforge.solvers import SingularSystemError
 from conftest import make_ir
 
 CONDITIONS = ["Optimal", "NaiveInEar", "PracticalOptimal"]
@@ -93,7 +94,7 @@ def test_one_failing_cell_leaves_every_other_cell_written(floor_cohort, tmp_path
 
     def run_or_fail(cohort, subject_id, cond, config):
         if (subject_id, cond.name, config.device_delay) == failing:
-            raise RuntimeError("planted failure")
+            raise SingularSystemError("planted failure")
         return run_condition(cohort, subject_id, cond, config)
 
     monkeypatch.setattr(experiment, "run_condition", run_or_fail)
@@ -139,7 +140,7 @@ def test_the_grid_tree_is_byte_identical_at_every_process_count(floor_cohort, tm
         assert not result.failures and pools == ([n - 1] if n > 1 else [])
         pools.clear()
         trees.append(tree(tmp_path / f"cpus{n}"))
-    assert len(trees[0]) == 3 + 2 * len(floor_cohort) * len(CONDITIONS) * len(DELAYS)
+    assert len(trees[0]) == 2 + 2 * len(floor_cohort) * len(CONDITIONS) * len(DELAYS)
     assert trees[1] == trees[0] and trees[2] == trees[0]
 
 
@@ -150,7 +151,7 @@ def test_failures_in_a_forked_share_are_reported_in_ear_order(floor_cohort, tmp_
 
     def run_or_fail(cohort, subject_id, cond, config):
         if (subject_id, cond.name, config.device_delay) in failing:
-            raise RuntimeError("planted failure")
+            raise SingularSystemError("planted failure")
         return run_condition(cohort, subject_id, cond, config)
 
     monkeypatch.setattr(experiment, "run_condition", run_or_fail)
@@ -168,6 +169,24 @@ def test_failures_in_a_forked_share_are_reported_in_ear_order(floor_cohort, tmp_
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert [(f["subject_id"], f["condition"], f["device_delay"])
             for f in summary["failures"]] == failing
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["in-process", "forked"])
+def test_a_bug_in_a_cell_stops_the_grid_and_leaves_no_summary(floor_cohort, tmp_path,
+                                                              monkeypatch, cpus, n):
+    # Only a cell's numbers make a failure row; a KeyError is a bug and stops the grid.
+    def run_or_fail(cohort, subject_id, cond, config):
+        if subject_id == "f2":  # the child's ear with two processes
+            raise KeyError("planted bug")
+        return run_condition(cohort, subject_id, cond, config)
+
+    monkeypatch.setattr(experiment, "run_condition", run_or_fail)
+    pools = cpus(n)
+    with pytest.raises(KeyError, match="planted bug"):
+        run_experiment(CohortData.of(floor_cohort), CONDITIONS, DELAYS, EqDesignConfig(),
+                       tmp_path)
+    assert pools == ([1] if n == 2 else [])
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_an_interrupted_rerun_leaves_no_run_file_of_the_earlier_grid(floor_cohort, tmp_path,
