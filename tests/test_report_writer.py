@@ -30,20 +30,24 @@ def oracle_csv(report) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.fixture(scope="module")
-def floor_cohort():
-    """Three ears whose open and occluded responses are exactly zero at Nyquist (-200 dB)."""
+def floor_ears(gains):
+    """One ear per gain, whose open and occluded responses are exactly zero at Nyquist (-200 dB)."""
     rng = np.random.default_rng(12)
 
     def short():
         return make_ir(np.concatenate([[1.0], 0.3 * rng.standard_normal(6)]))
 
     ears = []
-    for i, c in enumerate((0.5, 0.25, 0.75)):
+    for i, c in enumerate(gains):
         ears.append(EarDataset(f"f{i}", h_m=short(), h_open=make_ir([c, c]),
                                h_occ=make_ir([1e-3 * c, 1e-3 * c]),
                                d_true=short(), d_inear=short(), d_model=short()))
     return ears
+
+
+@pytest.fixture(scope="module")
+def floor_cohort():
+    return floor_ears((0.5, 0.25, 0.75))
 
 
 def test_grid_csvs_match_the_row_formatter_including_floor_bins(floor_cohort, tmp_path):
@@ -187,6 +191,25 @@ def test_a_bug_in_a_cell_stops_the_grid_and_leaves_no_summary(floor_cohort, tmp_
                        tmp_path)
     assert pools == ([1] if n == 2 else [])
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_a_bug_in_one_share_stops_the_other_share_before_its_next_cell(tmp_path, monkeypatch,
+                                                                      cpus):
+    # With two processes the parent runs f0 and f1, the child f2 and f3: 18 cells, 36 files.
+    ears, delays = floor_ears((0.5, 0.25, 0.75, 0.4)), [0, 1, 16]
+
+    def run_or_fail(cohort, subject_id, cond, config):
+        if subject_id == "f0":  # the parent's first cell
+            raise KeyError("planted bug")
+        return run_condition(cohort, subject_id, cond, config)
+
+    monkeypatch.setattr(experiment, "run_condition", run_or_fail)
+    pools = cpus(2)
+    with pytest.raises(KeyError, match="planted bug"):
+        run_experiment(CohortData.of(ears), CONDITIONS, delays, EqDesignConfig(), tmp_path)
+    assert pools == [1]
+    child_files = [p.name for p in (tmp_path / "runs").iterdir() if p.name[:2] in ("f2", "f3")]
+    assert len(child_files) < 2 * 2 * len(CONDITIONS) * len(delays)
 
 
 def test_an_interrupted_rerun_leaves_no_run_file_of_the_earlier_grid(floor_cohort, tmp_path,
