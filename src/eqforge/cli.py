@@ -47,7 +47,8 @@ def _setup_logging() -> None:
     level = os.environ.get("EQFORGE_LOG", "warning")
     if level.lower() not in ("debug", "info", "warning", "error"):
         raise CliError(f"EQFORGE_LOG must be one of debug, info, warning, error, got {level!r}")
-    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("eqforge").setLevel(level.upper())  # each call: basicConfig acts once
 
 
 @contextlib.contextmanager

@@ -294,6 +294,8 @@ class CohortData:
     @classmethod
     def of(cls, ears: list[EarDataset], dummy: EarDataset | None = None) -> CohortData:
         by_id = {e.subject_id: e for e in [*ears, *([dummy] if dummy else [])]}
+        if len(rates := sorted({e.sample_rate_hz for e in by_id.values()})) > 1:
+            raise ValueError(f"the cohort's ears mix sample rates: {rates}")
         return cls(tuple(e.subject_id for e in ears), dummy.subject_id if dummy else None,
                    by_id.__getitem__)
 

@@ -94,12 +94,10 @@ def average_rtfs(cohort: CohortData, exclude_subject: str, acausal_lead: int) ->
     return cohort.pooled_rtfs(members, acausal_lead)
 
 
-def design_for_condition(cohort: CohortData, subject_id: str, cond: ConditionSpec,
-                         config: EqDesignConfig) -> EqFilter:
-    """Design the equalizer exactly as the condition's data prescribes.
+def design_ears(cohort: CohortData, subject_id: str, cond: ConditionSpec) -> list[EarDataset]:
+    """The ears `cond` designs over, read and each with its plant; a missing one is a ValueError.
 
-    The subject and every ear the design uses are read before any solve.
-    """
+    The subject is read too, but needs no d_true, which a model-based design does without."""
     if subject_id not in cohort.subject_ids:
         raise ValueError(f"subject {subject_id!r} is not in the cohort")
     peers = [i for i in cohort.subject_ids if i != subject_id]
@@ -110,10 +108,16 @@ def design_for_condition(cohort: CohortData, subject_id: str, cond: ConditionSpe
     design_ids = {"own": [subject_id], "dummy": [cohort.dummy_id], "peers": peers,
                   "loo": [subject_id]}[cond.rtf_source]
     cohort.ear(subject_id)
-    design_ears = [cohort.ear(i) for i in design_ids]
+    for i in design_ids:
+        cohort.ear(i).require(D_SOURCES[cond.d_source])
+    return [cohort.ear(i) for i in design_ids]
 
+
+def design_for_condition(cohort: CohortData, subject_id: str, cond: ConditionSpec,
+                         config: EqDesignConfig) -> EqFilter:
+    """Design the equalizer over `design_ears`, exactly as the condition's data prescribes."""
     plants, targets = [], []
-    for ear in design_ears:
+    for ear in design_ears(cohort, subject_id, cond):
         if cond.rtf_source == "loo":  # the average reads every peer before it solves
             rtfs = average_rtfs(cohort, subject_id, config.acausal_lead)
         else:

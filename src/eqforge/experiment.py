@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import CohortData
-from .conditions import ConditionSpec, condition_named, run_condition
+from .conditions import ConditionSpec, condition_named, design_ears, run_condition
 from .design import EqDesignConfig, filter_to_json
 from .metrics import EVALUATION_BAND_HZ, ConditionReport, rank_conditions
 from .signals import MagnitudeResponse
@@ -146,19 +146,22 @@ def run_experiment(
     only its `RunRecord` for the summaries; the shares' results, concatenated,
     are the grid's in ear order. An ear keeps its spectra, and its cells run
     one after another, so they make its CSV text once. A cell that fails on its
-    numbers (ValueError, ArithmeticError, SingularSystemError) is recorded; any
-    other error stops the grid, every share before its next cell, and is
-    raised once the shares have stopped. Output is a pure function of the inputs,
-    whatever the process count. Before the first cell, the earlier summaries
-    and every run file under ``runs/`` are deleted, so the tree never mixes
-    two grids, and a tree without summaries holds an unfinished one. A request
-    that `grid_request` refuses, an ear that cannot be read or a rate too low
-    to score fails before any file is touched.
+    numbers (ArithmeticError, SingularSystemError) is recorded; any other error
+    stops the grid, every share before its next cell, and is raised once the
+    shares have stopped. Output is a pure function of the inputs, whatever the
+    process count. Before the first cell, the earlier summaries and every run
+    file under ``runs/`` are deleted, so the tree never mixes two grids, and a
+    tree without summaries holds an unfinished one. A request that `grid_request`
+    refuses, a subject that cannot be read, lacks d_true or has a rate too low to
+    score, or a cell that `design_ears` refuses fails before any file is touched.
     """
     specs, configs = grid_request(conditions, delays, design)
-    # Every ear, the dummy's too, is read now: a bad file fails the run, not a cell.
-    ears, _ = cohort.ears, cohort.dummy
+    # Every cell's ears are read and checked now: bad input fails the run, not a cell.
+    ears = cohort.ears
+    for ear, spec in itertools.product(ears, specs):
+        design_ears(cohort, ear.subject_id, spec)
     for ear in ears:
+        ear.require("d_true")
         if ear.sample_rate_hz / 2 < EVALUATION_BAND_HZ[1]:
             raise ValueError(f"{ear.subject_id}: a cohort at {ear.sample_rate_hz} Hz cannot be "
                              f"scored: the {EVALUATION_BAND_HZ[0]:g}-{EVALUATION_BAND_HZ[1]:g} Hz "
@@ -188,7 +191,7 @@ def run_experiment(
                     break
                 try:
                     report = run_condition(cohort, sid, spec, cfg)
-                except (ValueError, ArithmeticError, SingularSystemError) as exc:
+                except (ArithmeticError, SingularSystemError) as exc:
                     failure = RunFailure(sid, spec.name, delay, f"{type(exc).__name__}: {exc}")
                     log.warning("run failed: %s/%s/dG=%s: %s", *dataclasses.astuple(failure))
                     result.failures.append(failure)

@@ -16,7 +16,8 @@ from eqforge.conditions import (
     run_condition,
 )
 from eqforge.design import EqDesignConfig, EqFilter, build_target, design_filter
-from eqforge.signals import convolve, magnitude_response, zero_extend, zero_pad_leading
+from eqforge.signals import (ImpulseResponse, convolve, magnitude_response, zero_extend,
+                             zero_pad_leading)
 from conftest import RATE, make_ir, unit_impulse
 
 PARAMS = SynthCohortParams(n_subjects=4)
@@ -272,6 +273,17 @@ def test_cohort_rejects_duplicate_ids(cohort, dummy):
         CohortData.of([*cohort, cohort[1]], dummy)
     with pytest.raises(ValueError, match=r"duplicate subject IDs \['dummy'\]"):
         CohortData.of([*cohort, dummy], dummy)
+
+
+def test_cohort_rejects_ears_at_two_sample_rates(cohort, dummy):
+    def at_32_khz(ear):
+        return dataclasses.replace(ear, **{name: ImpulseResponse(r.samples, 32000)
+                                           for name, r in ear.responses().items()})
+
+    for ears, dummy_ear in (([cohort[0], at_32_khz(cohort[1])], dummy),
+                            (cohort, at_32_khz(dummy))):
+        with pytest.raises(ValueError, match=r"mix sample rates: \[16000, 32000\]"):
+            CohortData.of(ears, dummy_ear)
 
 
 def test_cohort_rejects_an_empty_subject_list(dummy):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
 import os
 import re
 import signal
@@ -343,23 +344,22 @@ def test_experiment_summary_carries_requested_delay(tmp_path, small_manifest):
     assert len(data["per_subject"]) == 3 * 2 * 2
 
 
-def test_experiment_isolates_per_run_failures(tmp_path):
-    # a manifest without a dummy ear makes every GenericDH run fail
+def test_a_grid_that_needs_a_missing_dummy_is_refused_before_it_writes(tmp_path, capsys):
+    # Without a dummy ear no GenericDH cell can be designed, so the grid fails as a whole.
+    # Per-cell isolation is for failures of the numbers: see the ill-conditioned RTF system.
     root = tmp_path / "nodummy"
-    params = SynthCohortParams(n_subjects=3, seed=11)
-    manifest = save_cohort(synth_cohort(params), root)
+    manifest = save_cohort(synth_cohort(SynthCohortParams(n_subjects=3, seed=11)), root)
+    args = ["experiment", "--manifest", str(manifest), "--delays", "16"]
     out = tmp_path / "exp_fail"
-    rc = main([
-        "experiment", "--manifest", str(manifest),
-        "--conditions", "Optimal,GenericDH", "--delays", "16", "--out", str(out),
-    ])
-    assert rc == 1
-    data = json.loads((out / "summary.json").read_text())
-    assert len(data["failures"]) == 3
-    assert all(f["condition"] == "GenericDH" for f in data["failures"])
-    optimal_runs = [r for r in data["per_subject"] if r["condition"] == "Optimal"]
-    assert len(optimal_runs) == 3
-    assert (out / "runs" / "ear00__Optimal__dG16.csv").exists()
+    assert main([*args, "--conditions", "Optimal,GenericDH", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: condition GenericDH needs a dummy-head ear"]
+    assert not out.exists()
+    # Into an earlier grid's --out, the refusal changes no byte of it.
+    assert main([*args, "--conditions", "Optimal", "--out", str(out)]) == 0
+    before = tree_digest(out)
+    assert main([*args, "--out", str(out)]) == 1
+    assert tree_digest(out) == before
 
 
 def test_an_ill_conditioned_rtf_system_fails_with_one_error_line(tmp_path, small_manifest,
@@ -579,6 +579,15 @@ def _config(data):
     (lambda tmp_path, manifest: _manifest_variant(
         tmp_path, manifest, lambda d: d["synth_params"].update(n_subject=3)),
      "unknown key 'n_subject' in \"synth_params\""),
+    (lambda tmp_path, manifest: _manifest_variant(tmp_path, manifest, lambda d: d.pop("dummy")),
+     "condition GenericDH needs a dummy-head ear"),
+    *[(lambda tmp_path, manifest, key=key: _manifest_variant(
+        tmp_path, manifest, lambda d: d["subjects"][1].pop(key)),
+       f"ear01: response {key} is not available") for key in ("d_model", "d_true")],
+    (lambda tmp_path, manifest: [*_manifest_variant(
+        tmp_path, manifest, lambda d: d.update(subjects=d["subjects"][:1])),
+        "--conditions", "Optimal,PracticalOptimal"],
+     "condition PracticalOptimal needs a cohort of at least 2 ears"),
 ], ids=["malformed-config", "rate-key", "synth-a-string", "synth-a-list",
         "manifest-a-number", "cohort-a-string", "delay-a-bool", "conditions-a-string",
         "condition-a-list", "delays-a-number", "design-a-string",
@@ -594,7 +603,8 @@ def _config(data):
         "subjects-empty", "subjects-an-object", "dummy-null", "subject-a-string", "path-a-number",
         "manifest-a-list", "path-a-directory", "path-with-nul", "path-empty", "path-slash-ended",
         "manifest-misspelt-key", "entry-misspelt-key", "dummy-unknown-key",
-        "synth_params-a-number", "synth_params-unknown-key"])
+        "synth_params-a-number", "synth_params-unknown-key", "no-dummy", "entry-without-d_model",
+        "entry-without-d_true", "one-subject-leave-one-out"])
 def test_experiment_bad_input_fails_before_the_grid(tmp_path, small_manifest, capsys,
                                                      make_args, message):
     out = tmp_path / "never"
@@ -1230,7 +1240,7 @@ def test_a_bad_file_fails_the_requests_that_use_its_ear(tmp_path, small_manifest
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot read subject 'ear02'")
     assert "h_occ.csv" in err[0] and "could not convert string to float: '1 2'" in err[0]
-    # The grid reads every ear first, so the file fails the run, not its cells.
+    # The grid reads every subject first, so the file fails the run, not its cells.
     assert main(["experiment", *bad_csv, "--out", str(tmp_path / "grid")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot read subject 'ear02'")
@@ -1245,6 +1255,34 @@ def test_a_bad_file_fails_the_requests_that_use_its_ear(tmp_path, small_manifest
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "ear02" in err[0]
     assert "d_model file not found" in err[0] and reads == []
+
+
+def test_a_missing_plant_is_refused_before_any_solve(tmp_path, small_manifest, factorizations,
+                                                     capsys):
+    variant = _manifest_variant(tmp_path, small_manifest,
+                                lambda d: d["subjects"][1].pop("d_model"))
+    assert main(["design", *variant, "--subject", "ear01", "--condition", "ModelBased",
+                 "--out", str(tmp_path / "never.json")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: ear01: response d_model is not available"]
+    assert factorizations == [] and not (tmp_path / "never.json").exists()
+
+
+def test_a_grid_reads_the_dummy_only_for_generic_dh(tmp_path, small_manifest, reads, capsys):
+    corrupt = tmp_path / "dummy" / "h_occ.csv"
+    corrupt.parent.mkdir()
+    corrupt.write_text("sample\n1 2\n")
+    bad_dummy = _manifest_variant(tmp_path, small_manifest,
+                                  lambda d: d["dummy"].update(h_occ=str(corrupt)))
+    out = tmp_path / "grid"
+    assert main(["experiment", *bad_dummy, "--conditions", "Optimal", "--delays", "16",
+                 "--out", str(out)]) == 0
+    assert _read_ears(reads) == ALL_SIX
+    before = tree_digest(out)
+    assert main(["experiment", *bad_dummy, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read subject 'dummy'")
+    assert tree_digest(out) == before
 
 
 @pytest.mark.parametrize("command", [
@@ -1345,6 +1383,19 @@ def test_an_unknown_eqforge_log_value_is_one_error_line(tmp_path, capsys, monkey
     monkeypatch.setenv("EQFORGE_LOG", "INFO")
     params = write_params(tmp_path)
     assert main(["synth", "--config", str(params), "--out", str(tmp_path / "d")]) == 0
+
+
+def test_each_call_sets_its_own_eqforge_log_level(tmp_path, monkeypatch):
+    logger = logging.getLogger("eqforge")
+    params, seen = write_params(tmp_path), []
+    try:
+        for level in ("warning", "info", "warning"):
+            monkeypatch.setenv("EQFORGE_LOG", level)
+            assert main(["synth", "--config", str(params), "--out", str(tmp_path / level)]) == 0
+            seen.append(logger.getEffectiveLevel())
+    finally:
+        logger.setLevel(logging.NOTSET)
+    assert seen == [logging.WARNING, logging.INFO, logging.WARNING]
 
 
 @pytest.mark.parametrize("command", [[], ["synth"], ["design"], ["experiment"], ["evaluate"]])
