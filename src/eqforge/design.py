@@ -10,7 +10,7 @@ import numpy as np
 
 from .rtf import MAX_RTF_LENGTH, RelativeTransferEstimate
 from .signals import ImpulseResponse, frozen_vector, zero_extend
-from .solvers import solve_pooled
+from .solvers import audit_pooled, solve_pooled
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,10 @@ def design_filter_pooled(d_hats: list[ImpulseResponse], targets: list[np.ndarray
     SingularSystemError, naming the condition estimate, when the pooled
     normal matrix is numerically singular.
     """
-    solution = solve_pooled(d_hats, targets, config.filter_length, lam=config.lam,
-                            weight_taps=config.weighting, context="equalizer design")
-    return EqFilter(solution.coefficients, config, solution.residual_norm, solution.penalty_norm,
-                    solution.normal_eq_residual, solution.normal_eq_scale, d_hats[0].sample_rate_hz)
+    penalty = {"lam": config.lam, "weight_taps": config.weighting}
+    x = solve_pooled(d_hats, targets, config.filter_length, **penalty, context="equalizer design")
+    return EqFilter(x, config, *audit_pooled(d_hats, targets, x, **penalty),
+                    d_hats[0].sample_rate_hz)
 
 
 # ---------------------------------------------------------------------------

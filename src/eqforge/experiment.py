@@ -20,7 +20,7 @@ from .cohort import CohortData
 from .conditions import ConditionSpec, condition_named, design_ears, run_condition
 from .design import EqDesignConfig, filter_to_json
 from .metrics import EVALUATION_BAND_HZ, ConditionReport, rank_conditions
-from .signals import MagnitudeResponse
+from .signals import DEFAULT_N_FFT, MagnitudeResponse
 from .solvers import SingularSystemError
 
 log = logging.getLogger("eqforge.experiment")
@@ -152,8 +152,9 @@ def run_experiment(
     process count. Before the first cell, the earlier summaries and every run
     file under ``runs/`` are deleted, so the tree never mixes two grids, and a
     tree without summaries holds an unfinished one. A request that `grid_request`
-    refuses, a subject that cannot be read, lacks d_true or has a rate too low to
-    score, or a cell that `design_ears` refuses fails before any file is touched.
+    refuses, a subject that cannot be read, lacks d_true, has a rate too low to score
+    or a response or aided path (at the largest delay) too long for the spectra, or
+    a cell that `design_ears` refuses fails before any file is touched.
     """
     specs, configs = grid_request(conditions, delays, design)
     # Every cell's ears are read and checked now: bad input fails the run, not a cell.
@@ -161,11 +162,16 @@ def run_experiment(
     for ear, spec in itertools.product(ears, specs):
         design_ears(cohort, ear.subject_id, spec)
     for ear in ears:
-        ear.require("d_true")
+        aided = len(ear.h_m) + max(delays) + design.filter_length + len(ear.require("d_true")) - 2
         if ear.sample_rate_hz / 2 < EVALUATION_BAND_HZ[1]:
             raise ValueError(f"{ear.subject_id}: a cohort at {ear.sample_rate_hz} Hz cannot be "
                              f"scored: the {EVALUATION_BAND_HZ[0]:g}-{EVALUATION_BAND_HZ[1]:g} Hz "
                              f"evaluation band needs at least {2 * EVALUATION_BAND_HZ[1]:g} Hz")
+        for what, n in (("response h_open", len(ear.h_open)), ("response h_occ", len(ear.h_occ)),
+                        ("the aided path", aided)):
+            if n > DEFAULT_N_FFT:
+                raise ValueError(f"{ear.subject_id}: {what} has {n} samples; the {DEFAULT_N_FFT}"
+                                 f"-point spectra hold at most {DEFAULT_N_FFT}")
     out_dir = Path(out_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)

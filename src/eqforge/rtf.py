@@ -61,10 +61,6 @@ def estimate_average(
         raise ValueError(f"measurements mix sample rates: {sorted(rates)}")
     if rtf_length < 1:
         raise ValueError(f"rtf_length must be at least 1, got {rtf_length}")
-    coeffs = solve_pooled(
-        [h_m for h_m, _ in pairs],
-        [zero_pad_leading(h_target, acausal_lead).samples for _, h_target in pairs],
-        rtf_length,
-        context="RTF estimate",
-    ).coefficients
+    targets = [zero_pad_leading(h_target, acausal_lead).samples for _, h_target in pairs]
+    coeffs = solve_pooled([h_m for h_m, _ in pairs], targets, rtf_length, context="RTF estimate")
     return RelativeTransferEstimate(coeffs, acausal_lead)

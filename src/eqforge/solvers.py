@@ -6,7 +6,6 @@ import functools
 import importlib.util
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from importlib.machinery import PathFinder
 from types import ModuleType
 
@@ -114,27 +113,28 @@ def align_target(target: np.ndarray, rows: int) -> tuple[np.ndarray, float]:
     return aligned, float(np.dot(tail, tail))
 
 
-@dataclass(frozen=True, eq=False)
-class PooledSolution:
-    """Minimizer of a pooled least-squares problem and its audited norms."""
-
-    coefficients: np.ndarray
-    residual_norm: float
-    penalty_norm: float
-    normal_eq_residual: float
-    normal_eq_scale: float
-
-
 def autocorrelation(taps: np.ndarray, n: int) -> np.ndarray:
     """Lags 0..n-1 of the autocorrelation of `taps`, zero beyond ``len(taps)``."""
-    full = np.correlate(taps, taps, "full")[taps.size - 1 :]
+    full = np.correlate(taps, taps, "full")[len(taps) - 1 :]
     return zero_extend(full[:n], n)
+
+
+def _aligned_rhs(plants, targets, n_cols: int) -> tuple[list[np.ndarray], np.ndarray, float]:
+    """Each target aligned to its plant's full-convolution rows, the pooled right-hand side
+    (cross-correlations accumulated in list order) and the target energy cut off."""
+    aligned_targets, rhs, tail_sq = [], np.zeros(n_cols), 0.0
+    for plant, target in zip(plants, targets):
+        aligned, tail = align_target(target, plant.samples.size + n_cols - 1)
+        rhs += np.correlate(aligned, plant.samples, "valid")
+        tail_sq += tail
+        aligned_targets.append(aligned)
+    return aligned_targets, rhs, tail_sq
 
 
 def solve_pooled(plants: Sequence[ImpulseResponse], targets: Sequence[np.ndarray], n_cols: int,
                  *, lam: float = 0.0, weight_taps: Sequence[float] = (1.0,),
-                 context: str = "least squares") -> PooledSolution:
-    """Minimize ``sum_k |h_k * x - t_k|^2 + lam * K * |w * x|^2`` over x of length n_cols.
+                 context: str = "least squares") -> np.ndarray:
+    """The x of length n_cols minimizing ``sum_k |h_k * x - t_k|^2 + lam * K * |w * x|^2``.
 
     ``h_k * x`` is the full convolution of ``plants[k]`` with x, compared with
     ``targets[k]`` over their common support (shorter side zero-extended),
@@ -151,36 +151,28 @@ def solve_pooled(plants: Sequence[ImpulseResponse], targets: Sequence[np.ndarray
     """
     if not plants or len(plants) != len(targets):
         raise ValueError("plants and targets must be equally long and nonempty")
-    weight_taps = np.asarray(weight_taps, dtype=np.float64)
     first_row = np.zeros(n_cols)
-    rhs = np.zeros(n_cols)
-    tail_sq = 0.0
-    aligned_targets = []
-    for plant, target in zip(plants, targets):
-        h = plant.samples
-        aligned, tail = align_target(target, h.size + n_cols - 1)
-        first_row += autocorrelation(h, n_cols)
-        rhs += np.correlate(aligned, h, "valid")
-        tail_sq += tail
-        aligned_targets.append(aligned)
-    lam_pooled = lam * len(plants)
-    if lam_pooled > 0.0:
+    for plant in plants:
+        first_row += autocorrelation(plant.samples, n_cols)
+    if (lam_pooled := lam * len(plants)) > 0.0:
         first_row = first_row + lam_pooled * autocorrelation(weight_taps, n_cols)
-    x = solve_normal_equations(first_row, rhs, context=context)
+    return solve_normal_equations(first_row, _aligned_rhs(plants, targets, n_cols)[1],
+                                  context=context)
 
-    residual_sq = tail_sq
-    gradient = np.zeros(n_cols)
+
+def audit_pooled(plants: Sequence[ImpulseResponse], targets: Sequence[np.ndarray], x: np.ndarray,
+                 *, lam: float = 0.0, weight_taps: Sequence[float] = (1.0,)
+                 ) -> tuple[float, float, float, float]:
+    """The residual norm, penalty norm ``|w * x|``, largest normal-equation residual and
+    right-hand side scale of `x` in the problem `solve_pooled` solves."""
+    aligned_targets, rhs, residual_sq = _aligned_rhs(plants, targets, x.size)
+    gradient = np.zeros(x.size)
     for plant, aligned in zip(plants, aligned_targets):
         residual = np.convolve(plant.samples, x) - aligned
         residual_sq += float(residual @ residual)
         gradient += np.correlate(residual, plant.samples, "valid")
     penalty = np.convolve(weight_taps, x)
-    if lam_pooled > 0.0:
+    if (lam_pooled := lam * len(plants)) > 0.0:
         gradient = gradient + lam_pooled * np.correlate(penalty, weight_taps, "valid")
-    return PooledSolution(
-        coefficients=x,
-        residual_norm=float(np.sqrt(residual_sq)),
-        penalty_norm=float(np.linalg.norm(penalty)),
-        normal_eq_residual=float(np.max(np.abs(gradient))),
-        normal_eq_scale=float(np.max(np.abs(rhs))),
-    )
+    return (float(np.sqrt(residual_sq)), float(np.linalg.norm(penalty)),
+            float(np.max(np.abs(gradient))), float(np.max(np.abs(rhs))))

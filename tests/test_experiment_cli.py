@@ -3,18 +3,20 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import logging
 import os
 import re
 import signal
+import tempfile
 import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 
 from eqforge import cohort as cohort_mod
 from eqforge import conditions, experiment, solvers
@@ -360,6 +362,52 @@ def test_a_grid_that_needs_a_missing_dummy_is_refused_before_it_writes(tmp_path,
     before = tree_digest(out)
     assert main([*args, "--out", str(out)]) == 1
     assert tree_digest(out) == before
+
+
+def _padded(tmp_path, manifest, key, n):
+    """The manifest with ear01's response `key` zero-padded to `n` samples."""
+    entry = json.loads(manifest.read_text())["subjects"][1]
+    samples = np.loadtxt(manifest.parent / entry[key], skiprows=1)
+    path = str(tmp_path / f"long_{key}.csv")
+    write_impulse_csv(ImpulseResponse(np.concatenate([samples, np.zeros(n - samples.size)]),
+                                      RATE), path)
+    return _manifest_variant(tmp_path, manifest, lambda d: d["subjects"][1].update({key: path}))
+
+
+TOO_LONG = "samples; the 4096-point spectra hold at most 4096"
+
+
+def test_a_response_too_long_for_the_spectra_is_refused_before_the_grid(tmp_path, small_manifest,
+                                                                         capsys):
+    args = ["experiment", *_padded(tmp_path, small_manifest, "h_open", 5223),
+            "--conditions", "Optimal,GenericDH", "--delays", "16"]
+    assert main([*args, "--out", str(tmp_path / "never")]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: ear01: response h_open has 5223 {TOO_LONG}"]
+    assert not (tmp_path / "never").exists()
+
+
+def test_a_response_too_long_for_the_spectra_leaves_an_earlier_grid_in_place(tmp_path,
+                                                                               small_manifest):
+    out = tmp_path / "grid"
+    assert main(["experiment", "--manifest", str(small_manifest), "--conditions",
+                 "Optimal,GenericDH", "--delays", "16", "--out", str(out)]) == 0
+    before = tree_digest(out)
+    assert main(["experiment", *_padded(tmp_path, small_manifest, "h_occ", 5223),
+                 "--conditions", "Optimal,GenericDH", "--delays", "16", "--out", str(out)]) == 1
+    assert tree_digest(out) == before
+
+
+def test_an_aided_path_too_long_for_the_spectra_is_refused_before_the_grid(tmp_path,
+                                                                            small_manifest, capsys):
+    # h_m fits the spectra, and so does ear01's aided path at d_G 0, but not at d_G 16.
+    chain = EqDesignConfig().filter_length + len(load_manifest(small_manifest).ear("ear01").d_true)
+    variant = _padded(tmp_path, small_manifest, "h_m", 4096 + 2 - chain - 8)
+    assert main(["experiment", *variant, "--conditions", "Optimal", "--delays", "0,16",
+                 "--out", str(tmp_path / "never")]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: ear01: the aided path has {4096 + 8} {TOO_LONG}"]
+    assert not (tmp_path / "never").exists()
 
 
 def test_an_ill_conditioned_rtf_system_fails_with_one_error_line(tmp_path, small_manifest,
@@ -1176,6 +1224,70 @@ def test_manifest_and_csv_fuzz_through_design_exits_0_or_prints_one_error_line(
     _exits_0_or_prints_one_error_line([
         "design", "--manifest", str(manifest), "--subject", subject,
         "--condition", condition, "--out", str(root / "filter.json")])
+
+
+@st.composite
+def grid_inputs(draw):
+    """Lengths of 2-3 ears' responses (a few past 4096, d_* keys and the dummy maybe absent),
+    a seed for their samples, and a request of 1-2 conditions at one delay."""
+    ids = [f"ear{i:02d}" for i in range(draw(st.integers(2, 3)))]
+    ears = {sid: {key: draw(st.integers(8, 40)) for key in RESPONSE_KEYS
+                  if key in ("h_m", "h_open", "h_occ") or draw(st.integers(0, 7))}
+            for sid in ids + ["dummy"] * draw(st.booleans())}
+    for sid, key in draw(st.lists(st.sampled_from([(i, k) for i in ears for k in ears[i]]),
+                                  max_size=2)):
+        ears[sid][key] = draw(st.integers(4097, 4400))
+    conditions = draw(st.lists(st.sampled_from(CONDITION_NAMES), min_size=1, max_size=2,
+                               unique=True))
+    return ears, draw(st.integers(0, 2**32 - 1)), conditions, draw(st.sampled_from([0, 16, 96]))
+
+
+NUMERIC_FAILURES = {"ArithmeticError", "FloatingPointError", "OverflowError", "ZeroDivisionError",
+                    "SingularSystemError"}
+
+
+@given(grid_inputs())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_grid_either_refuses_its_input_or_scores_every_cell(tmp_path_factory, drawn):
+    ears, seed, conditions, delay = drawn
+    root = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for sid, lengths in ears.items():
+        (root / sid).mkdir()
+        for key, n in lengths.items():
+            write_impulse_csv(ImpulseResponse(rng.standard_normal(n), RATE),
+                              root / sid / f"{key}.csv")
+        entries[sid] = {"id": sid, **{key: f"{sid}/{key}.csv" for key in lengths}}
+    manifest = {"sample_rate_hz": RATE, "subjects": [e for i, e in entries.items() if i != "dummy"]}
+    manifest.update({"dummy": entries["dummy"]} if "dummy" in entries else {})
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    out = root / "out"  # an earlier, finished grid
+    (out / "runs").mkdir(parents=True)
+    for name in ("summary.csv", "summary.json", "runs/ear00__Optimal__dG0.json"):
+        (out / name).write_text("earlier\n")
+    before = tree_digest(out)
+
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = main(["experiment", "--manifest", str(root / "manifest.json"), "--conditions",
+                   ",".join(conditions), "--delays", str(delay), "--out", str(out)])
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    if errors:  # refused: one line, and the earlier grid as it was
+        event("refused")
+        assert rc == 1 and len(errors) == 1 and tree_digest(out) == before
+        return
+    summary = json.loads((out / "summary.json").read_text())
+    event(f"scored, {len(summary['failures'])} failed")
+    cells = [(r["subject"], r["condition"], r["d_G"]) for r in summary["per_subject"]]
+    cells += [(f["subject_id"], f["condition"], f["device_delay"]) for f in summary["failures"]]
+    subjects = [entry["id"] for entry in manifest["subjects"]]
+    assert sorted(cells) == sorted(itertools.product(subjects, conditions, [delay]))
+    assert {f["error"].split(":")[0] for f in summary["failures"]} <= NUMERIC_FAILURES
+    assert rc == (1 if summary["failures"] else 0)
+    assert sorted(p.name for p in (out / "runs").iterdir()) == sorted(
+        f"{r['subject']}__{r['condition']}__dG{r['d_G']}.{ext}"
+        for r in summary["per_subject"] for ext in ("csv", "json"))
 
 
 # --- which response files a request reads -------------------------------------------

@@ -181,25 +181,76 @@ def test_a_scipy_without_the_lapack_extension_is_one_import_error(monkeypatch):
 
 # --- kept factors: one factorization per Gram matrix -------------------------------
 
-def audit(solution):
-    return (solution.coefficients.tobytes(), solution.residual_norm, solution.penalty_norm,
-            solution.normal_eq_residual, solution.normal_eq_scale)
+def solved_and_audited(plants, targets, **penalty):
+    """The solution's bytes and its four audited norms."""
+    x = solvers.solve_pooled(plants, targets, 40, **penalty, context="equalizer design")
+    return (x.tobytes(), *solvers.audit_pooled(plants, targets, x, **penalty))
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 def test_kept_factors_give_the_same_solution_and_norms_bit_for_bit(rng, lam, factorizations):
     plants = [make_ir(rng.standard_normal(n)) for n in (30, 12, 45)]
-    kwargs = dict(lam=lam, weight_taps=(1.0, -0.5), context="equalizer design")
+    penalty = dict(lam=lam, weight_taps=(1.0, -0.5))
     fresh = []
     for _ in range(3):  # one Gram matrix, a new right-hand side each time, factored afresh
         targets = [rng.standard_normal(rng.integers(20, 120)) for _ in plants]
         solvers._factor.cache_clear()
-        fresh.append((targets, audit(solvers.solve_pooled(plants, targets, 40, **kwargs))))
+        fresh.append((targets, solved_and_audited(plants, targets, **penalty)))
     factorizations.clear()
     solvers._factor.cache_clear()
     for targets, want in fresh:  # the first factors, the others reuse its factor
-        assert audit(solvers.solve_pooled(plants, targets, 40, **kwargs)) == want
+        assert solved_and_audited(plants, targets, **penalty) == want
     assert factorizations == ["equalizer design"]
+
+
+@pytest.fixture
+def audits(monkeypatch):
+    """The plant counts of the `audit_pooled` calls from here on, wherever it was imported."""
+    audit, counts = solvers.audit_pooled, []
+
+    def counted(plants, *args, **kwargs):
+        counts.append(len(plants))
+        return audit(plants, *args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("eqforge")]:
+        if getattr(module, "audit_pooled", None) is audit:
+            monkeypatch.setattr(module, "audit_pooled", counted)
+    return counts
+
+
+def test_only_a_design_audits_its_solution(audits):
+    params = SynthCohortParams(n_subjects=4, seed=3)
+    cohort = CohortData.of(synth_cohort(params), synth_dummy_ear(params))
+    ear = cohort.ears[0]
+    estimate_average([(e.h_m, e.h_open) for e in cohort.ears], 64, 32)
+    rtfs = cohort.pooled_rtfs(cohort.subject_ids[1:], 32)
+    assert audits == []
+    design_filter_pooled([ear.d_true, ear.d_model], [build_target(*rtfs, 16)] * 2,
+                         EqDesignConfig(device_delay=16))
+    assert audits == [2]
+
+
+def test_a_serial_seed_42_grid_makes_109_factorizations_for_386_solves(tmp_path, monkeypatch,
+                                                                        factorizations):
+    from eqforge import experiment
+
+    solve, solves = solvers.solve_normal_equations, []
+
+    def counted(first_row, rhs, **kwargs):
+        solves.append(kwargs["context"])
+        return solve(first_row, rhs, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_normal_equations", counted)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0})
+    params = SynthCohortParams(seed=42)
+    cohort = CohortData.of(synth_cohort(params), synth_dummy_ear(params))
+    result = experiment.run_experiment(cohort, list(CONDITIONS), experiment.DEFAULT_DELAYS,
+                                       EqDesignConfig(), tmp_path)
+    assert len(result.runs) == 336 and not result.failures
+    # 336 designs plus 50 RTF estimates: open and occluded for each ear, its
+    # leave-one-out average and the dummy.
+    assert (solves.count("equalizer design"), solves.count("RTF estimate")) == (336, 50)
+    assert len(factorizations) == 109
 
 
 @pytest.mark.parametrize("plant, message", [
