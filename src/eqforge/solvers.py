@@ -113,7 +113,7 @@ def align_target(target: np.ndarray, rows: int) -> tuple[np.ndarray, float]:
     return aligned, float(np.dot(tail, tail))
 
 
-def autocorrelation(taps: np.ndarray, n: int) -> np.ndarray:
+def autocorrelation(taps: np.ndarray | Sequence[float], n: int) -> np.ndarray:
     """Lags 0..n-1 of the autocorrelation of `taps`, zero beyond ``len(taps)``."""
     full = np.correlate(taps, taps, "full")[len(taps) - 1 :]
     return zero_extend(full[:n], n)

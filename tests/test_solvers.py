@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from eqforge import solvers
+from eqforge import experiment, solvers
 from eqforge.cohort import CohortData, SynthCohortParams, synth_cohort, synth_dummy_ear
 from eqforge.conditions import CONDITIONS, design_for_condition
 from eqforge.design import EqDesignConfig, build_target, design_filter, design_filter_pooled
@@ -232,8 +232,6 @@ def test_only_a_design_audits_its_solution(audits):
 
 def test_a_serial_seed_42_grid_makes_109_factorizations_for_386_solves(tmp_path, monkeypatch,
                                                                         factorizations):
-    from eqforge import experiment
-
     solve, solves = solvers.solve_normal_equations, []
 
     def counted(first_row, rhs, **kwargs):
